@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """Survey of non-equivariant expansions on five letters.
 
-Computes every coefficient of every cell class through the exact
-one-parameter specialization, checks strict log-concavity across all of
-them, and prints the deepest coefficient of the open cell together with
-timings.  Takes a couple of minutes.
+Computes every coefficient of every cell class (the equivariant
+expansions with every torus variable sent to 1), checks strict
+log-concavity across all of them, and prints the deepest coefficient of
+the open cell together with timings.  Takes under half a minute.
 """
 
 import sys

@@ -218,9 +218,7 @@ def cmd_expand(args) -> int:
     else:
         raise CliError("expand needs --p or --all")
 
-    spec = (TorusSpecialization.one_parameter(n) if args.nonequivariant and n >= 5
-            else TorusSpecialization.standard(n))
-    ex = Expander(n, spec, jobs=args.jobs or 1)
+    ex = Expander(n, jobs=args.jobs or 1)
     if targets is None:
         expansions = [ex.expansions[p] for p in sorted(
             ex.expansions, key=lambda w: (w.length(), w.word))]
@@ -255,13 +253,11 @@ def cmd_conjectures(args) -> int:
     _guard_n(args.n)
     checks = args.checks.split(",") if args.checks else ["sign", "log", "sdelta"]
     combined = Report("conjectures")
-    expander = None
-    if "sign" in checks or "sdelta" in checks:
-        expander = Expander(args.n, jobs=args.jobs or 1)
+    expander = Expander(args.n, jobs=args.jobs or 1)
     if "sign" in checks:
         combined.extend(check_sign_conjecture(args.n, expander))
     if "log" in checks:
-        combined.extend(check_log_concavity(args.n, jobs=args.jobs or 1))
+        combined.extend(check_log_concavity(args.n, expander))
     if "sdelta" in checks:
         combined.extend(check_s_delta_signs(args.n, expander))
     if args.format == "json":
@@ -330,11 +326,20 @@ def cmd_limit(args) -> int:
 def cmd_interpolate(args) -> int:
     from .interp import OrbitProblem, solve_csm, solve_fundamental
     if args.data:
-        problem = OrbitProblem.load(args.data)
+        try:
+            problem = OrbitProblem.load(args.data)
+        except KeyError as err:
+            raise CliError(f"orbit data {args.data!r} lacks the key {err}")
+        except TypeError as err:
+            raise CliError(f"malformed orbit data {args.data!r}: {err}")
     else:
         from importlib.resources import files
         data = files("mcclass.data").joinpath("a2quiver.json").read_text(encoding="utf-8")
         problem = OrbitProblem.from_json(json.loads(data))
+    try:
+        problem.orbit(args.target)
+    except KeyError as err:
+        raise CliError(err.args[0])
     if args.mode == "fundamental":
         sol = solve_fundamental(problem, args.target)
         if args.format == "json":
@@ -427,7 +432,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", help="write output to this path")
         p.add_argument("--jobs", type=int, default=None,
                        help="parallelism degree (default: all cores)")
-        p.add_argument("-v", "--verbose", action="store_true")
 
     w = sub.add_parser("weight", help="weight functions and localization tables")
     w.add_argument("--mu", required=True, help="composition, e.g. 1,1,1")

@@ -81,13 +81,6 @@ class IndexTuple:
             out.append(tuple(acc))
         return tuple(out)
 
-    def block_of(self, i: int) -> int:
-        """1-based block index containing the element i."""
-        for j, b in enumerate(self.blocks, start=1):
-            if i in b:
-                return j
-        raise ValueError(f"{i} not covered")
-
     def to_permutation(self) -> "Permutation":
         if not self.mu.is_full_flag():
             raise ValueError("only full-flag tuples correspond to permutations")
@@ -146,9 +139,11 @@ class Permutation:
         w[i - 1], w[i] = w[i], w[i - 1]
         return Permutation(tuple(w))
 
-    def descents(self):
-        """Positions i with w(i) > w(i+1)."""
-        return tuple(i for i in range(1, self.n) if self.word[i - 1] > self.word[i])
+    def swap_values(self, i: int) -> "Permutation":
+        """Left multiplication by the simple transposition s_i: the
+        values i and i+1 trade places."""
+        return Permutation(tuple(i + 1 if x == i else i if x == i + 1 else x
+                                 for x in self.word))
 
     def to_index_tuple(self) -> IndexTuple:
         return IndexTuple(Composition((1,) * self.n), tuple((w,) for w in self.word))

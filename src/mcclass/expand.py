@@ -2,11 +2,12 @@
 non-equivariant and ratio-variable specializations, and the three
 conjecture checkers (signs, log-concavity, shifted-variable signs).
 
-The basis table is generated by an isobaric Demazure recursion from the
-point class; expansions are computed either by back-substitution on the
-localization tables or by a two-term coefficient recursion along
-descent edges.  Both routes and the operator conventions are pinned
-against each other and against frozen oracles in the test suite.
+Expansions are produced by the left Demazure-Lusztig recursion
+(Aluffi-Mihalcea-Schuermann-Su, arXiv:1902.10101): a sparse two-term
+step on the coefficients, walked down from the point class.  The
+localization rows of the basis (isobaric Demazure recursion) and the
+Bruhat-triangular back-substitution stay here as the independent
+oracle that the test suite pins the recursion against.
 """
 
 from __future__ import annotations
@@ -14,15 +15,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .axioms import orbit_local_data
-from .combi import Composition, IndexTuple, Permutation, bruhat_leq, enumerate_index_tuples
+from .combi import Permutation, bruhat_leq
 from .report import Report, ReportEntry
-from .ring import (LaurentPoly, NonDivisibleError, YP_ONE, YP_ONE_PLUS_Y, YP_Y, YP_ZERO,
-                   Ypoly, exact_divide, format_poly, poly_to_json, substitute_ones,
-                   yp_add, yp_subst)
-from .weightfn import TorusSpecialization, full_flag_table_recursive, localization_table
+from .ring import (LaurentPoly, exact_divide, monomial_substitute, poly_to_json,
+                   substitute_ones, yp_subst)
+from .weightfn import TorusSpecialization
 
 
 class NegativeRatioExponentError(ValueError):
@@ -35,7 +35,8 @@ def _all_perms(n: int):
 
 
 # ---------------------------------------------------------------------------
-# Structure sheaf basis via the isobaric Demazure recursion
+# Oracle: basis rows by the isobaric Demazure recursion, expansions by the
+# triangular solve.  Only the tests use these.
 # ---------------------------------------------------------------------------
 
 
@@ -85,32 +86,6 @@ def structure_sheaf_rows(n: int, spec: TorusSpecialization | None = None) -> dic
 
 
 @dataclass(frozen=True)
-class BasisTable:
-    """Restrictions [w]|_v of the structure-sheaf basis classes."""
-
-    n: int
-    spec: TorusSpecialization
-    rows: dict  # w -> {v -> LaurentPoly}
-
-    def restriction(self, w: Permutation, v: Permutation) -> LaurentPoly:
-        return self.rows[w][v]
-
-    def diagonal(self, w: Permutation) -> LaurentPoly:
-        return self.rows[w][w]
-
-
-def structure_sheaf_table(n: int, spec: TorusSpecialization | None = None) -> BasisTable:
-    if spec is None:
-        spec = TorusSpecialization.standard(n)
-    return BasisTable(n, spec, structure_sheaf_rows(n, spec))
-
-
-# ---------------------------------------------------------------------------
-# Expansions
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
 class Expansion:
     """Coefficients of one cell class in the structure-sheaf basis."""
 
@@ -128,13 +103,12 @@ class Expansion:
 
 
 def expand_by_solve(p: Permutation, wrow: Mapping[Permutation, LaurentPoly],
-                    basis: BasisTable,
+                    basis_rows: Mapping[Permutation, Mapping], spec: TorusSpecialization,
                     order: Sequence[Permutation] | None = None) -> Expansion:
     """Back-substitution of the Bruhat-triangular linear system
     row(p) = sum_w c_w * row([w]) along a linear extension of the
     closure order; every division by a diagonal entry must be exact."""
-    spec = basis.spec
-    perms = _all_perms(basis.n)
+    perms = _all_perms(spec.n)
     if order is None:
         order = perms
     else:
@@ -147,69 +121,123 @@ def expand_by_solve(p: Permutation, wrow: Mapping[Permutation, LaurentPoly],
     for v in order:
         rem = wrow[v]
         for w, cw in coeffs.items():
-            bwv = basis.rows[w].get(v)
+            bwv = basis_rows[w].get(v)
             if bwv is None or bwv.is_zero():
                 continue
             rem = rem - cw * bwv
         if rem.is_zero():
             continue
-        coeffs[v] = exact_divide(rem, basis.diagonal(v))
+        coeffs[v] = exact_divide(rem, basis_rows[v][v])
     return Expansion(p, coeffs, spec)
 
 
-class Expander:
-    """Shared context: localization rows, basis table, expansions.
+# ---------------------------------------------------------------------------
+# Expansions by the left Demazure-Lusztig recursion
+# ---------------------------------------------------------------------------
 
-    A two-term coefficient recursion along descent edges was tried and
-    rejected: no GKM-local two-term operator transports the modified
-    rows and acts with two-element support on this basis (the linear
-    system for its pointwise coefficients is infeasible already on
-    three letters), so expansions always go through the triangular
-    solve.
+
+def left_step(coeffs: Mapping[Permutation, LaurentPoly], i: int,
+              spec: TorusSpecialization) -> dict:
+    """Coefficients of mC[w] from those of mC[s_i w], where s_i w (the
+    values i and i+1 of w swapped) is one longer than w:
+
+        c_x O_x -> (1 + y b) s(c_x) O_x'
+                   + ((1 + y b) d(c_x) - (1 + y + y b) c_x) O_x
+
+    with b = tau_i/tau_{i+1}, s exchanging tau_i and tau_{i+1},
+    d(c) = tau_i (c - s c)/(tau_i - tau_{i+1}) (an exact division), and
+    x' = s_i x when that is shorter than x, else x' = x.  Needs the
+    standard torus; returns the nonzero coefficients.
+    """
+    one_plus_yb = spec.one_plus_y_ratio(i, i + 1)
+    one_plus_y_plus_yb = one_plus_yb + LaurentPoly.y(spec.vars)
+    tau_i = spec.tau_exp(i)
+    tau_diff = spec.tau_diff(i, i + 1)
+    ti, tj = spec.vars[i - 1], spec.vars[i]
+    swap = {ti: (1, {tj: 1}), tj: (1, {ti: 1})}
+    zero = spec.zero()
+    out: dict = {}
+    for x, c in coeffs.items():
+        sc = monomial_substitute(c, swap)
+        xs = x if x.word.index(i) < x.word.index(i + 1) else x.swap_values(i)
+        out[xs] = out.get(xs, zero) + one_plus_yb * sc
+        rest = -(one_plus_y_plus_yb * c)
+        diff = c - sc
+        if not diff.is_zero():
+            rest = rest + one_plus_yb * exact_divide(diff.shift(tau_i), tau_diff)
+        out[x] = out.get(x, zero) + rest
+    return {x: c for x, c in out.items() if not c.is_zero()}
+
+
+def _left_parent(w: Permutation) -> int:
+    """The smallest i with l(s_i w) = l(w) + 1 (value i before i+1)."""
+    return next(i for i in range(1, w.n) if w.word.index(i) < w.word.index(i + 1))
+
+
+class Expander:
+    """Expansions of every cell class of Fl(n) in the structure-sheaf
+    basis, by the left Demazure-Lusztig recursion from the point class.
+
+    The recursion runs on the standard torus.  For another torus
+    specialization each coefficient is mapped through the
+    specialization afterwards; the equivariant expansion is the unique
+    solution of a triangular system whose diagonal stays nonzero under
+    the specializations used here, so the mapped coefficients are the
+    specialized solution exactly.
+
+    A two-term operator that transports localization rows (right,
+    GKM-local) cannot act sparsely on this basis; the left operator
+    acts on the coefficients instead and needs no localization rows.
     """
 
-    def __init__(self, n: int, spec: TorusSpecialization | None = None,
-                 table_method: str = "recursion", jobs: int = 1):
+    def __init__(self, n: int, spec: TorusSpecialization | None = None, jobs: int = 1):
         self.n = n
         self.spec = spec if spec is not None else TorusSpecialization.standard(n)
-        self.table_method = table_method
         self.jobs = jobs
+        self._standard = TorusSpecialization.standard(n)
+        w0 = Permutation.longest(n)
+        self._memo = {w0: {w0: self._standard.one()}}
 
-    @cached_property
-    def wtilde_rows(self) -> dict:
-        if self.table_method == "recursion":
-            return full_flag_table_recursive(self.n, self.spec, modified=True)
-        mu = Composition((1,) * self.n)
-        table = localization_table(mu, modified=True, spec=self.spec,
-                                   method="direct", jobs=self.jobs)
-        return {I.to_permutation(): {J.to_permutation(): val
-                                     for J, val in table[I].table.items()}
-                for I in table}
+    def _coeffs(self, p: Permutation) -> dict:
+        """Standard-torus coefficients of p, walking the chain of left
+        parents up to the first one already known."""
+        chain = []
+        w = p
+        while w not in self._memo:
+            i = _left_parent(w)
+            chain.append((w, i))
+            w = w.swap_values(i)
+        for w, i in reversed(chain):
+            self._memo[w] = left_step(self._memo[w.swap_values(i)], i, self._standard)
+        return self._memo[p]
 
-    @cached_property
-    def basis(self) -> BasisTable:
-        return structure_sheaf_table(self.n, self.spec)
+    def _fill_in_parallel(self, perms) -> None:
+        """perms in (length, word) order; the steps of one length level
+        are independent of each other."""
+        import multiprocessing as mp
+        with mp.get_context("spawn").Pool(self.jobs) as pool:
+            for _, level in itertools.groupby(reversed(perms), key=Permutation.length):
+                todo = [(w, _left_parent(w)) for w in level if w not in self._memo]
+                results = pool.starmap(left_step, [(self._memo[w.swap_values(i)], i,
+                                                    self._standard) for w, i in todo])
+                self._memo.update(zip((w for w, _ in todo), results))
+
+    def expand(self, p: Permutation) -> Expansion:
+        coeffs = self._coeffs(p)
+        if self.spec != self._standard:
+            images = {v: (1, dict(zip(self.spec.vars, exp)))
+                      for v, exp in zip(self._standard.vars, self.spec.images)}
+            coeffs = {w: monomial_substitute(c, images, self.spec.vars)
+                      for w, c in coeffs.items()}
+            coeffs = {w: c for w, c in coeffs.items() if not c.is_zero()}
+        return Expansion(p, coeffs, self.spec)
 
     @cached_property
     def expansions(self) -> dict:
-        items = sorted(self.wtilde_rows.items(), key=lambda kv: (kv[0].length(), kv[0].word))
+        perms = _all_perms(self.n)
         if self.jobs > 1:
-            import multiprocessing as mp
-            with mp.Pool(self.jobs) as pool:
-                results = pool.map(_expand_job,
-                                   [(p, row, self.basis) for p, row in items])
-            return dict(zip((p for p, _ in items), results))
-        return {p: expand_by_solve(p, row, self.basis) for p, row in items}
-
-    def expand(self, p: Permutation, method: str = "solve") -> Expansion:
-        if method != "solve":
-            raise ValueError(f"unknown method {method!r}")
-        return expand_by_solve(p, self.wtilde_rows[p], self.basis)
-
-
-def _expand_job(args):
-    p, row, basis = args
-    return expand_by_solve(p, row, basis)
+            self._fill_in_parallel(perms)
+        return {p: self.expand(p) for p in perms}
 
 
 def expand(p: Permutation, spec: TorusSpecialization | None = None) -> Expansion:
@@ -228,16 +256,10 @@ def specialize_nonequivariant(e: Expansion) -> dict:
 
 
 def nonequivariant_coefficients(n: int, jobs: int = 1) -> dict:
-    """Non-equivariant expansions of every cell class, computed through
-    the exact one-parameter specialization (tau_i -> t^i, then t -> 1).
-
-    The specialized triangular data stays nondegenerate, so the
-    specialization of the unique equivariant solution is the unique
-    specialized solution; the answers are exact.
-    """
-    ex = Expander(n, TorusSpecialization.one_parameter(n), jobs=jobs)
-    return {p: {w: substitute_ones(c) for w, c in e.coeffs.items()}
-            for p, e in ex.expansions.items()}
+    """Non-equivariant expansions of every cell class: the equivariant
+    coefficients with every torus variable sent to 1."""
+    return {p: specialize_nonequivariant(e)
+            for p, e in Expander(n, jobs=jobs).expansions.items()}
 
 
 def ratio_exponents(exp: Sequence[int]) -> tuple:
@@ -323,13 +345,15 @@ def is_strictly_log_concave(seq: Sequence[int]) -> bool:
     return True
 
 
-def check_log_concavity(n: int, jobs: int = 1) -> Report:
+def check_log_concavity(n: int, expander: Expander | None = None,
+                        jobs: int = 1) -> Report:
     """Strict log-concavity of every non-equivariant coefficient."""
+    if expander is None:
+        expander = Expander(n, jobs=jobs)
     report = Report("log-concavity")
-    coeffs = nonequivariant_coefficients(n, jobs=jobs)
-    for p in sorted(coeffs, key=lambda w: (w.length(), w.word)):
-        for w in sorted(coeffs[p], key=lambda w: (w.length(), w.word)):
-            seq = coeffs[p][w]
+    for p, e in sorted(expander.expansions.items(), key=lambda kv: (kv[0].length(), kv[0].word)):
+        for w, c in e.sorted_items():
+            seq = substitute_ones(c)
             ok = is_strictly_log_concave(seq)
             report.add(ReportEntry(pair=(str(p), str(w)), check="log-concavity",
                                    ok=ok,

@@ -248,21 +248,6 @@ class LaurentPoly:
         """Terms in canonical order: lexicographic on exponent vectors."""
         return sorted(self.terms.items())
 
-    def y_degree(self) -> int:
-        return max((len(c) - 1 for c in self.terms.values()), default=-1)
-
-    def constant_ypoly(self) -> Ypoly:
-        """Coefficient of the exponent-zero monomial."""
-        return self.terms.get((0,) * len(self.vars), YP_ZERO)
-
-    def as_ypoly(self) -> Ypoly:
-        """Interpret a torus-free polynomial as an element of Z[y]."""
-        z = (0,) * len(self.vars)
-        for e in self.terms:
-            if e != z:
-                raise ValueError("polynomial still involves torus variables")
-        return self.terms.get(z, YP_ZERO)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
@@ -617,14 +602,6 @@ def exact_divide(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
                                  for e, c in slot.items()})
         raise NonDivisibleError("nonzero remainder", remainder=rem)
     return LaurentPoly(vars, quot)
-
-
-def divides(q: LaurentPoly, p: LaurentPoly) -> bool:
-    try:
-        exact_divide(p, q)
-        return True
-    except NonDivisibleError:
-        return False
 
 
 # ---------------------------------------------------------------------------

@@ -178,6 +178,30 @@ def test_bad_input_exit_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("target, corrupt", [
+    ("nope", None),
+    ("omega0", lambda d: d["orbits"][1].pop("codim")),
+    ("omega0", lambda d: d.pop("orbits")),
+    ("omega0", lambda d: d.update(orbits=5)),
+], ids=["unknown-target", "orbit-without-codim", "no-orbits", "orbits-not-a-list"])
+def test_interpolate_malformed_input_exit_2(tmp_path, target, corrupt):
+    # a full process run, so that a traceback would show on stderr
+    args = ["interpolate", "--target", target]
+    if corrupt is not None:
+        from importlib.resources import files
+        data = json.loads(files("mcclass.data").joinpath("a2quiver.json")
+                          .read_text(encoding="utf-8"))
+        corrupt(data)
+        path = tmp_path / "orbits.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        args += ["--data", str(path)]
+    r = subprocess.run([sys.executable, "-m", "mcclass"] + args,
+                       capture_output=True, text=True, cwd=ROOT)
+    assert r.returncode == 2, r.stderr
+    assert r.stderr.startswith("error:") and r.stderr.count("\n") == 1, r.stderr
+    assert "Traceback" not in r.stderr
+
+
 def test_output_file_written(tmp_path, capsys):
     path = tmp_path / "out.json"
     code, out, _ = run_cli("expand", "--n", "2", "--p", "1,2", "--format", "json",

@@ -4,14 +4,13 @@ import pytest
 
 from frozen_expansions import EXPANSIONS_N3, NONEQ_OPEN_N4
 from mcclass.combi import Composition, Permutation, bruhat_leq
-from mcclass.expand import (BasisTable, Expander, NegativeRatioExponentError,
+from mcclass.expand import (Expander, NegativeRatioExponentError,
                             check_log_concavity, check_s_delta_signs,
                             check_sign_conjecture, demazure_step, expand,
                             expand_by_solve, format_expansion,
                             is_strictly_log_concave, nonequivariant_coefficients,
                             ratio_exponents, specialize_nonequivariant,
-                            structure_sheaf_rows, structure_sheaf_table,
-                            substitute_s_delta)
+                            structure_sheaf_rows, substitute_s_delta)
 from mcclass.ring import LaurentPoly, exact_divide, substitute_ones
 from mcclass.weightfn import TorusSpecialization, full_flag_table_recursive
 
@@ -127,16 +126,52 @@ def test_expand_point_cell_trivial():
     assert e.coeffs[perm(3, 2, 1)].is_one()
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_left_recursion_matches_solve(n):
+    # the left Demazure-Lusztig recursion against the triangular solve
+    # on the localization rows, for every cell
+    spec = TorusSpecialization.standard(n)
+    wrows = full_flag_table_recursive(n, spec, modified=True)
+    basis_rows = structure_sheaf_rows(n, spec)
+    ex = Expander(n)
+    assert set(ex.expansions) == set(wrows)
+    for p, e in ex.expansions.items():
+        assert e.coeffs == expand_by_solve(p, wrows[p], basis_rows, spec).coeffs, p
+
+
+def test_one_parameter_expander_matches_one_parameter_solve():
+    n = 4
+    spec = TorusSpecialization.one_parameter(n)
+    wrows = full_flag_table_recursive(n, spec, modified=True)
+    basis_rows = structure_sheaf_rows(n, spec)
+    ex = Expander(n, spec)
+    for p, e in ex.expansions.items():
+        assert e.spec == spec
+        assert e.coeffs == expand_by_solve(p, wrows[p], basis_rows, spec).coeffs, p
+
+
+def test_chain_walk_matches_full_walk():
+    # expand(p) walks only the chain from the point class down to p
+    full = Expander(4).expansions
+    for p in (Permutation.identity(4), perm(1, 3, 2, 4), perm(4, 1, 3, 2)):
+        assert Expander(4).expand(p) == full[p]
+
+
+def test_parallel_levels_match_serial():
+    assert Expander(4, jobs=2).expansions == Expander(4).expansions
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_reconstruction_identity(n):
-    ex = Expander(n)
-    basis = ex.basis
-    for p, e in ex.expansions.items():
-        for v in ex.wtilde_rows[p]:
-            total = ex.spec.zero()
+    spec = TorusSpecialization.standard(n)
+    wrows = full_flag_table_recursive(n, spec, modified=True)
+    basis_rows = structure_sheaf_rows(n, spec)
+    for p, e in Expander(n).expansions.items():
+        for v in wrows[p]:
+            total = spec.zero()
             for w, c in e.coeffs.items():
-                total = total + c * basis.rows[w][v]
-            assert total == ex.wtilde_rows[p][v], (p, v)
+                total = total + c * basis_rows[w][v]
+            assert total == wrows[p][v], (p, v)
 
 
 def test_triangularity_of_coefficients():
@@ -147,12 +182,14 @@ def test_triangularity_of_coefficients():
 
 
 def test_solve_order_independence():
-    ex = Expander(3)
-    perms = sorted(ex.expansions, key=lambda w: (w.length(), w.word))
+    spec = TorusSpecialization.standard(3)
+    wrows = full_flag_table_recursive(3, spec, modified=True)
+    basis_rows = structure_sheaf_rows(3, spec)
+    perms = sorted(wrows, key=lambda w: (w.length(), w.word))
     alt_order = sorted(perms, key=lambda w: (w.length(), tuple(reversed(w.word))))
     for p in perms:
-        a = expand_by_solve(p, ex.wtilde_rows[p], ex.basis)
-        b = expand_by_solve(p, ex.wtilde_rows[p], ex.basis, order=alt_order)
+        a = expand_by_solve(p, wrows[p], basis_rows, spec)
+        b = expand_by_solve(p, wrows[p], basis_rows, spec, order=alt_order)
         assert a.coeffs == b.coeffs
 
 
@@ -178,10 +215,13 @@ def test_nonequivariant_open_cell_n4_matches_frozen():
 
 
 def test_nonequivariant_route_via_one_parameter_spec():
+    one_param = Expander(4, TorusSpecialization.one_parameter(4))
+    via_one_param = specialize_nonequivariant(one_param.expand(Permutation.identity(4)))
     table = nonequivariant_coefficients(4)
     got = table[Permutation.identity(4)]
     for w, expected in NONEQ_OPEN_N4.items():
         assert got[perm(*w)] == expected, w
+        assert via_one_param[perm(*w)] == expected, w
 
 
 def test_nonequivariant_n2_point_coefficient():
@@ -249,8 +289,9 @@ def test_conjectures_small(n):
 def test_conjectures_n4():
     ex = Expander(4)
     assert check_sign_conjecture(4, ex).ok
-    assert check_log_concavity(4).ok
+    assert check_log_concavity(4, ex).ok
     assert check_s_delta_signs(4, ex).ok
+    assert check_log_concavity(4).entries_json() == check_log_concavity(4, ex).entries_json()
 
 
 # ---------------------------------------------------------------------------
