@@ -260,11 +260,15 @@ def check_segre_consistency(mu, table: Mapping | None = None,
 
 def run_axiom_suite(n: int, jobs: int = 1,
                     spec: TorusSpecialization | None = None) -> Report:
-    """All checks for the full flag variety on n letters, one report."""
+    """All checks for the full flag variety on n letters, one report.
+
+    The table comes from localization_table's descent recursion, which
+    is built serially whatever jobs says.
+    """
     mu = Composition((1,) * n)
     if spec is None:
         spec = TorusSpecialization.standard(n)
-    table = localization_table(mu, modified=True, spec=spec, method="direct", jobs=jobs)
+    table = localization_table(mu, modified=True, spec=spec, jobs=jobs)
     combined = Report("axioms")
     for rep in (check_normalization(mu, table, spec),
                 check_support(mu, table, spec),

@@ -21,9 +21,8 @@ from .ring import (Cocharacter, InfiniteLimitError, LaurentPoly, RingError,
                    format_poly_ygrouped, format_ypoly, limit_at_infinity,
                    poly_from_json, poly_to_json, rational_from_json,
                    rational_to_json)
-from .weightfn import (LocalizedClass, TorusSpecialization, VariablePanel,
-                       c_mu_at, c_prime_mu_at, chern_products, localization_table,
-                       modified_restriction_direct, restriction_direct,
+from .weightfn import (TorusSpecialization, VariablePanel, chern_products,
+                       full_flag_table_recursive, localization_table,
                        segre_restriction, weight_function)
 
 DEFAULT_MAX_N = 6
@@ -81,6 +80,25 @@ def _parse_perm(text: str, n: int | None = None) -> Permutation:
     return w
 
 
+def _load_json_file(path: str, what: str, parse):
+    """parse() applied to the JSON in the file at path; an unreadable
+    file, bad JSON, a missing key or a value of the wrong type is bad
+    input."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            obj = json.load(fh)
+    except OSError as err:
+        raise CliError(f"cannot read {what} {path!r}: {err.strerror}")
+    except json.JSONDecodeError as err:
+        raise CliError(f"{what} {path!r} is not valid JSON: {err}")
+    try:
+        return parse(obj)
+    except KeyError as err:
+        raise CliError(f"{what} {path!r} lacks the key {err}")
+    except (AttributeError, TypeError, ValueError) as err:
+        raise CliError(f"malformed {what} {path!r}: {err}")
+
+
 def _emit(text: str, path: str | None) -> None:
     if path is None:
         sys.stdout.write(text)
@@ -126,7 +144,7 @@ def cmd_weight(args) -> int:
                   else _render_segre_tables(payload), args.output)
             return 0
         table = localization_table(mu, modified=(args.kind == "modified"),
-                                   spec=spec, method="direct", jobs=jobs)
+                                   spec=spec, jobs=jobs)
         payload = [{"I": I.to_json(), **table[I].to_json()} for I in targets]
         if args.format == "json":
             _emit(dumps_canonical({"mu": list(mu.parts), "kind": args.kind,
@@ -282,16 +300,17 @@ def cmd_conjectures(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _ratio_from_json(obj):
+    from .ring import RationalExpr
+    if "den" in obj:
+        return rational_from_json(obj)
+    return RationalExpr(poly_from_json(obj))
+
+
 def cmd_limit(args) -> int:
     from .axioms import quadratic_cone_ratio
     if args.klass:
-        with open(args.klass, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-        if "den" in obj:
-            ratio = rational_from_json(obj)
-        else:
-            from .ring import RationalExpr
-            ratio = RationalExpr(poly_from_json(obj))
+        ratio = _load_json_file(args.klass, "class file", _ratio_from_json)
     else:
         ratio = quadratic_cone_ratio()
     results = []
@@ -326,12 +345,7 @@ def cmd_limit(args) -> int:
 def cmd_interpolate(args) -> int:
     from .interp import OrbitProblem, solve_csm, solve_fundamental
     if args.data:
-        try:
-            problem = OrbitProblem.load(args.data)
-        except KeyError as err:
-            raise CliError(f"orbit data {args.data!r} lacks the key {err}")
-        except TypeError as err:
-            raise CliError(f"malformed orbit data {args.data!r}: {err}")
+        problem = _load_json_file(args.data, "orbit data", OrbitProblem.from_json)
     else:
         from importlib.resources import files
         data = files("mcclass.data").joinpath("a2quiver.json").read_text(encoding="utf-8")
@@ -382,9 +396,8 @@ def cmd_newton(args) -> int:
         q = _parse_perm(q_text, 3)
         from .axioms import orbit_local_data
         spec = TorusSpecialization.standard(3)
-        I, J = p.to_index_tuple(), q.to_index_tuple()
-        ek = orbit_local_data(J).ek_normal(spec)
-        val = modified_restriction_direct(I, J, spec)
+        ek = orbit_local_data(q.to_index_tuple()).ek_normal(spec)
+        val = full_flag_table_recursive(3, spec)[p][q]
         layers = []
         if not ek.is_zero():
             layers.append(("ek-polygon", project_sum_zero(sorted(ek.support()))))
@@ -396,9 +409,7 @@ def cmd_newton(args) -> int:
         _emit(svg, args.svg or args.output)
         return 0
     if args.klass:
-        with open(args.klass, "r", encoding="utf-8") as fh:
-            poly = poly_from_json(json.load(fh))
-        P = newton_polytope(poly)
+        P = newton_polytope(_load_json_file(args.klass, "class file", poly_from_json))
         if args.contains:
             from fractions import Fraction
             x = tuple(Fraction(v) for v in args.contains.split(","))

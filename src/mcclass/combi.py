@@ -161,6 +161,27 @@ def inversions(w: Permutation) -> set:
             if word[i] > word[j]}
 
 
+def permutations_by_length(n: int) -> list:
+    """All permutations of 1..n ordered by length, then by word."""
+    return sorted((Permutation(p) for p in itertools.permutations(range(1, n + 1))),
+                  key=lambda w: (w.length(), w.word))
+
+
+def weak_order_walk(n: int) -> Iterator[tuple]:
+    """Walk the weak order of 1..n downward from the longest permutation.
+
+    Yields (w, w*s_i, i) for every w but the longest, longest first and
+    by word within a length, where i is the smallest position with
+    w(i) < w(i+1).  Then w*s_i is one longer than w and was yielded
+    earlier (or is the longest), so a row recursion along descent
+    edges can build the row of w from the row of w*s_i.
+    """
+    # a stable sort: within one length the words stay in order
+    for w in sorted(permutations_by_length(n)[:-1], key=lambda w: -w.length()):
+        i = next(i for i in range(1, n) if w(i) < w(i + 1))
+        yield w, w.swap_positions(i), i
+
+
 def enumerate_index_tuples(mu: Composition) -> list:
     """All index tuples for mu, ordered lexicographically by sorted blocks."""
     if not isinstance(mu, Composition):

@@ -18,7 +18,7 @@ from functools import cached_property
 from typing import Mapping, Sequence
 
 from .axioms import orbit_local_data
-from .combi import Permutation, bruhat_leq
+from .combi import Permutation, bruhat_leq, permutations_by_length, weak_order_walk
 from .report import Report, ReportEntry
 from .ring import (LaurentPoly, exact_divide, monomial_substitute, poly_to_json,
                    substitute_ones, yp_subst)
@@ -27,11 +27,6 @@ from .weightfn import TorusSpecialization
 
 class NegativeRatioExponentError(ValueError):
     """A coefficient needed a negative power of a ratio variable."""
-
-
-def _all_perms(n: int):
-    return sorted((Permutation(p) for p in itertools.permutations(range(1, n + 1))),
-                  key=lambda w: (w.length(), w.word))
 
 
 # ---------------------------------------------------------------------------
@@ -66,22 +61,11 @@ def structure_sheaf_rows(n: int, spec: TorusSpecialization | None = None) -> dic
     if spec is None:
         spec = TorusSpecialization.standard(n)
     w0 = Permutation.longest(n)
-    perms = _all_perms(n)
-    seed = {v: spec.zero() for v in perms}
+    seed = {v: spec.zero() for v in permutations_by_length(n)}
     seed[w0] = orbit_local_data(w0.to_index_tuple()).ek_normal(spec)
     rows = {w0: seed}
-    for w in sorted(perms, key=lambda w: (-w.length(), w.word)):
-        if w == w0:
-            continue
-        done = False
-        for i in range(1, n):
-            ws = w.swap_positions(i)
-            if ws.length() == w.length() + 1 and ws in rows:
-                rows[w] = demazure_step(rows[ws], i, spec)
-                done = True
-                break
-        if not done:
-            raise AssertionError(f"no processed raising edge for {w}")
+    for w, parent, i in weak_order_walk(n):
+        rows[w] = demazure_step(rows[parent], i, spec)
     return rows
 
 
@@ -108,7 +92,7 @@ def expand_by_solve(p: Permutation, wrow: Mapping[Permutation, LaurentPoly],
     """Back-substitution of the Bruhat-triangular linear system
     row(p) = sum_w c_w * row([w]) along a linear extension of the
     closure order; every division by a diagonal entry must be exact."""
-    perms = _all_perms(spec.n)
+    perms = permutations_by_length(spec.n)
     if order is None:
         order = perms
     else:
@@ -234,7 +218,7 @@ class Expander:
 
     @cached_property
     def expansions(self) -> dict:
-        perms = _all_perms(self.n)
+        perms = permutations_by_length(self.n)
         if self.jobs > 1:
             self._fill_in_parallel(perms)
         return {p: self.expand(p) for p in perms}

@@ -16,7 +16,6 @@ nonnegative exponents and a trivial parameter slot.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -179,11 +178,6 @@ class OrbitProblem:
             orbits.append(OrbitSpec(o["name"], int(o["codim"]),
                                     dict(o.get("phi", {})), euler, tangent))
         return cls(ansatz, tuple(orbits), all_vars)
-
-    @classmethod
-    def load(cls, path) -> "OrbitProblem":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json(json.load(fh))
 
     def orbit(self, name: str) -> OrbitSpec:
         for o in self.orbits:

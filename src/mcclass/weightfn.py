@@ -7,23 +7,25 @@ equivariant motivic Chern classes of matrix Schubert cells (plain) and
 of flag-variety Schubert cells (modified, after division by a Chern
 product).
 
-Two table builders are provided: a direct one that evaluates the
-symmetrization at each fixed point over the common denominator
-prod (alpha_a - alpha_b), and a fast full-flag recursion that walks
-descent edges with a two-term exchange operator.  The recursion is
-pinned against the direct builder in the test suite.
+localization_table takes one route per composition.  Full flags go
+through a descent-edge recursion: seeded with the directly computed
+row of the point cell, it walks the weak order downward with a
+two-term exchange operator.  Every other composition goes through
+direct_table, which evaluates the symmetrization at each fixed point
+over the common denominator prod (alpha_a - alpha_b); for full flags
+direct_table is the independent oracle that the test suite pins the
+recursion against.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
-from .combi import Composition, IndexTuple, Permutation, enumerate_index_tuples, length
-from .ring import (LaurentPoly, NonDivisibleError, RationalExpr, YP_ONE, YP_ONE_PLUS_Y,
-                   YP_Y, YP_ZERO, Ypoly, exact_divide, yp_add, yp_mul)
+from .combi import (Composition, IndexTuple, Permutation, enumerate_index_tuples,
+                    weak_order_walk)
+from .ring import LaurentPoly, RationalExpr, YP_ONE, YP_ONE_PLUS_Y, YP_Y, exact_divide
 
 # ---------------------------------------------------------------------------
 # Variable panels and torus specializations
@@ -185,55 +187,34 @@ def psi_factor(I: IndexTuple, j: int, a: int, b: int) -> PsiFactor:
     return PsiFactor(PSI_GREATER)
 
 
+def _u_numerator(I: IndexTuple, panel: VariablePanel) -> LaurentPoly:
+    """The numerator of u_term: the psi products times the
+    upper-triangular factors 1 + y*alpha_b/alpha_a (a < b)."""
+    sums = I.mu.partial_sums
+    out = panel.one()
+    for j in range(1, I.mu.num_blocks):
+        for a in range(1, sums[j - 1] + 1):
+            for b in range(1, sums[j] + 1):
+                xi = panel.ratio(panel.var(j, a), panel.var(j + 1, b))
+                out = out * psi_factor(I, j, a, b)(xi)
+        for a in range(1, sums[j - 1] + 1):
+            for b in range(a + 1, sums[j - 1] + 1):
+                out = out * (panel.one()
+                             + panel.ratio(panel.var(j, b), panel.var(j, a)).scale_ypoly(YP_Y))
+    return out
+
+
 def u_term(I: IndexTuple, panel: VariablePanel | None = None) -> RationalExpr:
     """The unsymmetrized rational term whose orbit sum is the weight function."""
     if panel is None:
         panel = VariablePanel(I.mu)
     sums = I.mu.partial_sums
-    N = I.mu.num_blocks
-    num = panel.one()
-    for j in range(1, N):
-        for a in range(1, sums[j - 1] + 1):
-            for b in range(1, sums[j] + 1):
-                xi = panel.ratio(panel.var(j, a), panel.var(j + 1, b))
-                num = num * psi_factor(I, j, a, b)(xi)
-        for a in range(1, sums[j - 1] + 1):
-            for b in range(a + 1, sums[j - 1] + 1):
-                num = num * (panel.one()
-                             + panel.ratio(panel.var(j, b), panel.var(j, a)).scale_ypoly(YP_Y))
     den = panel.one()
-    for j in range(1, N):
+    for j in range(1, I.mu.num_blocks):
         for a in range(1, sums[j - 1] + 1):
             for b in range(a + 1, sums[j - 1] + 1):
                 den = den * (panel.one() - panel.ratio(panel.var(j, b), panel.var(j, a)))
-    return RationalExpr(num, den)
-
-
-def _weight_numerator(I: IndexTuple, panel: VariablePanel) -> LaurentPoly:
-    """u_term times the symmetrizer denominator prod (alpha_a - alpha_b).
-
-    Equals the psi products times the upper-triangular (1 + y*ratio)
-    factors times the monomial prod alpha_a^(group size - a).
-    """
-    sums = I.mu.partial_sums
-    N = I.mu.num_blocks
-    vars = panel.vars
-    out = panel.one()
-    for j in range(1, N):
-        size = sums[j - 1]
-        for a in range(1, size + 1):
-            for b in range(1, sums[j] + 1):
-                xi = panel.ratio(panel.var(j, a), panel.var(j + 1, b))
-                out = out * psi_factor(I, j, a, b)(xi)
-        for a in range(1, size + 1):
-            for b in range(a + 1, size + 1):
-                out = out * (panel.one()
-                             + panel.ratio(panel.var(j, b), panel.var(j, a)).scale_ypoly(YP_Y))
-        mono = [0] * len(vars)
-        for a in range(1, size + 1):
-            mono[vars.index(panel.var(j, a))] = size - a
-        out = out.shift(mono)
-    return out
+    return RationalExpr(_u_numerator(I, panel), den)
 
 
 def _symmetrizer_group(mu: Composition):
@@ -276,9 +257,15 @@ def weight_function(I: IndexTuple, panel: VariablePanel | None = None) -> Lauren
     """
     if panel is None:
         panel = VariablePanel(I.mu)
-    base = _weight_numerator(I, panel)
-    total = LaurentPoly.zero(panel.vars)
     sums = I.mu.partial_sums
+    # u_term times prod (alpha_a - alpha_b): each factor 1 - alpha_b/alpha_a
+    # of its denominator absorbs one alpha_a, size - a of them per alpha_a
+    mono = [0] * len(panel.vars)
+    for j in range(1, I.mu.num_blocks):
+        for a in range(1, sums[j - 1] + 1):
+            mono[panel.vars.index(panel.var(j, a))] = sums[j - 1] - a
+    base = _u_numerator(I, panel).shift(mono)
+    total = LaurentPoly.zero(panel.vars)
     for sigma in _symmetrizer_group(I.mu):
         sign = 1
         mapping = {}
@@ -391,33 +378,6 @@ def _psi_kinds(I: IndexTuple):
     return out
 
 
-def _dict_mul_binom(d: dict, exp: tuple, coeff: Ypoly) -> dict:
-    """Multiply the working polynomial by (1 + coeff * x^exp)."""
-    out = dict(d)
-    for e, c in d.items():
-        key = tuple(x + y for x, y in zip(e, exp))
-        add = yp_mul(c, coeff)
-        prev = out.get(key)
-        if prev is None:
-            out[key] = add
-        else:
-            s = yp_add(prev, add)
-            if s:
-                out[key] = s
-            else:
-                del out[key]
-    return out
-
-
-def _dict_shift_scale(d: dict, exp: tuple, coeff: Ypoly) -> dict:
-    """Multiply the working polynomial by coeff * x^exp."""
-    return {tuple(x + y for x, y in zip(e, exp)): yp_mul(c, coeff)
-            for e, c in d.items()}
-
-
-_YP_MINUS_ONE: Ypoly = (-1,)
-
-
 def restriction_direct(I: IndexTuple, J: IndexTuple,
                        spec: TorusSpecialization | None = None) -> LaurentPoly:
     """W_I restricted at the fixed point J, by direct symmetrization.
@@ -430,79 +390,47 @@ def restriction_direct(I: IndexTuple, J: IndexTuple,
     if spec is None:
         spec = TorusSpecialization.standard(mu.n)
     psi = _psi_kinds(I)
-    sums = mu.partial_sums
-    N = mu.num_blocks
-    tI_sizes = [sums[j] for j in range(N - 1)]
     tJ = _block_images(J)
-    zero_exp = spec.zero_exp()
-
-    total: dict = {}
+    total = spec.zero()
     for sigma in _symmetrizer_group(mu):
         # tau index assigned to panel slot (j, a): groups j < N permuted.
-        assign = [[tJ[j][sj[a]] for a in range(len(sj))] for j, sj in enumerate(sigma)]
-        assign.append(tJ[N - 1])
-
-        dead = False
-        for (j, a, b, kind) in psi:
-            if kind == _K_LESS and assign[j][a] == assign[j + 1][b]:
-                dead = True
-                break
-        if dead:
+        assign = [[tJ[j][k] for k in sj] for j, sj in enumerate(sigma)]
+        assign.append(tJ[-1])
+        if any(kind == _K_LESS and assign[j][a] == assign[j + 1][b]
+               for j, a, b, kind in psi):
             continue
-
+        term = spec.one()
+        shift = spec.zero_exp()
+        for j, a, b, kind in psi:
+            lower, upper = assign[j][a], assign[j + 1][b]
+            if kind == _K_LESS:
+                term = term * spec.one_minus_ratio(lower, upper)
+            elif kind == _K_GREATER:
+                term = term * spec.one_plus_y_ratio(lower, upper)
+            else:
+                # (1+y) * xi: the monomial xi joins the shift below
+                term = term.scale_ypoly(YP_ONE_PLUS_Y)
+                shift = tuple(s + x for s, x in zip(shift, spec.ratio_exp(lower, upper)))
+        for group in assign[:-1]:
+            size = len(group)
+            for a in range(size):
+                for b in range(a + 1, size):
+                    term = term * spec.one_plus_y_ratio(group[b], group[a])
+                # the monomial prod alpha_a^(size - a) from the common denominator
+                shift = tuple(s + x * (size - 1 - a)
+                              for s, x in zip(shift, spec.tau_exp(group[a])))
+        term = term.shift(shift)
         sign = 1
         for sj in sigma:
             sign *= _perm_sign(sj)
+        total = total + (term if sign > 0 else -term)
 
-        d = {zero_exp: YP_ONE}
-        extra_exp = [0] * len(spec.vars)
-        for (j, a, b, kind) in psi:
-            e = spec.ratio_exp(assign[j][a], assign[j + 1][b])
-            if kind == _K_LESS:
-                d = _dict_mul_binom(d, e, _YP_MINUS_ONE)
-            elif kind == _K_GREATER:
-                d = _dict_mul_binom(d, e, YP_Y)
-            else:
-                # (1+y) * xi: fold the monomial into a running shift.
-                for i, x in enumerate(e):
-                    extra_exp[i] += x
-                d = {k: yp_add(c, (0,) + c) for k, c in d.items()}
-        for j in range(N - 1):
-            size = tI_sizes[j]
-            for a in range(size):
-                for b in range(a + 1, size):
-                    e = spec.ratio_exp(assign[j][b], assign[j][a])
-                    d = _dict_mul_binom(d, e, YP_Y)
-            # the monomial prod alpha_a^{size - a} from the common denominator
-            for a in range(size):
-                img = spec.tau_exp(assign[j][a])
-                power = size - (a + 1)
-                if power:
-                    for i, x in enumerate(img):
-                        extra_exp[i] += x * power
-        if any(extra_exp):
-            d = _dict_shift_scale(d, tuple(extra_exp), YP_ONE)
-        if sign < 0:
-            d = {k: tuple(-v for v in c) for k, c in d.items()}
-        for k, c in d.items():
-            prev = total.get(k)
-            if prev is None:
-                total[k] = c
-            else:
-                s = yp_add(prev, c)
-                if s:
-                    total[k] = s
-                else:
-                    del total[k]
-
-    numerator = LaurentPoly(spec.vars, total)
     den = spec.one()
-    for j in range(N - 1):
-        idx = tJ[j]
+    for idx in tJ[:-1]:
         for a in range(len(idx)):
             for b in range(a + 1, len(idx)):
                 den = den * spec.tau_diff(idx[a], idx[b])
-    return exact_divide(numerator, den)
+    return exact_divide(total, den)
 
 
 def modified_restriction_direct(I: IndexTuple, J: IndexTuple,
@@ -548,19 +476,30 @@ class LocalizedClass:
 
 
 def _row_direct(I: IndexTuple, points, spec, modified: bool) -> LocalizedClass:
-    cmus = {J: c_mu_at(J, spec) for J in points} if modified else None
-    table = {}
-    for J in points:
-        val = restriction_direct(I, J, spec)
-        if modified and not val.is_zero():
-            val = exact_divide(val, cmus[J])
-        table[J] = val
-    return LocalizedClass(I.mu, table)
+    restrict = modified_restriction_direct if modified else restriction_direct
+    return LocalizedClass(I.mu, {J: restrict(I, J, spec) for J in points})
 
 
-def _row_direct_job(args):
-    I, points, spec, modified = args
-    return _row_direct(I, points, spec, modified)
+def direct_table(mu: Composition | Sequence[int], modified: bool = True,
+                 spec: TorusSpecialization | None = None, jobs: int = 1) -> dict:
+    """Localization tables of every cell by direct symmetrization at
+    every fixed point: {I: LocalizedClass}.
+
+    The route of localization_table for partial flags, and the
+    full-flag oracle of the tests.  With jobs > 1 the rows are computed
+    in a process pool.
+    """
+    if not isinstance(mu, Composition):
+        mu = Composition(mu)
+    if spec is None:
+        spec = TorusSpecialization.standard(mu.n)
+    points = enumerate_index_tuples(mu)
+    if jobs > 1:
+        import multiprocessing as mp
+        with mp.Pool(jobs) as pool:
+            rows = pool.starmap(_row_direct, [(I, points, spec, modified) for I in points])
+        return dict(zip(points, rows))
+    return {I: _row_direct(I, points, spec, modified) for I in points}
 
 
 # The full-flag exchange operator acts on MODIFIED localization rows.
@@ -590,18 +529,11 @@ def descent_step(row: Mapping[Permutation, LaurentPoly], i: int,
     return out
 
 
-def point_cell_row(n: int, spec: TorusSpecialization, modified: bool = True) -> dict:
-    """Direct localization row of the longest (point) cell, keyed by w."""
-    mu = Composition((1,) * n)
-    w0 = Permutation.longest(n)
-    I0 = w0.to_index_tuple()
-    row = {}
-    for J in enumerate_index_tuples(mu):
-        val = restriction_direct(I0, J, spec)
-        if modified and not val.is_zero():
-            val = exact_divide(val, c_mu_at(J, spec))
-        row[J.to_permutation()] = val
-    return row
+def point_cell_row(n: int, spec: TorusSpecialization) -> dict:
+    """Direct modified localization row of the longest (point) cell, keyed by w."""
+    I0 = Permutation.longest(n).to_index_tuple()
+    return {J.to_permutation(): modified_restriction_direct(I0, J, spec)
+            for J in enumerate_index_tuples(Composition((1,) * n))}
 
 
 def full_flag_table_recursive(n: int, spec: TorusSpecialization | None = None,
@@ -615,63 +547,31 @@ def full_flag_table_recursive(n: int, spec: TorusSpecialization | None = None,
     if spec is None:
         spec = TorusSpecialization.standard(n)
     w0 = Permutation.longest(n)
-    rows = {w0: point_cell_row(n, spec, modified=True)}
-    order = sorted((Permutation(p) for p in itertools.permutations(range(1, n + 1))),
-                   key=lambda w: (-w.length(), w.word))
-    for w in order:
-        if w == w0:
-            continue
-        # find a raising edge: some i with l(w*s_i) = l(w) + 1 already built
-        done = False
-        for i in range(1, n):
-            ws = w.swap_positions(i)
-            if ws.length() == w.length() + 1 and ws in rows:
-                rows[w] = descent_step(rows[ws], i, spec)
-                done = True
-                break
-        if not done:
-            raise AssertionError(f"no processed raising edge for {w}")
+    rows = {w0: point_cell_row(n, spec)}
+    for w, parent, i in weak_order_walk(n):
+        rows[w] = descent_step(rows[parent], i, spec)
     if not modified:
-        points = [w.to_index_tuple() for w in rows[w0]]
-        cmus = {J.to_permutation(): c_mu_at(J, spec) for J in points}
+        cmus = {v: c_mu_at(v.to_index_tuple(), spec) for v in rows[w0]}
         for w, row in rows.items():
             rows[w] = {v: f * cmus[v] for v, f in row.items()}
     return rows
 
 
 def localization_table(mu: Composition | Sequence[int], modified: bool = True,
-                       spec: TorusSpecialization | None = None,
-                       method: str = "auto", jobs: int = 1) -> dict:
+                       spec: TorusSpecialization | None = None, jobs: int = 1) -> dict:
     """Localization tables of every cell: {I: LocalizedClass}.
 
-    method "direct" evaluates the symmetrization at every fixed point;
-    "recursion" (full flag only) walks descent edges from the point
-    cell.  "auto" keeps the direct route for small tables and switches
-    to the recursion for full flags with n >= 5.
+    Full flags take the descent-edge recursion (full_flag_table_recursive),
+    which runs serially; every other composition takes direct_table.
+    jobs only matters on the direct route.
     """
     if not isinstance(mu, Composition):
         mu = Composition(mu)
-    if spec is None:
-        spec = TorusSpecialization.standard(mu.n)
-    points = enumerate_index_tuples(mu)
-    if method == "auto":
-        method = ("recursion" if mu.is_full_flag() and mu.n >= 5 else "direct")
-    if method == "recursion":
-        if not mu.is_full_flag():
-            raise ValueError("recursion method requires a full flag")
-        rows = full_flag_table_recursive(mu.n, spec, modified)
-        out = {}
-        for J in points:
-            w = J.to_permutation()
-            table = {v.to_index_tuple(): poly for v, poly in rows[w].items()}
-            out[J] = LocalizedClass(mu, table)
-        return out
-    if method != "direct":
-        raise ValueError(f"unknown method {method!r}")
-    if jobs > 1:
-        import multiprocessing as mp
-        with mp.Pool(jobs) as pool:
-            rows = pool.map(_row_direct_job,
-                            [(I, points, spec, modified) for I in points])
-        return dict(zip(points, rows))
-    return {I: _row_direct(I, points, spec, modified) for I in points}
+    if not mu.is_full_flag():
+        return direct_table(mu, modified, spec, jobs)
+    rows = full_flag_table_recursive(mu.n, spec, modified)
+    out = {}
+    for J in enumerate_index_tuples(mu):
+        table = {v.to_index_tuple(): poly for v, poly in rows[J.to_permutation()].items()}
+        out[J] = LocalizedClass(mu, table)
+    return out

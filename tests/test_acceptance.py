@@ -27,7 +27,7 @@ from mcclass.expand import (Expander, check_log_concavity, check_s_delta_signs,
                             specialize_nonequivariant, substitute_s_delta)
 from mcclass.ring import (Cocharacter, LaurentPoly, exact_divide, limit_at_infinity,
                           substitute_ones)
-from mcclass.weightfn import TorusSpecialization, localization_table
+from mcclass.weightfn import TorusSpecialization, direct_table
 
 
 @contextmanager
@@ -48,7 +48,7 @@ def criterion(number, description):
 def n4_table():
     mu = Composition((1, 1, 1, 1))
     spec = TorusSpecialization.standard(4)
-    table = localization_table(mu, modified=True, spec=spec, method="direct")
+    table = direct_table(mu, modified=True, spec=spec)
     return mu, table, spec
 
 
@@ -119,7 +119,7 @@ def test_criterion_6_axiom_suite(n4_table):
         for n in (2, 3):
             mu = Composition((1,) * n)
             spec = TorusSpecialization.standard(n)
-            table = localization_table(mu, modified=True, spec=spec, method="direct")
+            table = direct_table(mu, modified=True, spec=spec)
             for rep in (check_normalization(mu, table, spec),
                         check_divisibility(mu, table, spec),
                         check_support(mu, table, spec),
@@ -139,7 +139,7 @@ def test_criterion_7_additivity(n4_table):
         for n in (1, 2, 3):
             mu = Composition((1,) * n)
             spec = TorusSpecialization.standard(n)
-            table = localization_table(mu, modified=True, spec=spec, method="direct")
+            table = direct_table(mu, modified=True, spec=spec)
             assert check_additivity(mu, table, spec).ok
         mu, table, spec = n4_table
         assert check_additivity(mu, table, spec).ok

@@ -8,7 +8,7 @@ from mcclass.axioms import (OrbitLocalData, Weight, check_additivity,
 from mcclass.combi import Composition, IndexTuple, Permutation, enumerate_index_tuples, length
 from mcclass.newton import newton_polytope, is_vertex
 from mcclass.ring import LaurentPoly, exact_divide
-from mcclass.weightfn import TorusSpecialization, localization_table
+from mcclass.weightfn import TorusSpecialization, direct_table
 
 
 def test_orbit_local_data_n2():
@@ -66,7 +66,7 @@ def test_axiom_suite_n4():
 def test_checks_individually_n3():
     mu = Composition((1, 1, 1))
     spec = TorusSpecialization.standard(3)
-    table = localization_table(mu, modified=True, spec=spec, method="direct")
+    table = direct_table(mu, modified=True, spec=spec)
     assert check_normalization(mu, table, spec).ok
     assert check_support(mu, table, spec).ok
     assert check_divisibility(mu, table, spec).ok
@@ -79,7 +79,7 @@ def test_smallness_n2_instance():
     # the single nonzero off-diagonal pair at n=2: polytopes by hand
     mu = Composition((1, 1))
     spec = TorusSpecialization.standard(2)
-    table = localization_table(mu, modified=True, spec=spec, method="direct")
+    table = direct_table(mu, modified=True, spec=spec)
     I = IndexTuple(mu, [(1,), (2,)])
     J = IndexTuple(mu, [(2,), (1,)])
     small = newton_polytope(table[I][J])

@@ -178,23 +178,42 @@ def test_bad_input_exit_2(capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("target, corrupt", [
-    ("nope", None),
-    ("omega0", lambda d: d["orbits"][1].pop("codim")),
-    ("omega0", lambda d: d.pop("orbits")),
-    ("omega0", lambda d: d.update(orbits=5)),
-], ids=["unknown-target", "orbit-without-codim", "no-orbits", "orbits-not-a-list"])
-def test_interpolate_malformed_input_exit_2(tmp_path, target, corrupt):
-    # a full process run, so that a traceback would show on stderr
-    args = ["interpolate", "--target", target]
-    if corrupt is not None:
-        from importlib.resources import files
-        data = json.loads(files("mcclass.data").joinpath("a2quiver.json")
-                          .read_text(encoding="utf-8"))
-        corrupt(data)
-        path = tmp_path / "orbits.json"
-        path.write_text(json.dumps(data), encoding="utf-8")
-        args += ["--data", str(path)]
+def _bundled_orbits(corrupt) -> str:
+    """The bundled orbit data as JSON text, after corrupt(data)."""
+    from importlib.resources import files
+    data = json.loads(files("mcclass.data").joinpath("a2quiver.json")
+                      .read_text(encoding="utf-8"))
+    corrupt(data)
+    return json.dumps(data)
+
+
+FILE = "<input file>"
+DATA = ["interpolate", "--target", "omega0", "--data", FILE]
+LIMIT = ["limit", "--cocharacter", "1", "--class", FILE]
+NEWTON = ["newton", "--class", FILE]
+NO_VARS = '{"terms": []}'
+
+
+@pytest.mark.parametrize("args, content", [
+    (["interpolate", "--target", "nope"], None),
+    (DATA, _bundled_orbits(lambda d: d["orbits"][1].pop("codim"))),
+    (DATA, _bundled_orbits(lambda d: d.pop("orbits"))),
+    (DATA, _bundled_orbits(lambda d: d.update(orbits=5))),
+    (DATA, None),
+    (LIMIT, NO_VARS), (LIMIT, "[1, 2]"), (LIMIT, '{"vars": ['), (LIMIT, None),
+    (NEWTON, NO_VARS), (NEWTON, "[1, 2]"), (NEWTON, '{"vars": ['), (NEWTON, None),
+], ids=["unknown-target", "orbit-without-codim", "no-orbits", "orbits-not-a-list",
+        "data-missing-file",
+        "limit-missing-key", "limit-wrong-type", "limit-bad-json", "limit-missing-file",
+        "newton-missing-key", "newton-wrong-type", "newton-bad-json",
+        "newton-missing-file"])
+def test_interpolate_malformed_input_exit_2(tmp_path, args, content):
+    # a full process run, so that a traceback would show on stderr; an
+    # input file is written only when there is content for it
+    path = tmp_path / "input.json"
+    if content is not None:
+        path.write_text(content, encoding="utf-8")
+    args = [str(path) if a == FILE else a for a in args]
     r = subprocess.run([sys.executable, "-m", "mcclass"] + args,
                        capture_output=True, text=True, cwd=ROOT)
     assert r.returncode == 2, r.stderr

@@ -229,6 +229,13 @@ def test_exact_divide_roundtrip(p, q):
 
 
 @given(polys())
+@settings(max_examples=60, deadline=None)
+def test_json_roundtrip(p):
+    assert poly_from_json(poly_to_json(p)) == p
+    assert poly_from_json(json.loads(json.dumps(poly_to_json(p)))) == p
+
+
+@given(polys())
 @settings(max_examples=40, deadline=None)
 def test_canonical_after_shuffled_construction(p):
     items = sorted(p.terms.items(), reverse=True)

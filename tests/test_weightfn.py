@@ -8,9 +8,10 @@ from mcclass.ring import (LaurentPoly, RationalExpr, exact_divide, poly_from_jso
                           poly_to_json)
 from mcclass.weightfn import (PSI_EQUAL, PSI_GREATER, PSI_LESS, LocalizedClass,
                               TorusSpecialization, VariablePanel, c_mu_at,
-                              c_prime_mu_at, chern_products, full_flag_table_recursive,
-                              localization_table, modified_restriction_direct,
-                              psi_factor, restrict_to_fixed_point, restriction_direct,
+                              c_prime_mu_at, chern_products, direct_table,
+                              full_flag_table_recursive, localization_table,
+                              modified_restriction_direct, psi_factor,
+                              restrict_to_fixed_point, restriction_direct,
                               u_term, weight_function)
 
 MU11 = Composition((1, 1))
@@ -173,7 +174,7 @@ def test_localization_table_mu_1():
 def test_additivity_identity(parts):
     mu = Composition(parts)
     spec = TorusSpecialization.standard(mu.n)
-    table = localization_table(mu, modified=True, spec=spec, method="direct")
+    table = direct_table(mu, modified=True, spec=spec)
     points = list(table)
     for J in points:
         total = spec.zero()
@@ -186,7 +187,7 @@ def test_additivity_identity(parts):
 def test_support_triangularity(parts):
     mu = Composition(parts)
     spec = TorusSpecialization.standard(mu.n)
-    table = localization_table(mu, modified=True, spec=spec, method="direct")
+    table = direct_table(mu, modified=True, spec=spec)
     for I in table:
         for J, val in table[I].table.items():
             if not closure_leq(I, J):
@@ -214,8 +215,8 @@ def test_segre_consistency(parts):
 def test_recursion_matches_direct(n, modified):
     mu = Composition((1,) * n)
     spec = TorusSpecialization.standard(n)
-    direct = localization_table(mu, modified=modified, spec=spec, method="direct")
-    rec = localization_table(mu, modified=modified, spec=spec, method="recursion")
+    direct = direct_table(mu, modified=modified, spec=spec)
+    rec = localization_table(mu, modified=modified, spec=spec)
     for I in direct:
         assert direct[I].table == rec[I].table
 
@@ -224,8 +225,8 @@ def test_recursion_matches_direct(n, modified):
 def test_recursion_matches_direct_n4():
     mu = Composition((1, 1, 1, 1))
     spec = TorusSpecialization.standard(4)
-    direct = localization_table(mu, modified=True, spec=spec, method="direct")
-    rec = localization_table(mu, modified=True, spec=spec, method="recursion")
+    direct = direct_table(mu, modified=True, spec=spec)
+    rec = localization_table(mu, modified=True, spec=spec)
     for I in direct:
         assert direct[I].table == rec[I].table
 
@@ -248,8 +249,8 @@ def test_recursion_matches_direct_one_parameter_spot_n5():
 def test_localization_table_parallel_matches_serial():
     mu = Composition((1, 1, 1))
     spec = TorusSpecialization.standard(3)
-    serial = localization_table(mu, modified=True, spec=spec, method="direct", jobs=1)
-    parallel = localization_table(mu, modified=True, spec=spec, method="direct", jobs=2)
+    serial = direct_table(mu, modified=True, spec=spec, jobs=1)
+    parallel = direct_table(mu, modified=True, spec=spec, jobs=2)
     for I in serial:
         assert serial[I].table == parallel[I].table
 
