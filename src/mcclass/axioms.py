@@ -172,51 +172,68 @@ def check_smallness_strict(mu, table: Mapping | None = None,
       * that sum is properly contained in the diagonal polytope at J,
       * the origin is a vertex of the diagonal polytope but lies
         outside the off-diagonal polytope.
+
+    The conditions on J alone (the sum inside the diagonal polytope,
+    strictness, the origin a vertex) are certified once per J, and
+    each generator point is tested against J's bound at most once.
     """
     mu, table, spec = _table_or_build(mu, table, spec, jobs)
     report = Report("smallness")
     origin = spec.zero_exp()
-    diag_data = {}
-    for J in table:
-        data = orbit_local_data(J)
-        ek = data.ek_normal(spec)
-        ck = data.ck_cell(spec)
-        ek_minus_1 = ek - spec.one()
-        diag = table[J][J]
-        entry = {
-            "mid": (minkowski_sum(newton_polytope(ek_minus_1), newton_polytope(ck))
-                    if not ek_minus_1.is_zero() else None),
-            "big": newton_polytope(diag),
-        }
-        diag_data[J] = entry
+    per_point = {J: _smallness_at(J, table[J][J], spec) for J in table}
+    inside = {J: {} for J in table}  # generator point -> in J's bound?
     for I, cls in table.items():
         for J, val in cls.table.items():
             if I == J or val.is_zero():
                 continue
             small = newton_polytope(val)
-            mid = diag_data[J]["mid"]
-            big = diag_data[J]["big"]
+            bound, escape, own_problems = per_point[J]
             problems = []
-            if mid is None:
-                # codimension zero cell: no normal directions, the bound
-                # degenerates and only the origin conditions remain
-                if not polytope_contained(small, big):
-                    problems.append("restriction polytope escapes the diagonal polytope")
-            else:
-                if not polytope_contained(small, mid):
-                    problems.append("restriction polytope escapes the Minkowski bound")
-                if not polytope_contained(mid, big):
-                    problems.append("Minkowski bound escapes the diagonal polytope")
-                if polytope_contained(big, mid):
-                    problems.append("containment in the diagonal polytope is not strict")
-            if not is_vertex(big, origin):
-                problems.append("origin is not a vertex of the diagonal polytope")
+            if not _all_inside(bound, inside[J], small.points):
+                problems.append(escape)
+            problems.extend(own_problems)
             if small.contains_point(origin):
                 problems.append("origin lies in the off-diagonal polytope")
             report.add(ReportEntry(pair=(str(I), str(J)), check="smallness",
                                    ok=not problems,
                                    witness={"problems": problems} if problems else None))
     return report
+
+
+def _smallness_at(J: IndexTuple, diag: LaurentPoly, spec: TorusSpecialization) -> tuple:
+    """J's share of strict smallness: the polytope bounding every
+    off-diagonal polytope at J, the problem reported when one escapes
+    it, and the problems of J's own certificates, in report order."""
+    data = orbit_local_data(J)
+    ek_minus_1 = data.ek_normal(spec) - spec.one()
+    big = newton_polytope(diag)
+    problems = []
+    if ek_minus_1.is_zero():
+        # codimension zero cell: no normal directions, the bound
+        # degenerates and only the origin conditions remain
+        bound = big
+        escape = "restriction polytope escapes the diagonal polytope"
+    else:
+        bound = minkowski_sum(newton_polytope(ek_minus_1), newton_polytope(data.ck_cell(spec)))
+        escape = "restriction polytope escapes the Minkowski bound"
+        if not polytope_contained(bound, big):
+            problems.append("Minkowski bound escapes the diagonal polytope")
+        if polytope_contained(big, bound):
+            problems.append("containment in the diagonal polytope is not strict")
+    if not is_vertex(big, spec.zero_exp()):
+        problems.append("origin is not a vertex of the diagonal polytope")
+    return bound, escape, problems
+
+
+def _all_inside(bound: LatticePolytope, inside: dict, points) -> bool:
+    """Every point lies in bound; inside memoizes each point's answer."""
+    for p in points:
+        hit = inside.get(p)
+        if hit is None:
+            hit = inside[p] = bound.contains_point(p)
+        if not hit:
+            return False
+    return True
 
 
 def check_additivity(mu, table: Mapping | None = None,

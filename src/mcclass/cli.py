@@ -265,11 +265,18 @@ def cmd_expand(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+CONJECTURE_CHECKS = ("sign", "log", "sdelta")
+
+
 def cmd_conjectures(args) -> int:
     from .expand import (Expander, check_log_concavity, check_s_delta_signs,
                          check_sign_conjecture)
     _guard_n(args.n)
-    checks = args.checks.split(",") if args.checks else ["sign", "log", "sdelta"]
+    checks = args.checks.split(",") if args.checks else list(CONJECTURE_CHECKS)
+    unknown = [c for c in checks if c not in CONJECTURE_CHECKS]
+    if unknown:
+        raise CliError(f"unknown check {unknown[0]!r}; choose among "
+                       + ",".join(CONJECTURE_CHECKS))
     combined = Report("conjectures")
     expander = Expander(args.n, jobs=args.jobs or 1)
     if "sign" in checks:
@@ -382,9 +389,20 @@ def cmd_interpolate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _parse_point(text: str, dim: int) -> tuple:
+    from fractions import Fraction
+    try:
+        x = tuple(Fraction(v) for v in text.split(","))
+    except (ValueError, ZeroDivisionError) as err:
+        raise CliError(f"bad point {text!r}: {err}")
+    if len(x) != dim:
+        raise CliError(f"point {text!r} has dimension {len(x)}, "
+                       f"the polytope has dimension {dim}")
+    return x
+
+
 def cmd_newton(args) -> int:
-    from .newton import (LatticePolytope, contains_point, newton_polytope,
-                         project_sum_zero, render_svg)
+    from .newton import contains_point, newton_polytope, project_sum_zero, render_svg
     if args.pair:
         if args.n != 3:
             raise CliError("polygon pictures are drawn for n = 3 only")
@@ -411,8 +429,7 @@ def cmd_newton(args) -> int:
     if args.klass:
         P = newton_polytope(_load_json_file(args.klass, "class file", poly_from_json))
         if args.contains:
-            from fractions import Fraction
-            x = tuple(Fraction(v) for v in args.contains.split(","))
+            x = _parse_point(args.contains, P.dim)
             inside = contains_point(P, x)
             _emit(dumps_canonical({"point": [str(v) for v in x], "contains": inside})
                   if args.format == "json" else f"contains {args.contains}: {inside}",

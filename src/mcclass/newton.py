@@ -1,15 +1,17 @@
-"""Lattice polytopes from Laurent supports, with exact rational LP.
+"""Lattice polytopes from Laurent supports, with an exact integer LP.
 
 A polytope is stored as its generator set (deduplicated integer
 vectors); the convex hull is never materialized.  Membership and
-containment questions are decided by an exact phase-one simplex over
-rationals, so every answer is a certificate, never a float heuristic.
+containment questions are decided by a phase-one simplex on a
+fraction-free integer tableau (a rational query point is scaled to
+integers once), so every answer is exact, never a float heuristic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .ring import LaurentPoly
@@ -66,71 +68,79 @@ def minkowski_sum(A: LatticePolytope, B: LatticePolytope) -> LatticePolytope:
 # ---------------------------------------------------------------------------
 
 
-def _convex_feasible(gens: Sequence[Sequence], x: Sequence) -> bool:
-    """Phase-one simplex with Bland's rule, exact over Fractions."""
+def _convex_feasible(gens: Sequence[Sequence[int]], x: Sequence[Fraction]) -> bool:
+    """Phase one of the simplex method with Bland's rule, on a
+    fraction-free integer tableau: x is a convex combination of gens
+    exactly when the artificial variables can all be driven to zero.
+
+    The coordinate rows are scaled once by the lcm of the denominators
+    of x.  Each row is kept up to a positive factor: a pivot replaces a
+    row by piv*row - f*pivot_row (piv > 0) and divides it by the gcd of
+    its entries, so the signs, and with them every choice the rule
+    makes, are those of the rational tableau of the scaled system.
+    """
     m = len(x) + 1
     n = len(gens)
     if n == 0:
         return False
 
+    scale = lcm(*(v.denominator for v in x))
     rows = []
     for i in range(m):
         if i < m - 1:
-            row = [Fraction(g[i]) for g in gens]
-            rhs = Fraction(x[i])
+            row = [g[i] * scale for g in gens]
+            rhs = int(x[i] * scale)
         else:
-            row = [Fraction(1)] * n
-            rhs = Fraction(1)
+            row = [1] * n
+            rhs = 1
         if rhs < 0:
             row = [-v for v in row]
             rhs = -rhs
-        rows.append(row + [rhs])
-
-    # append artificial identity columns
-    for i, row in enumerate(rows):
-        art = [Fraction(0)] * m
-        art[i] = Fraction(1)
-        rows[i] = row[:-1] + art + [row[-1]]
+        art = [0] * m
+        art[i] = 1
+        rows.append(row + art + [rhs])
     ncols = n + m
     basis = [n + i for i in range(m)]
 
-    obj = [Fraction(0)] * (ncols + 1)
-    for j in range(n):
-        obj[j] = -sum(rows[i][j] for i in range(m))
-    obj[ncols] = -sum(rows[i][ncols] for i in range(m))
+    obj = [-sum(row[j] for row in rows) for j in range(n)] + [0] * m
+    obj.append(-sum(row[ncols] for row in rows))
 
     while True:
-        enter = -1
-        for j in range(ncols):
-            if obj[j] < 0:
-                enter = j
-                break
+        enter = next((j for j in range(ncols) if obj[j] < 0), -1)
         if enter < 0:
             break
+        # ratio test rhs/a over a > 0, compared by cross-multiplying
         leave = -1
-        best = None
-        for i in range(m):
-            a = rows[i][enter]
+        for i, row in enumerate(rows):
+            a = row[enter]
             if a > 0:
-                ratio = rows[i][ncols] / a
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best = ratio
+                if leave < 0:
+                    leave = i
+                    continue
+                lhs = row[ncols] * rows[leave][enter]
+                best = rows[leave][ncols] * a
+                if lhs < best or (lhs == best and basis[i] < basis[leave]):
                     leave = i
         if leave < 0:
             # unbounded phase-one objective cannot happen; defensive
             return False
-        piv = rows[leave][enter]
-        rows[leave] = [v / piv for v in rows[leave]]
-        for i in range(m):
-            if i != leave and rows[i][enter] != 0:
-                f = rows[i][enter]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[leave])]
-        if obj[enter] != 0:
-            f = obj[enter]
-            obj = [a - f * b for a, b in zip(obj, rows[leave])]
+        pivot_row = rows[leave]
+        piv = pivot_row[enter]
+        for i, row in enumerate(rows):
+            f = row[enter]
+            if i != leave and f != 0:
+                rows[i] = _eliminate(row, pivot_row, piv, f)
+        obj = _eliminate(obj, pivot_row, piv, obj[enter])
         basis[leave] = enter
 
     return obj[ncols] == 0
+
+
+def _eliminate(row: list, pivot_row: list, piv: int, f: int) -> list:
+    """piv*row - f*pivot_row divided by the gcd of its entries."""
+    out = [piv * a - f * b for a, b in zip(row, pivot_row)]
+    g = gcd(*out)
+    return out if g <= 1 else [v // g for v in out]
 
 
 def contains_point(P: LatticePolytope, x: Sequence) -> bool:
@@ -140,7 +150,7 @@ def contains_point(P: LatticePolytope, x: Sequence) -> bool:
         raise ValueError("dimension mismatch in contains_point")
     if not P.points:
         return False
-    if x in {tuple(map(Fraction, p)) for p in P.points}:
+    if x in P.points:
         return True
     # cheap bounding-box refutation before the simplex
     for k in range(P.dim):

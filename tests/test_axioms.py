@@ -8,7 +8,8 @@ from mcclass.axioms import (OrbitLocalData, Weight, check_additivity,
 from mcclass.combi import Composition, IndexTuple, Permutation, enumerate_index_tuples, length
 from mcclass.newton import newton_polytope, is_vertex
 from mcclass.ring import LaurentPoly, exact_divide
-from mcclass.weightfn import TorusSpecialization, direct_table
+from mcclass.weightfn import (LocalizedClass, TorusSpecialization, direct_table,
+                              localization_table)
 
 
 def test_orbit_local_data_n2():
@@ -88,6 +89,57 @@ def test_smallness_n2_instance():
     assert set(big.points) == {(0, 0), (-1, 1)}
     assert is_vertex(big, (0, 0))
     assert not small.contains_point((0, 0))
+
+
+def test_smallness_witnesses_on_corrupted_n3_table():
+    # corrupt off-diagonal and diagonal entries of the n = 3 table and pin
+    # every failing pair's problems, in the order the check reports them
+    mu = Composition((1, 1, 1))
+    spec = TorusSpecialization.standard(3)
+    table = {I: LocalizedClass(mu, dict(cls.table))
+             for I, cls in localization_table(mu, modified=True, spec=spec).items()}
+
+    def P(word):
+        return IndexTuple(mu, [(int(c),) for c in word])
+
+    def mono(*e):
+        return LaurentPoly.monomial(spec.vars, e)
+
+    one = LaurentPoly.one(spec.vars)
+    # off-diagonal: the origin plus a far monomial; a far monomial at the
+    # codimension-zero point
+    table[P("123")].table[P("132")] = table[P("123")][P("132")] + one + mono(3, 0, -3)
+    table[P("231")].table[P("321")] = table[P("231")][P("321")] + one + mono(0, 3, -3)
+    table[P("132")].table[P("123")] = mono(-3, 0, 3)
+    # diagonal: the origin stops being a vertex; the bound stops fitting;
+    # the diagonal shrinks to the bound itself
+    table[P("213")].table[P("213")] = table[P("213")][P("213")] + mono(1, -1, 0)
+    table[P("321")].table[P("321")] = one
+    d = orbit_local_data(P("312"))
+    table[P("312")].table[P("312")] = (d.ek_normal(spec) - one) * d.ck_cell(spec)
+
+    report = check_smallness_strict(mu, table, spec)
+    escapes_mid = "restriction polytope escapes the Minkowski bound"
+    escapes_big = "restriction polytope escapes the diagonal polytope"
+    mid_escapes = "Minkowski bound escapes the diagonal polytope"
+    not_strict = "containment in the diagonal polytope is not strict"
+    not_vertex = "origin is not a vertex of the diagonal polytope"
+    origin_in = "origin lies in the off-diagonal polytope"
+    w0 = "{3},{2},{1}"
+    assert len(report.entries) == 14
+    assert [(e.pair, e.witness["problems"]) for e in report.violations] == [
+        (("{1},{2},{3}", "{1},{3},{2}"), [escapes_mid, origin_in]),
+        (("{1},{2},{3}", "{2},{1},{3}"), [not_vertex]),
+        (("{1},{2},{3}", "{3},{1},{2}"), [not_strict]),
+        (("{1},{2},{3}", w0), [mid_escapes]),
+        (("{1},{3},{2}", "{1},{2},{3}"), [escapes_big]),
+        (("{1},{3},{2}", "{3},{1},{2}"), [not_strict]),
+        (("{1},{3},{2}", w0), [mid_escapes]),
+        (("{2},{1},{3}", "{3},{1},{2}"), [not_strict]),
+        (("{2},{1},{3}", w0), [mid_escapes]),
+        (("{2},{3},{1}", w0), [escapes_mid, mid_escapes, origin_in]),
+        (("{3},{1},{2}", w0), [mid_escapes]),
+    ]
 
 
 def test_report_json_shape():

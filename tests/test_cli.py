@@ -192,6 +192,8 @@ DATA = ["interpolate", "--target", "omega0", "--data", FILE]
 LIMIT = ["limit", "--cocharacter", "1", "--class", FILE]
 NEWTON = ["newton", "--class", FILE]
 NO_VARS = '{"terms": []}'
+SEGMENT = ('{"vars": ["t1", "t2"], "terms": [{"exp": [-1, 1], "y": [-1]}, '
+           '{"exp": [0, 0], "y": [1]}]}')
 
 
 @pytest.mark.parametrize("args, content", [
@@ -202,11 +204,15 @@ NO_VARS = '{"terms": []}'
     (DATA, None),
     (LIMIT, NO_VARS), (LIMIT, "[1, 2]"), (LIMIT, '{"vars": ['), (LIMIT, None),
     (NEWTON, NO_VARS), (NEWTON, "[1, 2]"), (NEWTON, '{"vars": ['), (NEWTON, None),
+    (NEWTON + ["--contains", "1/0"], SEGMENT), (NEWTON + ["--contains", "abc"], SEGMENT),
+    (NEWTON + ["--contains", "1"], SEGMENT),
+    (["conjectures", "--n", "2", "--checks", "bogus"], None),
 ], ids=["unknown-target", "orbit-without-codim", "no-orbits", "orbits-not-a-list",
         "data-missing-file",
         "limit-missing-key", "limit-wrong-type", "limit-bad-json", "limit-missing-file",
         "newton-missing-key", "newton-wrong-type", "newton-bad-json",
-        "newton-missing-file"])
+        "newton-missing-file", "contains-zero-denominator", "contains-not-a-number",
+        "contains-wrong-dimension", "unknown-check"])
 def test_interpolate_malformed_input_exit_2(tmp_path, args, content):
     # a full process run, so that a traceback would show on stderr; an
     # input file is written only when there is content for it

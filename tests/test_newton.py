@@ -134,10 +134,13 @@ def _lstsq_exact(rows, rhs):
 
 @st.composite
 def instances(draw):
-    dim = draw(st.integers(1, 3))
+    # integer generators; a query point with rational coordinates of
+    # denominator 1 to 4, so that the LP's scaling to integers is covered
+    dim = draw(st.integers(1, 4))
     npts = draw(st.integers(1, 6))
     pts = [tuple(draw(st.integers(-4, 4)) for _ in range(dim)) for _ in range(npts)]
-    qx = tuple(draw(st.integers(-5, 5)) for _ in range(dim))
+    qx = tuple(draw(st.fractions(min_value=-5, max_value=5, max_denominator=4))
+               for _ in range(dim))
     return dim, pts, qx
 
 
