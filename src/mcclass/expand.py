@@ -4,10 +4,12 @@ conjecture checkers (signs, log-concavity, shifted-variable signs).
 
 Expansions are produced by the left Demazure-Lusztig recursion
 (Aluffi-Mihalcea-Schuermann-Su, arXiv:1902.10101): a sparse two-term
-step on the coefficients, walked down from the point class.  The
-localization rows of the basis (isobaric Demazure recursion) and the
-Bruhat-triangular back-substitution stay here as the independent
-oracle that the test suite pins the recursion against.
+step on the coefficients, walked down from the point class.  The step
+is division-free and needs no ring product: it is accumulated term by
+term on plain dicts, one output cell at a time.  The localization rows
+of the basis (isobaric Demazure recursion) and the Bruhat-triangular
+back-substitution stay here as the independent oracle that the test
+suite pins the recursion against.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
+from operator import add, neg, sub
 from typing import Mapping, Sequence
 
 from .axioms import orbit_local_data
@@ -120,42 +123,112 @@ def expand_by_solve(p: Permutation, wrow: Mapping[Permutation, LaurentPoly],
 # ---------------------------------------------------------------------------
 
 
+def _cell_terms(c: LaurentPoly | None, partner: LaurentPoly | None, i: int,
+                ascent: bool) -> dict:
+    """Canonical terms of one output cell of `left_step`.
+
+    Write a term of an input coefficient as v tau^e, with
+    (a, b) = (e_i, e_{i+1}) and rest the other exponents.  d(tau^e) is
+    a geometric sum between the two exponents, so the second part of
+    the step is
+
+        (1 + y beta) d(tau^e) - (1 + y + y beta) tau^e
+            = -(1 + y) S(a, b) - y beta s(tau^e),
+
+    where S(a, b) = sum_{j=a..b} tau_i^j tau_{i+1}^(a+b-j) rest is a
+    signed sum (for a > b, minus the sum over j = b+1..a-1).  An ascent
+    cell x also receives (1 + y beta) s(c_x), whose y beta part cancels
+    the last piece, and (1 + y beta) s(c_{s_i x}).  Every piece keeps
+    a + b and rest, so the cell is built by index shifts and tuple sums
+    of y-coefficients, without a ring product or a division.
+    """
+    p, q = i - 1, i
+    width = 1 + max(max(map(len, poly.terms.values()), default=0)
+                    for poly in (c, partner) if poly is not None)
+    acc: dict = {}
+    get = acc.get
+    if c is not None:
+        for e, v in c.terms.items():
+            a, b = e[p], e[q]
+            head, tail = e[:p], e[q + 1:]
+            vp = v + (0,) * (width - len(v))
+            vs = (0,) + vp[:-1]
+            if a <= b:
+                u, js = tuple(map(sub, map(neg, vp), vs)), range(a, b + 1)
+            else:
+                u, js = tuple(map(add, vp, vs)), range(b + 1, a)
+            for j in js:
+                key = head + (j, a + b - j) + tail
+                old = get(key)
+                acc[key] = u if old is None else tuple(map(add, old, u))
+            if ascent:
+                key, u = head + (b, a) + tail, vp
+            else:
+                key, u = head + (b + 1, a - 1) + tail, tuple(map(neg, vs))
+            old = get(key)
+            acc[key] = u if old is None else tuple(map(add, old, u))
+    if partner is not None:
+        for e, v in partner.terms.items():
+            a, b = e[p], e[q]
+            head, tail = e[:p], e[q + 1:]
+            vp = v + (0,) * (width - len(v))
+            for key, u in ((head + (b, a) + tail, vp),
+                           (head + (b + 1, a - 1) + tail, (0,) + vp[:-1])):
+                old = get(key)
+                acc[key] = u if old is None else tuple(map(add, old, u))
+    out = {}
+    for e, u in acc.items():
+        if not u[-1]:
+            k = width - 1
+            while k and not u[k - 1]:
+                k -= 1
+            if not k:
+                continue
+            u = u[:k]
+        out[e] = u
+    return out
+
+
 def left_step(coeffs: Mapping[Permutation, LaurentPoly], i: int,
               spec: TorusSpecialization) -> dict:
     """Coefficients of mC[w] from those of mC[s_i w], where s_i w (the
     values i and i+1 of w swapped) is one longer than w:
 
-        c_x O_x -> (1 + y b) s(c_x) O_x'
-                   + ((1 + y b) d(c_x) - (1 + y + y b) c_x) O_x
+        c_x O_x -> (1 + y beta) s(c_x) O_x'
+                   + ((1 + y beta) d(c_x) - (1 + y + y beta) c_x) O_x
 
-    with b = tau_i/tau_{i+1}, s exchanging tau_i and tau_{i+1},
-    d(c) = tau_i (c - s c)/(tau_i - tau_{i+1}) (an exact division), and
-    x' = s_i x when that is shorter than x, else x' = x.  Needs the
-    standard torus; returns the nonzero coefficients.
+    with beta = tau_i/tau_{i+1}, s exchanging tau_i and tau_{i+1},
+    d(c) = tau_i (c - s c)/(tau_i - tau_{i+1}), and x' = s_i x when that
+    is shorter than x, else x' = x.  So an output cell x with i before
+    i+1 gathers from c_x and c_{s_i x}, and one with i+1 before i from
+    c_x alone; each cell is built term by term (`_cell_terms`) and
+    finished before the next.  Needs the standard torus; returns the
+    nonzero coefficients.
     """
-    one_plus_yb = spec.one_plus_y_ratio(i, i + 1)
-    one_plus_y_plus_yb = one_plus_yb + LaurentPoly.y(spec.vars)
-    tau_i = spec.tau_exp(i)
-    tau_diff = spec.tau_diff(i, i + 1)
-    ti, tj = spec.vars[i - 1], spec.vars[i]
-    swap = {ti: (1, {tj: 1}), tj: (1, {ti: 1})}
-    zero = spec.zero()
     out: dict = {}
-    for x, c in coeffs.items():
-        sc = monomial_substitute(c, swap)
-        xs = x if x.word.index(i) < x.word.index(i + 1) else x.swap_values(i)
-        out[xs] = out.get(xs, zero) + one_plus_yb * sc
-        rest = -(one_plus_y_plus_yb * c)
-        diff = c - sc
-        if not diff.is_zero():
-            rest = rest + one_plus_yb * exact_divide(diff.shift(tau_i), tau_diff)
-        out[x] = out.get(x, zero) + rest
-    return {x: c for x, c in out.items() if not c.is_zero()}
+    seen = set()
+    for x in coeffs:
+        cells = (((x, True),) if _is_ascent(x, i)
+                 else ((x.swap_values(i), True), (x, False)))
+        for w, ascent in cells:
+            if w in seen:
+                continue
+            seen.add(w)
+            partner = coeffs.get(w.swap_values(i)) if ascent else None
+            terms = _cell_terms(coeffs.get(w), partner, i, ascent)
+            if terms:
+                out[w] = LaurentPoly._from_trimmed(spec.vars, terms)
+    return out
+
+
+def _is_ascent(w: Permutation, i: int) -> bool:
+    """Value i comes before i+1 in w, i.e. l(s_i w) = l(w) + 1."""
+    return w.word.index(i) < w.word.index(i + 1)
 
 
 def _left_parent(w: Permutation) -> int:
-    """The smallest i with l(s_i w) = l(w) + 1 (value i before i+1)."""
-    return next(i for i in range(1, w.n) if w.word.index(i) < w.word.index(i + 1))
+    """The smallest i with l(s_i w) = l(w) + 1."""
+    return next(i for i in range(1, w.n) if _is_ascent(w, i))
 
 
 class Expander:

@@ -172,12 +172,13 @@ def polytopes_equal(A: LatticePolytope, B: LatticePolytope) -> bool:
 
 
 def is_vertex(P: LatticePolytope, x: Sequence[int]) -> bool:
-    """True when x is not in the hull of the remaining generators."""
+    """True when x is a generator outside the hull of the remaining
+    generators; a point that is not a generator is never a vertex."""
     x = tuple(int(v) for v in x)
+    if x not in P.points:
+        return False
     rest = [p for p in P.points if p != x]
-    if not rest:
-        return x in P.points
-    return not contains_point(LatticePolytope(P.dim, rest), x)
+    return not rest or not contains_point(LatticePolytope(P.dim, rest), x)
 
 
 # ---------------------------------------------------------------------------

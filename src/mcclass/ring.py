@@ -8,7 +8,9 @@ makes equality testing exact and serialization reproducible.
 
 All values are immutable after construction and all operations are
 pure, so they are safe to evaluate in parallel across independent
-inputs.
+inputs.  The public constructor re-trims and copies its terms; kernels
+that already produce canonical terms wrap them with the trusted
+`LaurentPoly._from_trimmed` instead.
 """
 
 from __future__ import annotations
@@ -196,6 +198,19 @@ class LaurentPoly:
         raise AttributeError("LaurentPoly is immutable")
 
     # -- constructors -------------------------------------------------------
+
+    @classmethod
+    def _from_trimmed(cls, vars: tuple, terms: dict) -> "LaurentPoly":
+        """Trusted constructor for kernels that build canonical terms
+        themselves: no re-trim and no copy.  The caller guarantees that
+        vars is a tuple, every key an exponent tuple of len(vars) ints,
+        every value a nonzero y-tuple without trailing zeros, and that
+        it does not touch the dict afterwards."""
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "vars", vars)
+        object.__setattr__(obj, "terms", terms)
+        object.__setattr__(obj, "_hash", None)
+        return obj
 
     @classmethod
     def zero(cls, vars: Sequence[str]) -> "LaurentPoly":

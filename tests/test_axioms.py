@@ -112,7 +112,7 @@ def test_smallness_witnesses_on_corrupted_n3_table():
     table[P("231")].table[P("321")] = table[P("231")][P("321")] + one + mono(0, 3, -3)
     table[P("132")].table[P("123")] = mono(-3, 0, 3)
     # diagonal: the origin stops being a vertex; the bound stops fitting;
-    # the diagonal shrinks to the bound itself
+    # the diagonal loses the origin and shrinks to the bound itself
     table[P("213")].table[P("213")] = table[P("213")][P("213")] + mono(1, -1, 0)
     table[P("321")].table[P("321")] = one
     d = orbit_local_data(P("312"))
@@ -130,12 +130,12 @@ def test_smallness_witnesses_on_corrupted_n3_table():
     assert [(e.pair, e.witness["problems"]) for e in report.violations] == [
         (("{1},{2},{3}", "{1},{3},{2}"), [escapes_mid, origin_in]),
         (("{1},{2},{3}", "{2},{1},{3}"), [not_vertex]),
-        (("{1},{2},{3}", "{3},{1},{2}"), [not_strict]),
+        (("{1},{2},{3}", "{3},{1},{2}"), [not_strict, not_vertex]),
         (("{1},{2},{3}", w0), [mid_escapes]),
         (("{1},{3},{2}", "{1},{2},{3}"), [escapes_big]),
-        (("{1},{3},{2}", "{3},{1},{2}"), [not_strict]),
+        (("{1},{3},{2}", "{3},{1},{2}"), [not_strict, not_vertex]),
         (("{1},{3},{2}", w0), [mid_escapes]),
-        (("{2},{1},{3}", "{3},{1},{2}"), [not_strict]),
+        (("{2},{1},{3}", "{3},{1},{2}"), [not_strict, not_vertex]),
         (("{2},{1},{3}", w0), [mid_escapes]),
         (("{2},{3},{1}", w0), [escapes_mid, mid_escapes, origin_in]),
         (("{3},{1},{2}", w0), [mid_escapes]),

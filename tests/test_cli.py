@@ -207,12 +207,17 @@ SEGMENT = ('{"vars": ["t1", "t2"], "terms": [{"exp": [-1, 1], "y": [-1]}, '
     (NEWTON + ["--contains", "1/0"], SEGMENT), (NEWTON + ["--contains", "abc"], SEGMENT),
     (NEWTON + ["--contains", "1"], SEGMENT),
     (["conjectures", "--n", "2", "--checks", "bogus"], None),
+    (["weight", "--mu", "1,x"], None),
+    (["weight", "--mu", "1,1,1", "--I", "9,9,9"], None),
+    (["expand", "--n", "3", "--p", "1,1,2"], None),
+    (["limit", "--cocharacter", "abc"], None),
 ], ids=["unknown-target", "orbit-without-codim", "no-orbits", "orbits-not-a-list",
         "data-missing-file",
         "limit-missing-key", "limit-wrong-type", "limit-bad-json", "limit-missing-file",
         "newton-missing-key", "newton-wrong-type", "newton-bad-json",
         "newton-missing-file", "contains-zero-denominator", "contains-not-a-number",
-        "contains-wrong-dimension", "unknown-check"])
+        "contains-wrong-dimension", "unknown-check", "bad-mu", "bad-index-tuple",
+        "bad-permutation", "bad-cocharacter"])
 def test_interpolate_malformed_input_exit_2(tmp_path, args, content):
     # a full process run, so that a traceback would show on stderr; an
     # input file is written only when there is content for it

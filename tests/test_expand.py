@@ -1,17 +1,20 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from frozen_expansions import EXPANSIONS_N3, NONEQ_OPEN_N4
 from mcclass.combi import Composition, Permutation, bruhat_leq
-from mcclass.expand import (Expander, NegativeRatioExponentError,
+from mcclass.expand import (Expander, NegativeRatioExponentError, _left_parent,
                             check_log_concavity, check_s_delta_signs,
                             check_sign_conjecture, demazure_step, expand,
                             expand_by_solve, format_expansion,
-                            is_strictly_log_concave, nonequivariant_coefficients,
-                            ratio_exponents, specialize_nonequivariant,
-                            structure_sheaf_rows, substitute_s_delta)
-from mcclass.ring import LaurentPoly, exact_divide, substitute_ones
+                            is_strictly_log_concave, left_step,
+                            nonequivariant_coefficients, ratio_exponents,
+                            specialize_nonequivariant, structure_sheaf_rows,
+                            substitute_s_delta)
+from mcclass.ring import LaurentPoly, exact_divide, monomial_substitute, substitute_ones
 from mcclass.weightfn import TorusSpecialization, full_flag_table_recursive
 
 
@@ -159,6 +162,108 @@ def test_chain_walk_matches_full_walk():
 
 def test_parallel_levels_match_serial():
     assert Expander(4, jobs=2).expansions == Expander(4).expansions
+
+
+# ---------------------------------------------------------------------------
+# the fused left step against the ring formula
+# ---------------------------------------------------------------------------
+
+
+def oracle_left_step(coeffs, i, spec):
+    """The left Demazure-Lusztig step written with ring operations:
+    c_x O_x -> (1 + y beta) s(c_x) O_x'
+               + ((1 + y beta) d(c_x) - (1 + y + y beta) c_x) O_x
+    with beta = tau_i/tau_{i+1} and d(c) = tau_i (c - s c)/(tau_i - tau_{i+1})
+    by exact division."""
+    one_plus_yb = spec.one_plus_y_ratio(i, i + 1)
+    one_plus_y_plus_yb = one_plus_yb + LaurentPoly.y(spec.vars)
+    tau_i = spec.tau_exp(i)
+    tau_diff = spec.tau_diff(i, i + 1)
+    ti, tj = spec.vars[i - 1], spec.vars[i]
+    swap = {ti: (1, {tj: 1}), tj: (1, {ti: 1})}
+    zero = spec.zero()
+    out = {}
+    for x, c in coeffs.items():
+        sc = monomial_substitute(c, swap)
+        xs = x if x.word.index(i) < x.word.index(i + 1) else x.swap_values(i)
+        out[xs] = out.get(xs, zero) + one_plus_yb * sc
+        rest = -(one_plus_y_plus_yb * c)
+        diff = c - sc
+        if not diff.is_zero():
+            rest = rest + one_plus_yb * exact_divide(diff.shift(tau_i), tau_diff)
+        out[x] = out.get(x, zero) + rest
+    return {x: c for x, c in out.items() if not c.is_zero()}
+
+
+@st.composite
+def step_inputs(draw):
+    """(coeffs, i, spec): random permutations of n <= 4 carrying random
+    Laurent polynomials (negative exponents, several y-degrees, zero
+    polynomials and zero y-entries included) and a random i."""
+    n = draw(st.integers(2, 4))
+    spec = TorusSpecialization.standard(n)
+    perms = [Permutation(w) for w in itertools.permutations(range(1, n + 1))]
+    coeffs = {}
+    for w in draw(st.lists(st.sampled_from(perms), max_size=6, unique=True)):
+        terms = {}
+        for _ in range(draw(st.integers(0, 4))):
+            exp = tuple(draw(st.integers(-3, 3)) for _ in spec.vars)
+            ydeg = draw(st.integers(1, 4))
+            terms[exp] = tuple(draw(st.integers(-5, 5)) for _ in range(ydeg))
+        coeffs[w] = LaurentPoly(spec.vars, terms)
+    return coeffs, draw(st.integers(1, n - 1)), spec
+
+
+def _assert_canonical(coeffs):
+    # rebuilding through the trimming constructor changes nothing
+    for c in coeffs.values():
+        assert c.terms and c == LaurentPoly(c.vars, c.terms)
+
+
+@given(step_inputs())
+@settings(max_examples=150, deadline=None)
+def test_left_step_matches_ring_oracle(args):
+    got = left_step(*args)
+    assert got == oracle_left_step(*args)
+    _assert_canonical(got)
+
+
+@pytest.fixture(scope="module")
+def expander5():
+    return Expander(5)
+
+
+def test_left_step_spot_checks_n5(expander5):
+    # one ring-formula step from the production parent; (1,3,4,5,2) has
+    # length 3, and its parent carries 912 terms
+    for word in [(1, 3, 4, 5, 2), (5, 1, 2, 3, 4), (2, 5, 4, 3, 1), (5, 4, 3, 1, 2)]:
+        w = Permutation(word)
+        i = _left_parent(w)
+        parent = expander5.expand(w.swap_values(i)).coeffs
+        got = expander5.expand(w).coeffs
+        assert oracle_left_step(parent, i, expander5.spec) == got, word
+        _assert_canonical(got)
+
+
+def _conjugate(w):
+    """w0 w w0."""
+    n = w.n
+    return Permutation(tuple(n + 1 - v for v in reversed(w.word)))
+
+
+@pytest.mark.parametrize("n, count", [(3, 19), (4, 213), (5, 3781)])
+def test_diagram_symmetry(n, count, request):
+    # c[w0 p w0, w0 x w0](tau) = c[p, x](tau_i -> 1/tau_{n+1-i}): the
+    # exponent vector is reversed and negated, and the supports pair up
+    ex = request.getfixturevalue("expander5") if n == 5 else Expander(n)
+    expansions = ex.expansions
+    assert sum(len(e.coeffs) for e in expansions.values()) == count
+    for p, e in expansions.items():
+        mirror = expansions[_conjugate(p)].coeffs
+        assert set(mirror) == {_conjugate(x) for x in e.coeffs}, p
+        for x, c in e.coeffs.items():
+            flipped = {tuple(-v for v in reversed(k)): yc for k, yc in c.terms.items()}
+            assert mirror[_conjugate(x)].terms == flipped, (p, x)
 
 
 @pytest.mark.parametrize("n", [2, 3])

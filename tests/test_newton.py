@@ -71,6 +71,9 @@ def test_is_vertex_examples():
     tri = LatticePolytope(2, [(0, 0), (3, 0), (0, 3), (1, 1)])
     assert not is_vertex(tri, (1, 1))
     assert is_vertex(tri, (3, 0))
+    # a vertex is a generator: a point outside the hull is none
+    assert not is_vertex(tri, (5, 5))
+    assert not is_vertex(LatticePolytope(2, [(1, 0)]), (0, 0))
 
 
 def test_minkowski_examples():

@@ -237,6 +237,13 @@ def test_json_roundtrip(p):
 
 @given(polys())
 @settings(max_examples=40, deadline=None)
+def test_trusted_constructor_on_canonical_terms(p):
+    q = LaurentPoly._from_trimmed(p.vars, dict(p.terms))
+    assert q == p and hash(q) == hash(p)
+
+
+@given(polys())
+@settings(max_examples=40, deadline=None)
 def test_canonical_after_shuffled_construction(p):
     items = sorted(p.terms.items(), reverse=True)
     rebuilt = LaurentPoly(p.vars, dict(items))
