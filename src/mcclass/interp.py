@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, Mapping, Sequence
 
 from .ring import LaurentPoly, format_poly, monomial_substitute
@@ -191,89 +192,58 @@ class OrbitProblem:
 
 
 # ---------------------------------------------------------------------------
-# Exact linear algebra (two independent elimination routes)
+# Exact linear algebra
 # ---------------------------------------------------------------------------
 
 
 def solve_unique_fractions(rows, rhs):
-    """Gauss-Jordan over Fractions; returns the unique solution or
-    raises NoSolutionError / NonUniqueError."""
+    """The unique solution of rows * x == rhs, as Fractions, or raise
+    NoSolutionError (inconsistent) before NonUniqueError (rank < width).
+
+    Sparse fraction-free elimination over the integers.  Each distinct
+    nonzero row becomes a dict {column: int}, the right-hand side under
+    key n.  It is reduced against the pivot rows kept so far, lowest
+    column first, by the cross-multiplication b/g * row - a/g * pivot
+    (g = gcd(a, b)), and divided by its content; what is left becomes
+    the pivot of its lowest column.  A back-substitution over Fractions
+    finishes.
+    """
     m = len(rows)
     if m == 0:
         raise NonUniqueError("no equations")
     n = len(rows[0])
-    aug = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
-    pivots = []
-    r = 0
-    for c in range(n):
-        pr = next((i for i in range(r, m) if aug[i][c] != 0), None)
-        if pr is None:
-            continue
-        aug[r], aug[pr] = aug[pr], aug[r]
-        pv = aug[r][c]
-        aug[r] = [x / pv for x in aug[r]]
-        for i in range(m):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if aug[i][n] != 0:
-            raise NoSolutionError("inconsistent linear system")
+    pivots = {}
+    for key in dict.fromkeys(tuple(row) + (b,) for row, b in zip(rows, rhs)):
+        row = {c: v for c, v in enumerate(key) if v}
+        while row:
+            c = min(row)
+            if c == n:
+                raise NoSolutionError("inconsistent linear system")
+            pivot = pivots.get(c)
+            if pivot is None:
+                pivots[c] = row
+                break
+            g = gcd(row[c], pivot[c])
+            a, b = row[c] // g, pivot[c] // g
+            reduced = {k: b * v for k, v in row.items()}
+            for k, v in pivot.items():
+                w = reduced.get(k, 0) - a * v
+                if w:
+                    reduced[k] = w
+                else:
+                    del reduced[k]
+            g = gcd(*reduced.values())
+            row = {k: v // g for k, v in reduced.items()} if g > 1 else reduced
     if len(pivots) < n:
         raise NonUniqueError(f"solution space has dimension {n - len(pivots)}")
     x = [Fraction(0)] * n
-    for i, c in enumerate(pivots):
-        x[c] = aug[i][n]
-    return x
-
-
-def solve_unique_bareiss(rows, rhs):
-    """Fraction-free Bareiss elimination over the integers; the second,
-    independent elimination route used by the cross-check oracle.
-
-    Forward elimination transforms only the rows below each pivot (the
-    exact divisibility by the previous pivot holds there), then exact
-    back-substitution finishes over rationals.
-    """
-    m = len(rows)
-    n = len(rows[0]) if rows else 0
-    aug = [[int(x) for x in row] + [int(b)] for row, b in zip(rows, rhs)]
-    prev = 1
-    r = 0
-    pivots = []
-    for c in range(n):
-        pr = next((i for i in range(r, m) if aug[i][c] != 0), None)
-        if pr is None:
-            continue
-        aug[r], aug[pr] = aug[pr], aug[r]
-        piv = aug[r][c]
-        for i in range(r + 1, m):
-            fi = aug[i][c]
-            aug[i] = [(piv * aug[i][k] - fi * aug[r][k]) // prev
-                      for k in range(n + 1)]
-        prev = piv
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if any(aug[i][k] for k in range(n)):
-            raise AssertionError("elimination left a nonzero reduced row")
-        if aug[i][n] != 0:
-            raise NoSolutionError("inconsistent linear system")
-    if len(pivots) < n:
-        raise NonUniqueError(f"solution space has dimension {n - len(pivots)}")
-    x = [Fraction(0)] * n
-    for i in reversed(range(len(pivots))):
-        c = pivots[i]
-        acc = Fraction(aug[i][n])
-        for j in range(c + 1, n):
-            acc -= Fraction(aug[i][j]) * x[j]
-        x[c] = acc / aug[i][c]
+    for c in range(n - 1, -1, -1):
+        pivot = pivots[c]
+        acc = Fraction(pivot.get(n, 0))
+        for k, v in pivot.items():
+            if c < k < n:
+                acc -= v * x[k]
+        x[c] = acc / pivot[c]
     return x
 
 

@@ -804,15 +804,15 @@ def format_poly_ygrouped(p: LaurentPoly, param: str = "y") -> str:
         return "0"
     by_deg: dict = {}
     for e, c in p.sorted_terms():
+        mono = _monomial_str(p.vars, e)
         for k, ck in enumerate(c):
             if ck:
-                by_deg.setdefault(k, []).append((e, ck))
+                by_deg.setdefault(k, []).append((mono, ck))
     parts = []
     for k in sorted(by_deg, reverse=True):
         monos = by_deg[k]
         body_parts = []
-        for e, ck in monos:
-            mono = _monomial_str(p.vars, e)
+        for mono, ck in monos:
             if mono == "1":
                 body = str(abs(ck))
             elif abs(ck) == 1:

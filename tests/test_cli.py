@@ -292,3 +292,19 @@ def test_golden_newton_pair_svg(capsys, golden):
                            "--format", "svg", capsys=capsys)
     assert code == 0
     golden("newton_pair_231_321.svg", out)
+
+
+@pytest.mark.parametrize("target", ["omega0", "omega1", "omega2"])
+def test_golden_interpolate_csm_json(capsys, golden, target):
+    code, out, _ = run_cli("interpolate", "--target", target, "--mode", "csm",
+                           "--format", "json", capsys=capsys)
+    assert code == 0
+    golden(f"interpolate_csm_{target}.json", out)
+
+
+def test_golden_interpolate_fundamental_json_omega2(capsys, golden):
+    code, out, _ = run_cli("interpolate", "--target", "omega2",
+                           "--mode", "fundamental", "--format", "json",
+                           capsys=capsys)
+    assert code == 0
+    golden("interpolate_fundamental_omega2.json", out)

@@ -3,11 +3,16 @@ from fractions import Fraction
 from importlib.resources import files
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mcclass.interp import (NonUniqueError, NoSolutionError, OrbitProblem,
                             SymmetricAnsatz, solve_csm, solve_fundamental,
-                            solve_unique_bareiss, solve_unique_fractions)
+                            solve_unique_fractions)
 from mcclass.ring import LaurentPoly, format_poly
+from oracles import solve_unique_bareiss, solve_unique_gauss_jordan
+
+ORACLES = [solve_unique_gauss_jordan, solve_unique_bareiss]
 
 
 @pytest.fixture(scope="module")
@@ -30,7 +35,8 @@ def test_two_solvers_agree_on_small_system():
     rhs = [3, 0, 3, 2]
     a = solve_unique_fractions(rows, rhs)
     b = solve_unique_bareiss(rows, rhs)
-    assert a == b == [Fraction(1), Fraction(1), Fraction(0)]
+    c = solve_unique_gauss_jordan(rows, rhs)
+    assert a == b == c == [Fraction(1), Fraction(1), Fraction(0)]
     for row, want in zip(rows, rhs):
         assert sum(Fraction(c) * x for c, x in zip(row, a)) == want
 
@@ -43,6 +49,77 @@ def test_inconsistent_system_detected():
 def test_underdetermined_system_detected():
     with pytest.raises(NonUniqueError):
         solve_unique_fractions([[1, 1]], [1])
+
+
+def test_solver_error_contract():
+    with pytest.raises(NonUniqueError, match="^no equations$"):
+        solve_unique_fractions([], [])
+    # inconsistency wins over rank deficiency
+    with pytest.raises(NoSolutionError, match="^inconsistent linear system$"):
+        solve_unique_fractions([[1, 1, 0], [2, 2, 0]], [1, 3])
+    with pytest.raises(NonUniqueError, match="^solution space has dimension 2$"):
+        solve_unique_fractions([[0, 0, 0], [1, 2, 3], [2, 4, 6]], [0, 1, 2])
+    assert solve_unique_fractions([[]], [0]) == []
+
+
+def _outcome(solver, rows, rhs):
+    try:
+        return solver(rows, rhs)
+    except (NoSolutionError, NonUniqueError) as err:
+        return type(err), str(err)
+
+
+@st.composite
+def small_systems(draw):
+    """Integer systems of 1-7 rows and 1-5 columns, mixing free rows, rows
+    consistent with a hidden integer point, duplicates, zero rows, rows
+    zero except for the right-hand side, and combinations of earlier rows
+    (rank deficiency) whose right-hand side may be perturbed
+    (inconsistency)."""
+    n = draw(st.integers(1, 5))
+    m = draw(st.integers(1, 7))
+    entry = st.integers(-3, 3)
+    dense = st.lists(entry, min_size=n, max_size=n)
+    point = draw(dense)
+    rows, rhs = [], []
+    for _ in range(m):
+        kind = draw(st.sampled_from(["free", "consistent", "duplicate", "zero",
+                                     "rhs-only", "combination"]))
+        if kind in ("duplicate", "combination") and not rows:
+            kind = "consistent"
+        if kind == "free":
+            row, b = draw(dense), draw(entry)
+        elif kind == "consistent":
+            row = draw(dense)
+            b = sum(a * x for a, x in zip(row, point))
+        elif kind == "duplicate":
+            i = draw(st.integers(0, len(rows) - 1))
+            row, b = list(rows[i]), rhs[i]
+        elif kind == "zero":
+            row, b = [0] * n, 0
+        elif kind == "rhs-only":
+            row, b = [0] * n, draw(entry.filter(bool))
+        else:
+            i = draw(st.integers(0, len(rows) - 1))
+            j = draw(st.integers(0, len(rows) - 1))
+            p, q = draw(entry), draw(entry)
+            row = [p * u + q * v for u, v in zip(rows[i], rows[j])]
+            b = p * rhs[i] + q * rhs[j] + draw(st.sampled_from([0, 0, 1]))
+        rows.append(row)
+        rhs.append(b)
+    return rows, rhs
+
+
+@settings(max_examples=400, deadline=None)
+@given(small_systems())
+def test_solver_matches_oracles_on_small_systems(system):
+    rows, rhs = system
+    got = _outcome(solve_unique_fractions, rows, rhs)
+    for oracle in ORACLES:
+        assert _outcome(oracle, rows, rhs) == got, oracle.__name__
+    if isinstance(got, list):
+        for row, want in zip(rows, rhs):
+            assert sum(c * x for c, x in zip(row, got)) == want
 
 
 # ---------------------------------------------------------------------------
@@ -125,6 +202,17 @@ def test_csm_open_orbit_normalization(a2):
     o0 = a2.orbit("omega0")
     assert sol.restrictions["omega0"] == o0.tangent_c  # euler = 1
     assert sol.lowest_matches_fundamental
+
+
+@pytest.mark.parametrize("oracle", ORACLES, ids=lambda f: f.__name__)
+@pytest.mark.parametrize("target", ["omega0", "omega1", "omega2"])
+def test_csm_matches_oracle_solvers(a2, target, oracle):
+    got = solve_csm(a2, target)
+    want = solve_csm(a2, target, solver=oracle)
+    assert got.expansion.coeffs == want.expansion.coeffs
+    assert got.lowest_degree.coeffs == want.lowest_degree.coeffs
+    assert got.fundamental.coeffs == want.fundamental.coeffs
+    assert got.restrictions == want.restrictions
 
 
 def test_csm_report_json(a2):
