@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from math import comb
+from operator import sub
 from typing import Callable, Iterable, Mapping, Sequence
 
 # ---------------------------------------------------------------------------
@@ -569,23 +571,30 @@ def exact_divide(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
     ps = _split_by_var(p, k)
     dq = max(qs)
     q_lead = LaurentPoly(p.vars, qs[dq])
+    # the lowest var-k parts of an exact quotient and of q multiply to the
+    # lowest part of p, so no quotient term lies below this var-k degree
+    floor = min(ps) - min(qs)
+    vars = p.vars
+
+    def remainder():
+        return LaurentPoly(vars, {e[:k] + (d,) + e[k + 1:]: c
+                                  for d, slot in ps.items()
+                                  for e, c in slot.items()})
 
     quot: dict = {}
-    vars = p.vars
     while ps:
         dp = max(ps)
         if all(not slot for slot in ps.values()):
             break
+        shift = dp - dq
+        if shift < floor:
+            raise NonDivisibleError("quotient degree below its bound", remainder=remainder())
         lead = LaurentPoly(vars, ps[dp])
         try:
             t = exact_divide(lead, q_lead)
         except NonDivisibleError as err:
-            rem = LaurentPoly(vars, {e[:k] + (d,) + e[k + 1:]: c
-                                     for d, slot in ps.items()
-                                     for e, c in slot.items()})
             raise NonDivisibleError("leading coefficient not divisible",
-                                    remainder=rem) from err
-        shift = dp - dq
+                                    remainder=remainder()) from err
         for e, c in t.terms.items():
             quot[e[:k] + (e[k] + shift,) + e[k + 1:]] = c
         # ps -= t * q  (with the var-k shift applied)
@@ -612,11 +621,35 @@ def exact_divide(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
         if ps and max(ps) >= dp:
             raise AssertionError("division failed to reduce degree")
     if ps:
-        rem = LaurentPoly(vars, {e[:k] + (d,) + e[k + 1:]: c
-                                 for d, slot in ps.items()
-                                 for e, c in slot.items()})
-        raise NonDivisibleError("nonzero remainder", remainder=rem)
+        raise NonDivisibleError("nonzero remainder", remainder=remainder())
     return LaurentPoly(vars, quot)
+
+
+def divisible_by_y_binomials(p: LaurentPoly, exponents: Mapping[tuple, int]) -> bool:
+    """Whether the product of (1 + y*x^e)^m over exponents {e: m} divides p.
+
+    1 + y*x^e = x^e * (y + x^-e) is monic in y up to a unit, so its m-th
+    power divides p exactly when the Hasse derivatives D^j p, j < m,
+    vanish at y = -x^-e.  The binomials are irreducible and pairwise
+    non-associate for distinct e, so the product divides p exactly when
+    each power does.  No division is carried out.
+    """
+    width = max(map(len, p.terms.values()), default=0)
+    for e, m in exponents.items():
+        steps = [tuple(s * b for b in e) for s in range(width)]
+        for j in range(m):
+            acc: dict = {}
+            get = acc.get
+            for x, c in p.terms.items():
+                for s, ck in enumerate(c[j:]):
+                    if ck:
+                        # the term ck y^(s+j) of p gives C(s+j, j) ck y^s in D^j p
+                        key = tuple(map(sub, x, steps[s]))
+                        v = comb(s + j, j) * ck if j else ck
+                        acc[key] = get(key, 0) + (-v if s & 1 else v)
+            if any(acc.values()):
+                return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -21,11 +21,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import add, neg, sub
 from typing import Mapping, Sequence
 
 from .combi import (Composition, IndexTuple, Permutation, enumerate_index_tuples,
                     weak_order_walk)
-from .ring import LaurentPoly, RationalExpr, YP_ONE, YP_ONE_PLUS_Y, YP_Y, exact_divide
+from .ring import (LaurentPoly, NonDivisibleError, RationalExpr, YP_ONE, YP_ONE_PLUS_Y, YP_Y,
+                   ZeroDenominatorError, exact_divide, yp_trim)
 
 # ---------------------------------------------------------------------------
 # Variable panels and torus specializations
@@ -333,27 +335,33 @@ def restrict_to_fixed_point(W: LaurentPoly, J: IndexTuple,
     return monomial_substitute(W, images, out_vars=spec.vars)
 
 
+def chern_factor_product(pairs, spec: TorusSpecialization) -> LaurentPoly:
+    """The product over factor pairs (i, j) of 1 + y*tau_i/tau_j."""
+    out = spec.one()
+    for i, j in pairs:
+        out = out * spec.one_plus_y_ratio(i, j)
+    return out
+
+
+def c_mu_factors(J: IndexTuple) -> list:
+    """Factor pairs of c_mu restricted at the fixed point J."""
+    return [(b, a) for idx in _block_images(J)[:-1] for a in idx for b in idx]
+
+
+def c_prime_mu_factors(J: IndexTuple) -> list:
+    """Factor pairs of c'_mu restricted at the fixed point J."""
+    tJ = _block_images(J)
+    return [(b, a) for j in range(len(tJ) - 1) for a in tJ[j + 1] for b in tJ[j]]
+
+
 def c_mu_at(J: IndexTuple, spec: TorusSpecialization) -> LaurentPoly:
     """Restriction of c_mu at the fixed point J."""
-    out = spec.one()
-    tJ = _block_images(J)
-    for j in range(J.mu.num_blocks - 1):
-        idx = tJ[j]
-        for a in idx:
-            for b in idx:
-                out = out * spec.one_plus_y_ratio(b, a)
-    return out
+    return chern_factor_product(c_mu_factors(J), spec)
 
 
 def c_prime_mu_at(J: IndexTuple, spec: TorusSpecialization) -> LaurentPoly:
     """Restriction of c'_mu at the fixed point J."""
-    out = spec.one()
-    tJ = _block_images(J)
-    for j in range(J.mu.num_blocks - 1):
-        for a in tJ[j + 1]:
-            for b in tJ[j]:
-                out = out * spec.one_plus_y_ratio(b, a)
-    return out
+    return chern_factor_product(c_prime_mu_factors(J), spec)
 
 
 # ---------------------------------------------------------------------------
@@ -515,18 +523,71 @@ def direct_table(mu: Composition | Sequence[int], modified: bool = True,
 
 def descent_step(row: Mapping[Permutation, LaurentPoly], i: int,
                  spec: TorusSpecialization) -> dict:
+    """The exchange operator on a modified row, by exponent shifts.
+
+    With tau^D = A/B in the spec's exponents, A - B = B*(tau^D - 1), so
+    g(v) = Z / (tau^D - 1) with
+
+        Z = tau^D f(v*s_i) + y tau^2D f(v*s_i) - (1 + y) tau^D f(v).
+
+    Along a line m + kD of exponents, z_k = q_(k-1) - q_k for the
+    quotient coefficients q_k, so q_k is minus the prefix sum of the z_j
+    up to k, and the division is exact iff every line sums to zero.
+    No ring product and no long division is made.
+    """
     out = {}
     for v, fv in row.items():
-        vs = v.swap_positions(i)
-        ai, bi = v(i), v(i + 1)
-        fvs = row[vs]
-        x = fvs * spec.one_plus_y_ratio(ai, bi) - fv.scale_ypoly(YP_ONE_PLUS_Y)
-        if x.is_zero():
-            out[v] = x
-            continue
-        x = x.shift(spec.tau_exp(ai))
-        out[v] = exact_divide(x, spec.tau_diff(ai, bi))
+        out[v] = _exchange(row[v.swap_positions(i)], fv,
+                           spec.ratio_exp(v(i), v(i + 1)), spec.tau_exp(v(i + 1)))
     return out
+
+
+def _exchange(fvs: LaurentPoly, fv: LaurentPoly, D: tuple, b: tuple) -> LaurentPoly:
+    """g(v) of descent_step from f(v*s_i), f(v), D and the exponent b of B."""
+    p = next((k for k, d in enumerate(D) if d), None)
+    if p is None:
+        raise ZeroDenominatorError("exchange step across equal torus images")
+    width = 1 + max(map(len, itertools.chain(fvs.terms.values(), fv.terms.values())),
+                    default=0)
+    acc: dict = {}
+    get = acc.get
+    for e, c in fvs.terms.items():
+        cp = c + (0,) * (width - len(c))
+        e1 = tuple(map(add, e, D))
+        for key, u in ((e1, cp), (tuple(map(add, e1, D)), (0,) + cp[:-1])):
+            old = get(key)
+            acc[key] = u if old is None else tuple(map(add, old, u))
+    for e, c in fv.terms.items():
+        cp = c + (0,) * (width - len(c))
+        u = tuple(map(sub, map(neg, cp), (0,) + cp[:-1]))
+        key = tuple(map(add, e, D))
+        old = get(key)
+        acc[key] = u if old is None else tuple(map(add, old, u))
+
+    # group by line: base m - kD, k the line index of m
+    d = D[p]
+    lines: dict = {}
+    for e, u in acc.items():
+        k = e[p] // d
+        lines.setdefault(tuple(x - k * y for x, y in zip(e, D)), []).append((k, u))
+    terms: dict = {}
+    stray: dict = {}
+    zero = (0,) * width
+    for base, points in lines.items():
+        points.sort()
+        run, last = zero, points[0][0]
+        for k, u in points:
+            if run != zero:
+                q = yp_trim(tuple(map(neg, run)))
+                for j in range(last, k):
+                    terms[tuple(x + j * y for x, y in zip(base, D))] = q
+            run, last = tuple(map(add, run, u)), k
+        if run != zero:
+            stray[tuple(x + last * y + z for x, y, z in zip(base, D, b))] = run
+    if stray:
+        raise NonDivisibleError("exchange numerator not divisible by A - B",
+                                remainder=LaurentPoly(fv.vars, stray))
+    return LaurentPoly._from_trimmed(fv.vars, terms)
 
 
 def point_cell_row(n: int, spec: TorusSpecialization) -> dict:

@@ -1,14 +1,22 @@
-"""Independent exact linear solvers, the oracles for the production solver
-`mcclass.interp.solve_unique_fractions`.
+"""Independent routes that the tests pin production code against.
 
-Both take dense integer rows and a right-hand side, and return the unique
-solution as Fractions or raise NoSolutionError / NonUniqueError, with the
-inconsistency check taking precedence.
+- `solve_unique_gauss_jordan` and `solve_unique_bareiss`, the oracles for
+  the production solver `mcclass.interp.solve_unique_fractions`.  Both
+  take dense integer rows and a right-hand side, and return the unique
+  solution as Fractions or raise NoSolutionError / NonUniqueError, with
+  the inconsistency check taking precedence.
+- `ring_descent_step`, the exchange operator of
+  `mcclass.weightfn.descent_step` written with ring products and exact
+  division.
 """
 
 from fractions import Fraction
+from typing import Mapping
 
+from mcclass.combi import Permutation
 from mcclass.interp import NonUniqueError, NoSolutionError
+from mcclass.ring import YP_ONE_PLUS_Y, LaurentPoly, exact_divide
+from mcclass.weightfn import TorusSpecialization
 
 
 def solve_unique_gauss_jordan(rows, rhs):
@@ -90,3 +98,21 @@ def solve_unique_bareiss(rows, rhs):
             acc -= Fraction(aug[i][j]) * x[j]
         x[c] = acc / aug[i][c]
     return x
+
+
+def ring_descent_step(row: Mapping[Permutation, LaurentPoly], i: int,
+                      spec: TorusSpecialization) -> dict:
+    """g(v) = A*((1 + y*A/B) * f(v*s_i) - (1 + y) * f(v)) / (A - B), with
+    A = tau_{v(i)} and B = tau_{v(i+1)}, by ring products and exact_divide."""
+    out = {}
+    for v, fv in row.items():
+        vs = v.swap_positions(i)
+        ai, bi = v(i), v(i + 1)
+        fvs = row[vs]
+        x = fvs * spec.one_plus_y_ratio(ai, bi) - fv.scale_ypoly(YP_ONE_PLUS_Y)
+        if x.is_zero():
+            out[v] = x
+            continue
+        x = x.shift(spec.tau_exp(ai))
+        out[v] = exact_divide(x, spec.tau_diff(ai, bi))
+    return out

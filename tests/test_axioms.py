@@ -7,8 +7,8 @@ from mcclass.axioms import (OrbitLocalData, Weight, check_additivity,
                             quadratic_cone_euler, run_axiom_suite)
 from mcclass.combi import Composition, IndexTuple, Permutation, enumerate_index_tuples, length
 from mcclass.newton import newton_polytope, is_vertex
-from mcclass.ring import LaurentPoly, exact_divide
-from mcclass.weightfn import (LocalizedClass, TorusSpecialization, direct_table,
+from mcclass.ring import LaurentPoly, exact_divide, format_poly
+from mcclass.weightfn import (LocalizedClass, TorusSpecialization, c_mu_at, direct_table,
                               localization_table)
 
 
@@ -140,6 +140,68 @@ def test_smallness_witnesses_on_corrupted_n3_table():
         (("{2},{3},{1}", w0), [escapes_mid, mid_escapes, origin_in]),
         (("{3},{1},{2}", w0), [mid_escapes]),
     ]
+
+
+def test_divisibility_witnesses_on_corrupted_n3_table():
+    # corrupt entries of the n = 3 table, some into values the cell Chern
+    # factor still divides, and pin every failing entry's remainder
+    mu = Composition((1, 1, 1))
+    spec = TorusSpecialization.standard(3)
+    table = {I: LocalizedClass(mu, dict(cls.table))
+             for I, cls in localization_table(mu, modified=True, spec=spec).items()}
+
+    def P(word):
+        return IndexTuple(mu, [(int(c),) for c in word])
+
+    def mono(*e, c=1):
+        return LaurentPoly.monomial(spec.vars, e, c)
+
+    one = LaurentPoly.one(spec.vars)
+    f = spec.one_plus_y_ratio
+    # not divisible: plus 1; plus one of the two cell factors; times a
+    # normal factor plus y; a value off the support
+    table[P("123")].table[P("132")] = table[P("123")][P("132")] + one
+    table[P("213")].table[P("213")] = table[P("213")][P("213")] + f(2, 3)
+    table[P("123")].table[P("123")] = table[P("123")][P("123")] * f(2, 3) + mono(0, 0, 0, c=(0, 1))
+    table[P("231")].table[P("312")] = mono(1, -1, 0, c=(1, 1))
+    # still divisible: plus a multiple of the cell factor; anything at the
+    # point cell, whose cell factor is 1
+    table[P("132")].table[P("132")] = table[P("132")][P("132")] + f(1, 3) * f(1, 2) * mono(0, 1, 0)
+    table[P("123")].table[P("321")] = table[P("123")][P("321")] + mono(2, -1, 0)
+
+    report = check_divisibility(mu, table, spec)
+    assert len(report.entries) == 20
+    assert [(e.pair, e.witness["remainder"]) for e in report.violations] == [
+        (("{1},{2},{3}", "{1},{2},{3}"), "y"),
+        (("{1},{2},{3}", "{1},{3},{2}"),
+         "t3/t2 + t3/t2*y + 1 + t1*t3/t2^2*y + t1*t3/t2^2*y^2 + t1/t2*y + t1/t2*y^2"
+         " + t1^2/t2^2*y^2 + t1^2/t2^2*y^3"),
+        (("{2},{1},{3}", "{2},{1},{3}"), "-t2/t1 - t2^2/(t1*t3)*y + 1 - t2^2/t3^2*y^2"),
+        (("{2},{3},{1}", "{3},{1},{2}"), "t1/t2 + t1/t2*y"),
+    ]
+
+
+@pytest.mark.parametrize("corrupt", [lambda fs: fs[:-1], lambda fs: fs + fs[:1]],
+                         ids=["drop-last", "repeat-first"])
+def test_segre_witnesses_are_the_expanded_products(monkeypatch, corrupt):
+    # corrupt every c'_mu factor list, once so that the factor sets differ
+    # and once so that only the multiplicities do: each point fails, and
+    # its witness is the two products multiplied out
+    import mcclass.axioms as axioms
+    from mcclass.weightfn import c_prime_mu_factors, chern_factor_product
+    mu = Composition((1, 1, 1))
+    spec = TorusSpecialization.standard(3)
+    table = localization_table(mu, modified=True, spec=spec)
+    assert check_segre_consistency(mu, table, spec).ok
+    monkeypatch.setattr(axioms, "c_prime_mu_factors", lambda J: corrupt(c_prime_mu_factors(J)))
+    report = check_segre_consistency(mu, table, spec)
+    assert len(report.violations) == len(report.entries) == 6
+    for entry, J in zip(report.entries, table):
+        assert entry.pair == (None, str(J))
+        assert entry.witness == {
+            "lhs": format_poly(c_mu_at(J, spec) * orbit_local_data(J).ck_full(spec)),
+            "rhs": format_poly(chern_factor_product(corrupt(c_prime_mu_factors(J)), spec)),
+        }
 
 
 def test_report_json_shape():

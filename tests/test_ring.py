@@ -1,14 +1,20 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mcclass
 from mcclass.ring import (Cocharacter, InfiniteLimitError, LaurentPoly,
                           NonDivisibleError, RationalExpr, ZeroDenominatorError,
-                          exact_divide, format_poly, limit_at_infinity,
-                          monomial_substitute, poly_from_json, poly_to_json,
-                          substitute_ones, yp_exact_div, yp_mul)
+                          divisible_by_y_binomials, exact_divide, format_poly,
+                          limit_at_infinity, monomial_substitute, poly_from_json,
+                          poly_to_json, substitute_ones, yp_exact_div, yp_mul)
 
 V2 = ("t1", "t2")
 
@@ -96,6 +102,65 @@ def test_divide_y_coefficients():
 def test_divide_by_zero_rejected():
     with pytest.raises(ZeroDenominatorError):
         exact_divide(one(), LaurentPoly.zero(V2))
+
+
+# Divisions whose divisor has a unit leading coefficient in the pivot
+# variable but which are not exact: the long division used to continue
+# toward degree minus infinity.  Each runs in a child process, so that a
+# regression fails on the timeout instead of hanging the suite.
+_UNIT_LEAD_CASES = {
+    "univariate": ("""
+t = LaurentPoly.one(("t",))
+err = fails(lambda: exact_divide(t, t + LaurentPoly.variable(("t",), "t")))
+print(format_poly(err.remainder))
+""", "1"),
+    "two_variable": ("""
+t1, t2 = (LaurentPoly.variable(("t1", "t2"), v) for v in ("t1", "t2"))
+err = fails(lambda: exact_divide(t1, t1 + t2))
+print(format_poly(err.remainder))
+""", "t1"),
+    # the cell factor at the identity point is (1 + y/t)^2 (1 + y/t^2) on
+    # this torus: the diagonal there plus (1 + y/t)(1 + y/t^2) is divisible
+    # by each distinct factor but not by the square
+    "one_parameter_table": ("""
+from mcclass.axioms import check_divisibility
+from mcclass.combi import Composition, Permutation
+from mcclass.weightfn import LocalizedClass, TorusSpecialization, localization_table
+mu = Composition((1, 1, 1))
+spec = TorusSpecialization.one_parameter(3)
+table = localization_table(mu, modified=True, spec=spec)
+I, J = (Permutation(w).to_index_tuple() for w in ((1, 2, 3), (1, 3, 2)))
+table[I] = LocalizedClass(mu, dict(table[I].table))
+table[I].table[J] = table[I][J] + LaurentPoly.one(spec.vars)
+table[I].table[I] = table[I][I] + spec.one_plus_y_ratio(1, 2) * spec.one_plus_y_ratio(1, 3)
+print([e.witness["remainder"] for e in check_divisibility(mu, table, spec).violations])
+""", "['-1/t^4*y^3 - 1/t^3*y^2 - 1/t^2*y^2 - 1/t*y', '1']"),
+}
+
+_CHILD_PRELUDE = """
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from mcclass.ring import LaurentPoly, NonDivisibleError, exact_divide, format_poly
+
+def fails(divide):
+    try:
+        divide()
+    except NonDivisibleError as err:
+        return err
+    raise AssertionError("division reported exact")
+"""
+
+
+@pytest.mark.parametrize("case", sorted(_UNIT_LEAD_CASES))
+def test_exact_divide_stops_on_unit_lead_remainder(case):
+    code, expected = _UNIT_LEAD_CASES[case]
+    env = dict(os.environ)
+    src = str(pathlib.Path(mcclass.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    done = subprocess.run([sys.executable, "-c", _CHILD_PRELUDE + code], env=env,
+                          capture_output=True, text=True, timeout=30)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == expected
 
 
 # ---------------------------------------------------------------------------
@@ -226,6 +291,45 @@ def test_exact_divide_roundtrip(p, q):
     if q.is_zero():
         return
     assert exact_divide(p * q, q) == p
+
+
+def y_binomial(vars, e):
+    """1 + y*x^e."""
+    return one(vars) + LaurentPoly.monomial(vars, e, (0, 1))
+
+
+@st.composite
+def binomial_divisions(draw):
+    """A value and the exponents of a product of binomials 1 + y*x^e, on
+    three independent variables or on one (the one-parameter torus),
+    with repeated exponents; the value is a multiple of part of the
+    product, sometimes plus a perturbation."""
+    vars = draw(st.sampled_from([VARS3, ("t",)]))
+    pool = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * len(vars)),
+                         min_size=1, max_size=3))
+    exps = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4))
+    p = draw(polys(vars, max_terms=3))
+    for e in exps:
+        if draw(st.integers(0, 3)):
+            p = p * y_binomial(vars, e)
+    if draw(st.booleans()):
+        p = p + draw(polys(vars, max_terms=2))
+    return p, exps
+
+
+@given(binomial_divisions())
+@settings(max_examples=150, deadline=None)
+def test_root_vanishing_matches_long_division(case):
+    p, exps = case
+    divisor = LaurentPoly.one(p.vars)
+    for e in exps:
+        divisor = divisor * y_binomial(p.vars, e)
+    try:
+        exact_divide(p, divisor)
+        divisible = True
+    except NonDivisibleError:
+        divisible = False
+    assert divisible_by_y_binomials(p, Counter(exps)) == divisible
 
 
 @given(polys())

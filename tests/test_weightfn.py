@@ -1,18 +1,22 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mcclass.axioms import orbit_local_data
-from mcclass.combi import Composition, IndexTuple, Permutation, closure_leq, enumerate_index_tuples
-from mcclass.ring import (LaurentPoly, RationalExpr, exact_divide, poly_from_json,
-                          poly_to_json)
+from mcclass.combi import (Composition, IndexTuple, Permutation, closure_leq,
+                           enumerate_index_tuples, weak_order_walk)
+from mcclass.ring import (LaurentPoly, NonDivisibleError, RationalExpr, exact_divide,
+                          poly_from_json, poly_to_json)
 from mcclass.weightfn import (PSI_EQUAL, PSI_GREATER, PSI_LESS, LocalizedClass,
                               TorusSpecialization, VariablePanel, c_mu_at,
-                              c_prime_mu_at, chern_products, direct_table,
+                              c_prime_mu_at, chern_products, descent_step, direct_table,
                               full_flag_table_recursive, localization_table,
                               modified_restriction_direct, psi_factor,
                               restrict_to_fixed_point, restriction_direct,
                               u_term, weight_function)
+from oracles import ring_descent_step
 
 MU11 = Composition((1, 1))
 I12 = IndexTuple(MU11, [(1,), (2,)])
@@ -244,6 +248,63 @@ def test_recursion_matches_direct_one_parameter_spot_n5():
         J = Permutation(vw).to_index_tuple()
         direct = modified_restriction_direct(I, J, spec)
         assert rows[Permutation(pw)][Permutation(vw)] == direct
+
+
+def _step_outcome(step, row, i, spec):
+    try:
+        return step(row, i, spec)
+    except NonDivisibleError:
+        return "not divisible"
+
+
+@st.composite
+def exchange_inputs(draw):
+    """A full row for a random step i on the standard or the one-parameter
+    torus, n <= 4.  f(v*s_i) - f(v) is a multiple of tau_v(i) - tau_v(i+1)
+    for every v, which makes the step exact, unless one entry is perturbed."""
+    n = draw(st.integers(2, 4))
+    spec = draw(st.sampled_from([TorusSpecialization.standard(n),
+                                 TorusSpecialization.one_parameter(n)]))
+    i = draw(st.integers(1, n - 1))
+
+    def poly(max_terms):
+        terms = {}
+        for _ in range(draw(st.integers(0, max_terms))):
+            e = tuple(draw(st.integers(-2, 2)) for _ in spec.vars)
+            terms[e] = tuple(draw(st.integers(-3, 3))
+                             for _ in range(draw(st.integers(1, 3))))
+        return LaurentPoly(spec.vars, terms)
+
+    row = {}
+    for word in itertools.permutations(range(1, n + 1)):
+        v = Permutation(word)
+        if v in row:
+            continue
+        vs = v.swap_positions(i)
+        row[v] = poly(3)
+        row[vs] = row[v] + spec.tau_diff(v(i), v(i + 1)) * poly(2)
+    if draw(st.booleans()):
+        v = draw(st.sampled_from(sorted(row, key=lambda w: w.word)))
+        row[v] = row[v] + poly(2)
+    return row, i, spec
+
+
+@given(exchange_inputs())
+@settings(max_examples=150, deadline=None)
+def test_descent_step_matches_ring_oracle(inputs):
+    row, i, spec = inputs
+    got = _step_outcome(descent_step, row, i, spec)
+    assert got == _step_outcome(ring_descent_step, row, i, spec)
+
+
+def test_descent_step_spot_checks_n5():
+    # steps of the production one-parameter table at n = 5, from the top of
+    # the weak order down to the last step, which yields the identity's row
+    spec = TorusSpecialization.one_parameter(5)
+    rows = full_flag_table_recursive(5, spec, modified=True)
+    walk = list(weak_order_walk(5))
+    for w, parent, i in walk[:3] + walk[60:62] + walk[-2:]:
+        assert ring_descent_step(rows[parent], i, spec) == rows[w], w
 
 
 def test_localization_table_parallel_matches_serial():
