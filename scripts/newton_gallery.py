@@ -17,7 +17,7 @@ sys.path.insert(0, "src")
 from mcclass.axioms import orbit_local_data
 from mcclass.combi import Permutation
 from mcclass.newton import project_sum_zero, render_svg
-from mcclass.weightfn import TorusSpecialization, modified_restriction_direct
+from mcclass.weightfn import TorusSpecialization, full_flag_table_recursive
 
 
 def main(outdir="newton_gallery"):
@@ -25,11 +25,11 @@ def main(outdir="newton_gallery"):
     out.mkdir(parents=True, exist_ok=True)
     spec = TorusSpecialization.standard(3)
     perms = [Permutation(p) for p in itertools.permutations((1, 2, 3))]
+    rows = full_flag_table_recursive(3, spec)
     written = 0
     for p in perms:
         for q in perms:
-            val = modified_restriction_direct(p.to_index_tuple(),
-                                              q.to_index_tuple(), spec)
+            val = rows[p][q]
             ek = orbit_local_data(q.to_index_tuple()).ek_normal(spec)
             layers = []
             if not ek.is_zero():

@@ -98,22 +98,21 @@ def orbit_local_data(I: IndexTuple) -> OrbitLocalData:
 # ---------------------------------------------------------------------------
 
 
-def _table_or_build(mu, table, spec, jobs=1):
+def _table_or_build(mu, table, spec):
     if not isinstance(mu, Composition):
         mu = Composition(mu)
     if spec is None:
         spec = TorusSpecialization.standard(mu.n)
     if table is None:
-        table = localization_table(mu, modified=True, spec=spec, jobs=jobs)
+        table = localization_table(mu, modified=True, spec=spec)
     return mu, table, spec
 
 
 def check_normalization(mu, table: Mapping | None = None,
-                        spec: TorusSpecialization | None = None,
-                        jobs: int = 1) -> Report:
+                        spec: TorusSpecialization | None = None) -> Report:
     """Diagonal identity: each class restricts at its own point to
     the normal Euler factor times the cell Chern factor."""
-    mu, table, spec = _table_or_build(mu, table, spec, jobs)
+    mu, table, spec = _table_or_build(mu, table, spec)
     report = Report("normalization")
     for I, cls in table.items():
         data = orbit_local_data(I)
@@ -127,11 +126,10 @@ def check_normalization(mu, table: Mapping | None = None,
 
 
 def check_support(mu, table: Mapping | None = None,
-                  spec: TorusSpecialization | None = None,
-                  jobs: int = 1) -> Report:
+                  spec: TorusSpecialization | None = None) -> Report:
     """Vanishing off the cell closure: the restriction at J is zero
     unless the cell of J lies in the closure of the cell of I."""
-    mu, table, spec = _table_or_build(mu, table, spec, jobs)
+    mu, table, spec = _table_or_build(mu, table, spec)
     report = Report("support")
     for I, cls in table.items():
         for J, val in cls.table.items():
@@ -145,15 +143,14 @@ def check_support(mu, table: Mapping | None = None,
 
 
 def check_divisibility(mu, table: Mapping | None = None,
-                       spec: TorusSpecialization | None = None,
-                       jobs: int = 1) -> Report:
+                       spec: TorusSpecialization | None = None) -> Report:
     """Every restriction is divisible by the cell Chern factor of the
     point where it is restricted.
 
     The factor is a product of binomials 1 + y*tau^e, so divisibility is
     decided by root vanishing (divisible_by_y_binomials); long division
     runs only to give a failing entry its remainder."""
-    mu, table, spec = _table_or_build(mu, table, spec, jobs)
+    mu, table, spec = _table_or_build(mu, table, spec)
     exponents = {J: _exponents(_chern_factors(orbit_local_data(J).tangent_cell), spec)
                  for J in table}
     report = Report("divisibility")
@@ -179,8 +176,7 @@ def _division_remainder(val: LaurentPoly, divisor: LaurentPoly):
 
 
 def check_smallness_strict(mu, table: Mapping | None = None,
-                           spec: TorusSpecialization | None = None,
-                           jobs: int = 1) -> Report:
+                           spec: TorusSpecialization | None = None) -> Report:
     """Strict polytope containment with an origin-vertex certificate.
 
     For every ordered pair I != J with a nonzero restriction:
@@ -195,7 +191,7 @@ def check_smallness_strict(mu, table: Mapping | None = None,
     strictness, the origin a vertex) are certified once per J, and
     each generator point is tested against J's bound at most once.
     """
-    mu, table, spec = _table_or_build(mu, table, spec, jobs)
+    mu, table, spec = _table_or_build(mu, table, spec)
     report = Report("smallness")
     origin = spec.zero_exp()
     per_point = {J: _smallness_at(J, table[J][J], spec) for J in table}
@@ -255,11 +251,10 @@ def _all_inside(bound: LatticePolytope, inside: dict, points) -> bool:
 
 
 def check_additivity(mu, table: Mapping | None = None,
-                     spec: TorusSpecialization | None = None,
-                     jobs: int = 1) -> Report:
+                     spec: TorusSpecialization | None = None) -> Report:
     """Sum over all cells of the modified rows equals the ambient
     lambda_y class of the cotangent directions at every point."""
-    mu, table, spec = _table_or_build(mu, table, spec, jobs)
+    mu, table, spec = _table_or_build(mu, table, spec)
     report = Report("additivity")
     points = list(table)
     for J in points:
@@ -275,8 +270,7 @@ def check_additivity(mu, table: Mapping | None = None,
 
 
 def check_segre_consistency(mu, table: Mapping | None = None,
-                            spec: TorusSpecialization | None = None,
-                            jobs: int = 1) -> Report:
+                            spec: TorusSpecialization | None = None) -> Report:
     """The two Chern products restrict compatibly with the tangent
     weights: c_mu * prod(1 + y/chi) = c'_mu at every fixed point, which
     makes the plain/modified/Segre normalizations agree.
@@ -285,7 +279,7 @@ def check_segre_consistency(mu, table: Mapping | None = None,
     irreducible and associate only when equal, so the identity holds
     exactly when the two multisets of exponents e agree.  The products
     are multiplied out only for the witness of a failing point."""
-    mu, table, spec = _table_or_build(mu, table, spec, jobs)
+    mu, table, spec = _table_or_build(mu, table, spec)
     report = Report("segre")
     for J in table:
         lhs = c_mu_factors(J) + orbit_local_data(J).ck_full_factors()
@@ -303,12 +297,12 @@ def run_axiom_suite(n: int, jobs: int = 1,
     """All checks for the full flag variety on n letters, one report.
 
     The table comes from localization_table's descent recursion, which
-    is built serially whatever jobs says.
+    runs serially; jobs changes nothing.
     """
     mu = Composition((1,) * n)
     if spec is None:
         spec = TorusSpecialization.standard(n)
-    table = localization_table(mu, modified=True, spec=spec, jobs=jobs)
+    table = localization_table(mu, modified=True, spec=spec)
     combined = Report("axioms")
     for rep in (check_normalization(mu, table, spec),
                 check_support(mu, table, spec),

@@ -16,14 +16,11 @@ import sys
 
 from .combi import Composition, IndexTuple, Permutation, enumerate_index_tuples
 from .report import Report
-from .ring import (Cocharacter, InfiniteLimitError, LaurentPoly, RingError,
-                   ZeroDenominatorError, dumps_canonical, format_poly,
-                   format_poly_ygrouped, format_ypoly, limit_at_infinity,
-                   poly_from_json, poly_to_json, rational_from_json,
-                   rational_to_json)
-from .weightfn import (TorusSpecialization, VariablePanel, chern_products,
-                       full_flag_table_recursive, localization_table,
-                       segre_restriction, weight_function)
+from .ring import (Cocharacter, InfiniteLimitError, RationalExpr, RingError,
+                   dumps_canonical, format_poly, format_ypoly, limit_at_infinity,
+                   poly_from_json, poly_to_json, rational_from_json, rational_to_json)
+from .weightfn import (TorusSpecialization, VariablePanel, c_prime_mu_at, chern_products,
+                       full_flag_table_recursive, localization_table, weight_function)
 
 DEFAULT_MAX_N = 6
 
@@ -131,20 +128,19 @@ def cmd_weight(args) -> int:
     spec = TorusSpecialization.standard(mu.n)
 
     if args.restrict:
-        jobs = args.jobs or 1
+        table = localization_table(mu, modified=(args.kind == "modified"), spec=spec)
         if args.kind == "segre":
+            dens = {J: c_prime_mu_at(J, spec) for J in points}
             payload = []
             for I in targets:
                 entries = [{"point": J.to_json(),
-                            "value": rational_to_json(segre_restriction(I, J, spec))}
+                            "value": rational_to_json(RationalExpr(table[I][J], dens[J]))}
                            for J in points]
                 payload.append({"I": I.to_json(), "entries": entries})
             body = {"mu": list(mu.parts), "kind": args.kind, "classes": payload}
             _emit(dumps_canonical(body) if args.format == "json"
                   else _render_segre_tables(payload), args.output)
             return 0
-        table = localization_table(mu, modified=(args.kind == "modified"),
-                                   spec=spec, jobs=jobs)
         payload = [{"I": I.to_json(), **table[I].to_json()} for I in targets]
         if args.format == "json":
             _emit(dumps_canonical({"mu": list(mu.parts), "kind": args.kind,
@@ -168,7 +164,6 @@ def cmd_weight(args) -> int:
         else:
             c, cp = chern_products(mu, panel)
             den = c if args.kind == "modified" else cp
-            from .ring import RationalExpr
             ratio = RationalExpr(W, den)
             value = rational_to_json(ratio)
             text = f"({format_poly(ratio.num)}) / ({format_poly(ratio.den)})"
@@ -202,7 +197,7 @@ def _render_segre_tables(payload) -> str:
 def cmd_axioms(args) -> int:
     from .axioms import run_axiom_suite
     _guard_n(args.n)
-    report = run_axiom_suite(args.n, jobs=args.jobs or 1)
+    report = run_axiom_suite(args.n)
     if args.format == "json":
         _emit(dumps_canonical(report.entries_json()), args.output)
     else:
@@ -308,7 +303,6 @@ def cmd_conjectures(args) -> int:
 
 
 def _ratio_from_json(obj):
-    from .ring import RationalExpr
     if "den" in obj:
         return rational_from_json(obj)
     return RationalExpr(poly_from_json(obj))
@@ -459,7 +453,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=fmt, default="text")
         p.add_argument("--output", help="write output to this path")
         p.add_argument("--jobs", type=int, default=None,
-                       help="parallelism degree (default: all cores)")
+                       help="worker processes for expand and conjectures "
+                            "(default: all cores)")
 
     w = sub.add_parser("weight", help="weight functions and localization tables")
     w.add_argument("--mu", required=True, help="composition, e.g. 1,1,1")

@@ -20,12 +20,11 @@ from functools import cached_property
 from operator import add, neg, sub
 from typing import Mapping, Sequence
 
-from .axioms import orbit_local_data
 from .combi import Permutation, bruhat_leq, permutations_by_length, weak_order_walk
 from .report import Report, ReportEntry
-from .ring import (LaurentPoly, exact_divide, monomial_substitute, poly_to_json,
-                   substitute_ones, yp_subst)
-from .weightfn import TorusSpecialization
+from .ring import (LaurentPoly, exact_divide, format_poly_ygrouped, monomial_substitute,
+                   poly_to_json, substitute_ones, yp_subst)
+from .weightfn import TorusSpecialization, demazure_step, point_euler
 
 
 class NegativeRatioExponentError(ValueError):
@@ -38,23 +37,6 @@ class NegativeRatioExponentError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-def demazure_step(row: Mapping[Permutation, LaurentPoly], i: int,
-                  spec: TorusSpecialization) -> dict:
-    """(pi_i f)(v) = (f(v) - beta * f(v s_i)) / (1 - beta) with
-    beta = tau_{v(i)} / tau_{v(i+1)}; sends the row of a basis class to
-    the row one codimension down along the descent edge."""
-    out = {}
-    for v, fv in row.items():
-        vs = v.swap_positions(i)
-        ai, bi = v(i), v(i + 1)
-        num = fv - row[vs] * spec.ratio(ai, bi)
-        if num.is_zero():
-            out[v] = num
-            continue
-        out[v] = exact_divide(num, spec.one_minus_ratio(ai, bi))
-    return out
-
-
 def structure_sheaf_rows(n: int, spec: TorusSpecialization | None = None) -> dict:
     """Localization rows of every basis class, keyed by permutation.
 
@@ -65,7 +47,7 @@ def structure_sheaf_rows(n: int, spec: TorusSpecialization | None = None) -> dic
         spec = TorusSpecialization.standard(n)
     w0 = Permutation.longest(n)
     seed = {v: spec.zero() for v in permutations_by_length(n)}
-    seed[w0] = orbit_local_data(w0.to_index_tuple()).ek_normal(spec)
+    seed[w0] = point_euler(spec)
     rows = {w0: seed}
     for w, parent, i in weak_order_walk(n):
         rows[w] = demazure_step(rows[parent], i, spec)
@@ -312,13 +294,6 @@ def specialize_nonequivariant(e: Expansion) -> dict:
     return {w: substitute_ones(c) for w, c in e.coeffs.items()}
 
 
-def nonequivariant_coefficients(n: int, jobs: int = 1) -> dict:
-    """Non-equivariant expansions of every cell class: the equivariant
-    coefficients with every torus variable sent to 1."""
-    return {p: specialize_nonequivariant(e)
-            for p, e in Expander(n, jobs=jobs).expansions.items()}
-
-
 def ratio_exponents(exp: Sequence[int]) -> tuple:
     """Rewrite a degree-zero tau-exponent vector in the variables
     r_i = tau_i/tau_{i+1}: the r-exponents are the partial sums."""
@@ -460,11 +435,8 @@ def check_s_delta_signs(n: int, expander: Expander | None = None) -> Report:
 def _coeff_display(c: LaurentPoly, param: str = "y"):
     """(sign, body) with the overall minus pulled out of all-negative
     coefficients, the way the expansions are traditionally printed."""
-    from .ring import format_poly_ygrouped
-    ints = [ck for ypol in c.terms.values() for ck in ypol if ck]
-    if ints and all(v < 0 for v in ints):
-        return "-", format_poly_ygrouped(-c, param)
-    return "+", format_poly_ygrouped(c, param)
+    negative = not c.is_zero() and all(ck <= 0 for ypol in c.terms.values() for ck in ypol)
+    return ("-" if negative else "+"), format_poly_ygrouped(c, param, negate=negative)
 
 
 def format_expansion(e: Expansion, nonequivariant: bool = False) -> str:

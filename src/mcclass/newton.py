@@ -167,10 +167,6 @@ def polytope_contained(A: LatticePolytope, B: LatticePolytope) -> bool:
     return all(contains_point(B, p) for p in A.points)
 
 
-def polytopes_equal(A: LatticePolytope, B: LatticePolytope) -> bool:
-    return polytope_contained(A, B) and polytope_contained(B, A)
-
-
 def is_vertex(P: LatticePolytope, x: Sequence[int]) -> bool:
     """True when x is a generator outside the hull of the remaining
     generators; a point that is not a generator is never a vertex."""

@@ -831,16 +831,18 @@ def format_poly(p: LaurentPoly, param: str = "y") -> str:
     return " ".join(parts)
 
 
-def format_poly_ygrouped(p: LaurentPoly, param: str = "y") -> str:
-    """Display form grouped by descending powers of the parameter."""
+def format_poly_ygrouped(p: LaurentPoly, param: str = "y", negate: bool = False) -> str:
+    """Display form grouped by descending powers of the parameter; of -p
+    when negate is set."""
     if p.is_zero():
         return "0"
+    sign = -1 if negate else 1
     by_deg: dict = {}
     for e, c in p.sorted_terms():
         mono = _monomial_str(p.vars, e)
         for k, ck in enumerate(c):
             if ck:
-                by_deg.setdefault(k, []).append((mono, ck))
+                by_deg.setdefault(k, []).append((mono, sign * ck))
     parts = []
     for k in sorted(by_deg, reverse=True):
         monos = by_deg[k]

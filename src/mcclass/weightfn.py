@@ -7,14 +7,14 @@ equivariant motivic Chern classes of matrix Schubert cells (plain) and
 of flag-variety Schubert cells (modified, after division by a Chern
 product).
 
-localization_table takes one route per composition.  Full flags go
-through a descent-edge recursion: seeded with the directly computed
-row of the point cell, it walks the weak order downward with a
-two-term exchange operator.  Every other composition goes through
-direct_table, which evaluates the symmetrization at each fixed point
-over the common denominator prod (alpha_a - alpha_b); for full flags
-direct_table is the independent oracle that the test suite pins the
-recursion against.
+localization_table takes one route for every composition.  The
+full-flag rows come from a descent-edge recursion: seeded with the
+closed-form row of the point cell, it walks the weak order downward
+with a two-term exchange operator.  A partial flag pushes the full-flag
+row of the longest word over each cell forward along G/B -> G/P with
+isobaric Demazure steps.  restriction_direct evaluates the
+symmetrization at one fixed point; the test suite builds its oracle
+tables from it.
 """
 
 from __future__ import annotations
@@ -365,7 +365,9 @@ def c_prime_mu_at(J: IndexTuple, spec: TorusSpecialization) -> LaurentPoly:
 
 
 # ---------------------------------------------------------------------------
-# Direct localization: evaluate the symmetrization at a fixed point
+# Direct localization: evaluate the symmetrization at a fixed point.  No
+# route of the package calls it; the tests' oracle tables and
+# perfbench/job.py do.
 # ---------------------------------------------------------------------------
 
 _K_LESS, _K_EQUAL, _K_GREATER = 0, 1, 2
@@ -441,25 +443,6 @@ def restriction_direct(I: IndexTuple, J: IndexTuple,
     return exact_divide(total, den)
 
 
-def modified_restriction_direct(I: IndexTuple, J: IndexTuple,
-                                spec: TorusSpecialization | None = None) -> LaurentPoly:
-    """Restriction of the modified weight function: divide by c_mu at J."""
-    if spec is None:
-        spec = TorusSpecialization.standard(I.mu.n)
-    plain = restriction_direct(I, J, spec)
-    if plain.is_zero():
-        return plain
-    return exact_divide(plain, c_mu_at(J, spec))
-
-
-def segre_restriction(I: IndexTuple, J: IndexTuple,
-                      spec: TorusSpecialization | None = None) -> RationalExpr:
-    """Restriction of W_I / c'_mu; in general a genuine ratio."""
-    if spec is None:
-        spec = TorusSpecialization.standard(I.mu.n)
-    return RationalExpr(restriction_direct(I, J, spec), c_prime_mu_at(J, spec))
-
-
 # ---------------------------------------------------------------------------
 # Localization tables
 # ---------------------------------------------------------------------------
@@ -481,33 +464,6 @@ class LocalizedClass:
         return {"mu": list(self.mu.parts),
                 "entries": [{"point": p.to_json(), "value": poly_to_json(self.table[p])}
                             for p in points]}
-
-
-def _row_direct(I: IndexTuple, points, spec, modified: bool) -> LocalizedClass:
-    restrict = modified_restriction_direct if modified else restriction_direct
-    return LocalizedClass(I.mu, {J: restrict(I, J, spec) for J in points})
-
-
-def direct_table(mu: Composition | Sequence[int], modified: bool = True,
-                 spec: TorusSpecialization | None = None, jobs: int = 1) -> dict:
-    """Localization tables of every cell by direct symmetrization at
-    every fixed point: {I: LocalizedClass}.
-
-    The route of localization_table for partial flags, and the
-    full-flag oracle of the tests.  With jobs > 1 the rows are computed
-    in a process pool.
-    """
-    if not isinstance(mu, Composition):
-        mu = Composition(mu)
-    if spec is None:
-        spec = TorusSpecialization.standard(mu.n)
-    points = enumerate_index_tuples(mu)
-    if jobs > 1:
-        import multiprocessing as mp
-        with mp.Pool(jobs) as pool:
-            rows = pool.starmap(_row_direct, [(I, points, spec, modified) for I in points])
-        return dict(zip(points, rows))
-    return {I: _row_direct(I, points, spec, modified) for I in points}
 
 
 # The full-flag exchange operator acts on MODIFIED localization rows.
@@ -590,49 +546,112 @@ def _exchange(fvs: LaurentPoly, fv: LaurentPoly, D: tuple, b: tuple) -> LaurentP
     return LaurentPoly._from_trimmed(fv.vars, terms)
 
 
+def point_euler(spec: TorusSpecialization) -> LaurentPoly:
+    """prod over a > b of (1 - tau_a/tau_b): the K-theoretic Euler class
+    of the ambient tangent space at the fixed point of the longest word.
+    It is the diagonal entry of the point cell's modified row and the
+    value of the point class there."""
+    out = spec.one()
+    for b in range(1, spec.n + 1):
+        for a in range(b + 1, spec.n + 1):
+            out = out * spec.one_minus_ratio(a, b)
+    return out
+
+
 def point_cell_row(n: int, spec: TorusSpecialization) -> dict:
-    """Direct modified localization row of the longest (point) cell, keyed by w."""
-    I0 = Permutation.longest(n).to_index_tuple()
-    return {J.to_permutation(): modified_restriction_direct(I0, J, spec)
-            for J in enumerate_index_tuples(Composition((1,) * n))}
+    """Modified localization row of the longest (point) cell, keyed by w.
+
+    The closure of the point cell is one point, so by support the row
+    vanishes away from w0; there, by normalization, it is
+    ek_normal * ck_cell, where every tangent weight is normal and
+    ck_cell = 1.
+    """
+    w0 = Permutation.longest(n)
+    row = {J.to_permutation(): spec.zero()
+           for J in enumerate_index_tuples(Composition((1,) * n))}
+    row[w0] = point_euler(spec)
+    return row
 
 
-def full_flag_table_recursive(n: int, spec: TorusSpecialization | None = None,
-                              modified: bool = True) -> dict:
-    """All localization rows of Fl(n) cells via descent-edge recursion.
+def full_flag_table_recursive(n: int, spec: TorusSpecialization | None = None) -> dict:
+    """Modified localization rows of all Fl(n) cells via descent-edge
+    recursion.
 
-    Seeded with the directly computed modified row of the point cell;
-    every other row is produced by one exchange step per descent edge,
-    walking the weak order downward.  Rows are keyed by permutation.
+    Seeded with the closed-form row of the point cell; every other row
+    is produced by one exchange step per descent edge, walking the weak
+    order downward.  Rows are keyed by permutation.
     """
     if spec is None:
         spec = TorusSpecialization.standard(n)
-    w0 = Permutation.longest(n)
-    rows = {w0: point_cell_row(n, spec)}
+    rows = {Permutation.longest(n): point_cell_row(n, spec)}
     for w, parent, i in weak_order_walk(n):
         rows[w] = descent_step(rows[parent], i, spec)
-    if not modified:
-        cmus = {v: c_mu_at(v.to_index_tuple(), spec) for v in rows[w0]}
-        for w, row in rows.items():
-            rows[w] = {v: f * cmus[v] for v, f in row.items()}
     return rows
 
 
+def demazure_step(row: Mapping[Permutation, LaurentPoly], i: int,
+                  spec: TorusSpecialization) -> dict:
+    """(pi_i f)(v) = (f(v) - beta * f(v s_i)) / (1 - beta) with
+    beta = tau_{v(i)} / tau_{v(i+1)}: the isobaric Demazure operator,
+    pushforward along the P^1-fibration G/B -> G/P_i pulled back to G/B."""
+    out = {}
+    for v, fv in row.items():
+        vs = v.swap_positions(i)
+        ai, bi = v(i), v(i + 1)
+        num = fv - row[vs] * spec.ratio(ai, bi)
+        if num.is_zero():
+            out[v] = num
+            continue
+        out[v] = exact_divide(num, spec.one_minus_ratio(ai, bi))
+    return out
+
+
+def _top_of_coset(I: IndexTuple) -> Permutation:
+    """The word of I with each block written in decreasing order: the
+    longest element of the coset w W_P of permutations over I."""
+    return Permutation(tuple(i for block in I.blocks for i in reversed(block)))
+
+
+def _parabolic_longest_word(mu: Composition) -> list:
+    """A reduced word of the longest element of W_P, which reverses the
+    positions of each block of mu."""
+    word = []
+    for end, size in zip(mu.partial_sums, mu.parts):
+        start = end - size
+        for k in range(size - 1, 0, -1):
+            word.extend(start + i for i in range(1, k + 1))
+    return word
+
+
 def localization_table(mu: Composition | Sequence[int], modified: bool = True,
-                       spec: TorusSpecialization | None = None, jobs: int = 1) -> dict:
+                       spec: TorusSpecialization | None = None) -> dict:
     """Localization tables of every cell: {I: LocalizedClass}.
 
-    Full flags take the descent-edge recursion (full_flag_table_recursive),
-    which runs serially; every other composition takes direct_table.
-    jobs only matters on the direct route.
+    Every composition reads the full-flag modified rows of
+    full_flag_table_recursive.  The projection G/B -> G/P maps the cell
+    of the longest word over I isomorphically onto the cell of I, and
+    motivic Chern classes push forward (Aluffi-Mihalcea-Schuermann-Su,
+    arXiv:1902.10101); so the modified row of I is that full-flag row
+    pushed forward by the Demazure steps along the longest word of W_P,
+    and read at any point over J.  Plain rows are the modified rows
+    times c_mu at J.
     """
     if not isinstance(mu, Composition):
         mu = Composition(mu)
-    if not mu.is_full_flag():
-        return direct_table(mu, modified, spec, jobs)
-    rows = full_flag_table_recursive(mu.n, spec, modified)
+    if spec is None:
+        spec = TorusSpecialization.standard(mu.n)
+    rows = full_flag_table_recursive(mu.n, spec)
+    fiber = _parabolic_longest_word(mu)
+    points = enumerate_index_tuples(mu)
+    tops = {J: _top_of_coset(J) for J in points}
+    cmus = None if modified else {J: c_mu_at(J, spec) for J in points}
     out = {}
-    for J in enumerate_index_tuples(mu):
-        table = {v.to_index_tuple(): poly for v, poly in rows[J.to_permutation()].items()}
-        out[J] = LocalizedClass(mu, table)
+    for I in points:
+        row = rows[tops[I]]
+        for i in fiber:
+            row = demazure_step(row, i, spec)
+        table = {J: row[tops[J]] for J in points}
+        if cmus is not None:
+            table = {J: f * cmus[J] for J, f in table.items()}
+        out[I] = LocalizedClass(mu, table)
     return out

@@ -8,15 +8,19 @@
 - `ring_descent_step`, the exchange operator of
   `mcclass.weightfn.descent_step` written with ring products and exact
   division.
+- `direct_table` and `modified_restriction_direct`, localization by
+  direct symmetrization at each fixed point, the oracle of
+  `mcclass.weightfn.localization_table` for every composition.
 """
 
+import functools
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, Sequence
 
-from mcclass.combi import Permutation
+from mcclass.combi import Composition, IndexTuple, Permutation, enumerate_index_tuples
 from mcclass.interp import NonUniqueError, NoSolutionError
 from mcclass.ring import YP_ONE_PLUS_Y, LaurentPoly, exact_divide
-from mcclass.weightfn import TorusSpecialization
+from mcclass.weightfn import LocalizedClass, TorusSpecialization, c_mu_at, restriction_direct
 
 
 def solve_unique_gauss_jordan(rows, rhs):
@@ -116,3 +120,37 @@ def ring_descent_step(row: Mapping[Permutation, LaurentPoly], i: int,
         x = x.shift(spec.tau_exp(ai))
         out[v] = exact_divide(x, spec.tau_diff(ai, bi))
     return out
+
+
+def modified_restriction_direct(I: IndexTuple, J: IndexTuple,
+                                spec: TorusSpecialization | None = None) -> LaurentPoly:
+    """Restriction of the modified weight function: divide by c_mu at J."""
+    if spec is None:
+        spec = TorusSpecialization.standard(I.mu.n)
+    plain = restriction_direct(I, J, spec)
+    if plain.is_zero():
+        return plain
+    return exact_divide(plain, c_mu_at(J, spec))
+
+
+def direct_table(mu: Composition | Sequence[int], modified: bool = True,
+                 spec: TorusSpecialization | None = None) -> dict:
+    """Localization tables of every cell by direct symmetrization at
+    every fixed point: {I: LocalizedClass}.
+
+    Cached, so a table is built once per session; callers must not
+    mutate it.
+    """
+    if not isinstance(mu, Composition):
+        mu = Composition(mu)
+    if spec is None:
+        spec = TorusSpecialization.standard(mu.n)
+    return _direct_table(mu, modified, spec)
+
+
+@functools.cache
+def _direct_table(mu: Composition, modified: bool, spec: TorusSpecialization) -> dict:
+    restrict = modified_restriction_direct if modified else restriction_direct
+    points = enumerate_index_tuples(mu)
+    return {I: LocalizedClass(mu, {J: restrict(I, J, spec) for J in points})
+            for I in points}

@@ -27,7 +27,8 @@ from mcclass.expand import (Expander, check_log_concavity, check_s_delta_signs,
                             specialize_nonequivariant, substitute_s_delta)
 from mcclass.ring import (Cocharacter, LaurentPoly, exact_divide, limit_at_infinity,
                           substitute_ones)
-from mcclass.weightfn import TorusSpecialization, direct_table
+from mcclass.weightfn import TorusSpecialization
+from oracles import direct_table
 
 
 @contextmanager

@@ -8,8 +8,8 @@ from mcclass.axioms import (OrbitLocalData, Weight, check_additivity,
 from mcclass.combi import Composition, IndexTuple, Permutation, enumerate_index_tuples, length
 from mcclass.newton import newton_polytope, is_vertex
 from mcclass.ring import LaurentPoly, exact_divide, format_poly
-from mcclass.weightfn import (LocalizedClass, TorusSpecialization, c_mu_at, direct_table,
-                              localization_table)
+from mcclass.weightfn import LocalizedClass, TorusSpecialization, c_mu_at, localization_table
+from oracles import direct_table
 
 
 def test_orbit_local_data_n2():

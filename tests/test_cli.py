@@ -279,12 +279,14 @@ def test_golden_limit_table(capsys, golden):
     golden("limit_cone.txt", out)
 
 
-def test_golden_weight_table_json(capsys, golden):
-    code, out, _ = run_cli("weight", "--mu", "2,1", "--all", "--restrict",
-                           "--kind", "modified", "--format", "json",
+@pytest.mark.parametrize("mu, kind", [("2,1", "modified"), ("2,2", "modified"),
+                                      ("1,2", "plain"), ("2,1", "segre"), ("1,1,1", "segre")])
+def test_golden_weight_table_json(capsys, golden, mu, kind):
+    code, out, _ = run_cli("weight", "--mu", mu, "--all", "--restrict",
+                           "--kind", kind, "--format", "json",
                            "--jobs", "1", capsys=capsys)
     assert code == 0
-    golden("weight_mu21_modified.json", out)
+    golden(f"weight_mu{mu.replace(',', '')}_{kind}.json", out)
 
 
 def test_golden_newton_pair_svg(capsys, golden):

@@ -8,14 +8,12 @@ from frozen_expansions import EXPANSIONS_N3, NONEQ_OPEN_N4
 from mcclass.combi import Composition, Permutation, bruhat_leq
 from mcclass.expand import (Expander, NegativeRatioExponentError, _left_parent,
                             check_log_concavity, check_s_delta_signs,
-                            check_sign_conjecture, demazure_step, expand,
-                            expand_by_solve, format_expansion,
-                            is_strictly_log_concave, left_step,
-                            nonequivariant_coefficients, ratio_exponents,
-                            specialize_nonequivariant, structure_sheaf_rows,
-                            substitute_s_delta)
+                            check_sign_conjecture, expand, expand_by_solve,
+                            format_expansion, is_strictly_log_concave, left_step,
+                            ratio_exponents, specialize_nonequivariant,
+                            structure_sheaf_rows, substitute_s_delta)
 from mcclass.ring import LaurentPoly, exact_divide, monomial_substitute, substitute_ones
-from mcclass.weightfn import TorusSpecialization, full_flag_table_recursive
+from mcclass.weightfn import TorusSpecialization, demazure_step, full_flag_table_recursive
 
 
 def perm(*w):
@@ -79,7 +77,7 @@ def test_basis_recovered_from_frozen_expansions():
     # pinned coefficients determine the basis table; compare with the
     # Demazure recursion
     spec = TorusSpecialization.standard(3)
-    wrows = full_flag_table_recursive(3, spec, modified=True)
+    wrows = full_flag_table_recursive(3, spec)
     rows = structure_sheaf_rows(3, spec)
     perms = sorted(wrows, key=lambda w: (w.length(), w.word))
     coeff = {p: {perm(*w): c for w, c in EXPANSIONS_N3[p.word].items()} for p in perms}
@@ -134,7 +132,7 @@ def test_left_recursion_matches_solve(n):
     # the left Demazure-Lusztig recursion against the triangular solve
     # on the localization rows, for every cell
     spec = TorusSpecialization.standard(n)
-    wrows = full_flag_table_recursive(n, spec, modified=True)
+    wrows = full_flag_table_recursive(n, spec)
     basis_rows = structure_sheaf_rows(n, spec)
     ex = Expander(n)
     assert set(ex.expansions) == set(wrows)
@@ -145,7 +143,7 @@ def test_left_recursion_matches_solve(n):
 def test_one_parameter_expander_matches_one_parameter_solve():
     n = 4
     spec = TorusSpecialization.one_parameter(n)
-    wrows = full_flag_table_recursive(n, spec, modified=True)
+    wrows = full_flag_table_recursive(n, spec)
     basis_rows = structure_sheaf_rows(n, spec)
     ex = Expander(n, spec)
     for p, e in ex.expansions.items():
@@ -269,7 +267,7 @@ def test_diagram_symmetry(n, count, request):
 @pytest.mark.parametrize("n", [2, 3])
 def test_reconstruction_identity(n):
     spec = TorusSpecialization.standard(n)
-    wrows = full_flag_table_recursive(n, spec, modified=True)
+    wrows = full_flag_table_recursive(n, spec)
     basis_rows = structure_sheaf_rows(n, spec)
     for p, e in Expander(n).expansions.items():
         for v in wrows[p]:
@@ -288,7 +286,7 @@ def test_triangularity_of_coefficients():
 
 def test_solve_order_independence():
     spec = TorusSpecialization.standard(3)
-    wrows = full_flag_table_recursive(3, spec, modified=True)
+    wrows = full_flag_table_recursive(3, spec)
     basis_rows = structure_sheaf_rows(3, spec)
     perms = sorted(wrows, key=lambda w: (w.length(), w.word))
     alt_order = sorted(perms, key=lambda w: (w.length(), tuple(reversed(w.word))))
@@ -322,7 +320,7 @@ def test_nonequivariant_open_cell_n4_matches_frozen():
 def test_nonequivariant_route_via_one_parameter_spec():
     one_param = Expander(4, TorusSpecialization.one_parameter(4))
     via_one_param = specialize_nonequivariant(one_param.expand(Permutation.identity(4)))
-    table = nonequivariant_coefficients(4)
+    table = {p: specialize_nonequivariant(e) for p, e in Expander(4).expansions.items()}
     got = table[Permutation.identity(4)]
     for w, expected in NONEQ_OPEN_N4.items():
         assert got[perm(*w)] == expected, w

@@ -9,14 +9,12 @@ from mcclass.combi import (Composition, IndexTuple, Permutation, closure_leq,
                            enumerate_index_tuples, weak_order_walk)
 from mcclass.ring import (LaurentPoly, NonDivisibleError, RationalExpr, exact_divide,
                           poly_from_json, poly_to_json)
-from mcclass.weightfn import (PSI_EQUAL, PSI_GREATER, PSI_LESS, LocalizedClass,
-                              TorusSpecialization, VariablePanel, c_mu_at,
-                              c_prime_mu_at, chern_products, descent_step, direct_table,
-                              full_flag_table_recursive, localization_table,
-                              modified_restriction_direct, psi_factor,
-                              restrict_to_fixed_point, restriction_direct,
-                              u_term, weight_function)
-from oracles import ring_descent_step
+from mcclass.weightfn import (PSI_EQUAL, PSI_GREATER, PSI_LESS, TorusSpecialization,
+                              VariablePanel, c_mu_at, c_prime_mu_at, chern_products,
+                              descent_step, full_flag_table_recursive, localization_table,
+                              point_cell_row, psi_factor, restrict_to_fixed_point,
+                              restriction_direct, u_term, weight_function)
+from oracles import direct_table, modified_restriction_direct, ring_descent_step
 
 MU11 = Composition((1, 1))
 I12 = IndexTuple(MU11, [(1,), (2,)])
@@ -178,7 +176,7 @@ def test_localization_table_mu_1():
 def test_additivity_identity(parts):
     mu = Composition(parts)
     spec = TorusSpecialization.standard(mu.n)
-    table = direct_table(mu, modified=True, spec=spec)
+    table = localization_table(mu, modified=True, spec=spec)
     points = list(table)
     for J in points:
         total = spec.zero()
@@ -191,7 +189,7 @@ def test_additivity_identity(parts):
 def test_support_triangularity(parts):
     mu = Composition(parts)
     spec = TorusSpecialization.standard(mu.n)
-    table = direct_table(mu, modified=True, spec=spec)
+    table = localization_table(mu, modified=True, spec=spec)
     for I in table:
         for J, val in table[I].table.items():
             if not closure_leq(I, J):
@@ -236,18 +234,67 @@ def test_recursion_matches_direct_n4():
 
 
 def test_recursion_matches_direct_one_parameter_spot_n5():
-    # honest spot check of the fast route at n = 5: a few direct entries
+    # honest spot check of the fast route at n = 5: a few direct entries,
+    # two of them in the closed-form row of the point cell
     spec = TorusSpecialization.one_parameter(5)
-    rows = full_flag_table_recursive(5, spec, modified=True)
-    mu = Composition((1,) * 5)
+    rows = full_flag_table_recursive(5, spec)
     cases = [((1, 2, 3, 4, 5), (5, 4, 3, 2, 1)),
              ((2, 1, 3, 4, 5), (2, 1, 3, 4, 5)),
-             ((3, 1, 4, 2, 5), (5, 3, 4, 2, 1))]
+             ((3, 1, 4, 2, 5), (5, 3, 4, 2, 1)),
+             ((5, 4, 3, 2, 1), (5, 4, 3, 2, 1)),
+             ((5, 4, 3, 2, 1), (4, 5, 3, 2, 1))]
     for pw, vw in cases:
         I = Permutation(pw).to_index_tuple()
         J = Permutation(vw).to_index_tuple()
         direct = modified_restriction_direct(I, J, spec)
         assert rows[Permutation(pw)][Permutation(vw)] == direct
+
+
+TORI = {"standard": TorusSpecialization.standard,
+        "one_parameter": TorusSpecialization.one_parameter}
+
+
+@pytest.mark.parametrize("torus", sorted(TORI))
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_point_cell_row_matches_direct(n, torus):
+    spec = TORI[torus](n)
+    point = Permutation.longest(n).to_index_tuple()
+    row = point_cell_row(n, spec)
+    points = enumerate_index_tuples(Composition((1,) * n))
+    assert list(row) == [J.to_permutation() for J in points]
+    for J in points:
+        assert row[J.to_permutation()] == modified_restriction_direct(point, J, spec), J
+
+
+# ---------------------------------------------------------------------------
+# partial flags by pushforward
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("torus", sorted(TORI))
+@pytest.mark.parametrize("parts", [(2,), (3,), (1, 2), (2, 1), (4,), (1, 3), (3, 1),
+                                   (2, 2), (1, 1, 2), (1, 2, 1), (2, 1, 1)])
+def test_pushforward_matches_direct(parts, torus):
+    mu = Composition(parts)
+    spec = TORI[torus](mu.n)
+    for modified in (True, False):
+        direct = direct_table(mu, modified=modified, spec=spec)
+        table = localization_table(mu, modified=modified, spec=spec)
+        assert list(table) == list(direct)
+        for I in direct:
+            assert list(table[I].table.items()) == list(direct[I].table.items()), \
+                (I, modified)
+
+
+@pytest.mark.parametrize("parts", [(2, 2, 1), (1, 4), (2, 3)])
+def test_pushforward_spot_checks_n5(parts):
+    # the row of the open cell and the whole diagonal
+    mu = Composition(parts)
+    spec = TorusSpecialization.one_parameter(5)
+    table = localization_table(mu, modified=True, spec=spec)
+    points = list(table)
+    for I, J in [(points[0], J) for J in points] + [(I, I) for I in points[1:]]:
+        assert table[I][J] == modified_restriction_direct(I, J, spec), (I, J)
 
 
 def _step_outcome(step, row, i, spec):
@@ -301,19 +348,10 @@ def test_descent_step_spot_checks_n5():
     # steps of the production one-parameter table at n = 5, from the top of
     # the weak order down to the last step, which yields the identity's row
     spec = TorusSpecialization.one_parameter(5)
-    rows = full_flag_table_recursive(5, spec, modified=True)
+    rows = full_flag_table_recursive(5, spec)
     walk = list(weak_order_walk(5))
     for w, parent, i in walk[:3] + walk[60:62] + walk[-2:]:
         assert ring_descent_step(rows[parent], i, spec) == rows[w], w
-
-
-def test_localization_table_parallel_matches_serial():
-    mu = Composition((1, 1, 1))
-    spec = TorusSpecialization.standard(3)
-    serial = direct_table(mu, modified=True, spec=spec, jobs=1)
-    parallel = direct_table(mu, modified=True, spec=spec, jobs=2)
-    for I in serial:
-        assert serial[I].table == parallel[I].table
 
 
 def test_localized_class_json_round_trip():
