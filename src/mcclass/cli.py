@@ -128,7 +128,8 @@ def cmd_weight(args) -> int:
     spec = TorusSpecialization.standard(mu.n)
 
     if args.restrict:
-        table = localization_table(mu, modified=(args.kind == "modified"), spec=spec)
+        table = localization_table(mu, modified=(args.kind == "modified"), spec=spec,
+                                   cells=targets)
         if args.kind == "segre":
             dens = {J: c_prime_mu_at(J, spec) for J in points}
             payload = []

@@ -24,7 +24,7 @@ from .combi import Permutation, bruhat_leq, permutations_by_length, weak_order_w
 from .report import Report, ReportEntry
 from .ring import (LaurentPoly, exact_divide, format_poly_ygrouped, monomial_substitute,
                    poly_to_json, substitute_ones, yp_subst)
-from .weightfn import TorusSpecialization, demazure_step, point_euler
+from .weightfn import TorusSpecialization, demazure_step, point_cell_row
 
 
 class NegativeRatioExponentError(ValueError):
@@ -38,17 +38,11 @@ class NegativeRatioExponentError(ValueError):
 
 
 def structure_sheaf_rows(n: int, spec: TorusSpecialization | None = None) -> dict:
-    """Localization rows of every basis class, keyed by permutation.
-
-    The seed is the point class: zero away from the longest word, and
-    the full Euler product of the ambient tangent weights there.
-    """
+    """Localization rows of every basis class, keyed by permutation,
+    seeded with the point class (point_cell_row)."""
     if spec is None:
         spec = TorusSpecialization.standard(n)
-    w0 = Permutation.longest(n)
-    seed = {v: spec.zero() for v in permutations_by_length(n)}
-    seed[w0] = point_euler(spec)
-    rows = {w0: seed}
+    rows = {Permutation.longest(n): point_cell_row(n, spec)}
     for w, parent, i in weak_order_walk(n):
         rows[w] = demazure_step(rows[parent], i, spec)
     return rows

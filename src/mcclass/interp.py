@@ -16,10 +16,10 @@ nonnegative exponents and a trivial parameter slot.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .ring import LaurentPoly, format_poly, monomial_substitute
 

@@ -39,11 +39,6 @@ class LatticePolytope:
     def contains_point(self, x: Sequence) -> bool:
         return contains_point(self, x)
 
-    def translate(self, v: Sequence[int]) -> "LatticePolytope":
-        v = tuple(v)
-        return LatticePolytope(self.dim, [tuple(a + b for a, b in zip(p, v))
-                                          for p in self.points])
-
     def to_json(self) -> dict:
         return {"dim": self.dim, "points": [list(p) for p in self.points]}
 

@@ -19,7 +19,7 @@ import json
 from dataclasses import dataclass
 from math import comb
 from operator import sub
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 # ---------------------------------------------------------------------------
 # Coefficients: univariate integer polynomials in y, as tuples (c0, c1, ...)
@@ -52,11 +52,6 @@ class InfiniteLimitError(RingError):
 
 class ZeroDenominatorError(RingError):
     """A denominator vanished where a nonzero one is required."""
-
-
-def yp(*coeffs: int) -> Ypoly:
-    """Build a y-polynomial from coefficients of 1, y, y^2, ..."""
-    return yp_trim(tuple(coeffs))
 
 
 def yp_trim(c: Sequence) -> Ypoly:
@@ -102,13 +97,6 @@ def yp_scale(a: Ypoly, c: int) -> Ypoly:
     if c == 0:
         return YP_ZERO
     return tuple(v * c for v in a)
-
-
-def yp_pow(a: Ypoly, k: int) -> Ypoly:
-    out = YP_ONE
-    for _ in range(k):
-        out = yp_mul(out, a)
-    return out
 
 
 def yp_exact_div(a: Ypoly, b: Ypoly) -> Ypoly:
@@ -714,10 +702,6 @@ class RationalExpr:
 
     def __repr__(self):
         return f"RationalExpr(({format_poly(self.num)}) / ({format_poly(self.den)}))"
-
-    def to_poly(self) -> LaurentPoly:
-        """Carry out the division, which must be exact."""
-        return exact_divide(self.num, self.den)
 
 
 def _collapse(p: LaurentPoly, d: Cocharacter) -> dict:

@@ -12,14 +12,15 @@ full-flag rows come from a descent-edge recursion: seeded with the
 closed-form row of the point cell, it walks the weak order downward
 with a two-term exchange operator.  A partial flag pushes the full-flag
 row of the longest word over each cell forward along G/B -> G/P with
-isobaric Demazure steps.  restriction_direct evaluates the
-symmetrization at one fixed point; the test suite builds its oracle
-tables from it.
+isobaric Demazure steps; only the rows it reads are built.
+restriction_direct evaluates the symmetrization at one fixed point;
+the test suite builds its oracle tables from it.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from operator import add, neg, sub
 from typing import Mapping, Sequence
@@ -112,9 +113,6 @@ class TorusSpecialization:
     def ratio_exp(self, i: int, j: int) -> tuple:
         """Exponent vector of tau_i / tau_j."""
         return tuple(a - b for a, b in zip(self.images[i - 1], self.images[j - 1]))
-
-    def tau_monomial(self, i: int) -> LaurentPoly:
-        return LaurentPoly.monomial(self.vars, self.tau_exp(i))
 
     def ratio(self, i: int, j: int) -> LaurentPoly:
         return LaurentPoly.monomial(self.vars, self.ratio_exp(i, j))
@@ -484,12 +482,10 @@ def descent_step(row: Mapping[Permutation, LaurentPoly], i: int,
     With tau^D = A/B in the spec's exponents, A - B = B*(tau^D - 1), so
     g(v) = Z / (tau^D - 1) with
 
-        Z = tau^D f(v*s_i) + y tau^2D f(v*s_i) - (1 + y) tau^D f(v).
+        Z = tau^D f(v*s_i) + y tau^2D f(v*s_i) - (1 + y) tau^D f(v),
 
-    Along a line m + kD of exponents, z_k = q_(k-1) - q_k for the
-    quotient coefficients q_k, so q_k is minus the prefix sum of the z_j
-    up to k, and the division is exact iff every line sums to zero.
-    No ring product and no long division is made.
+    divided along lines of exponents by _line_quotient: no ring product
+    and no long division is made.
     """
     out = {}
     for v, fv in row.items():
@@ -500,9 +496,6 @@ def descent_step(row: Mapping[Permutation, LaurentPoly], i: int,
 
 def _exchange(fvs: LaurentPoly, fv: LaurentPoly, D: tuple, b: tuple) -> LaurentPoly:
     """g(v) of descent_step from f(v*s_i), f(v), D and the exponent b of B."""
-    p = next((k for k, d in enumerate(D) if d), None)
-    if p is None:
-        raise ZeroDenominatorError("exchange step across equal torus images")
     width = 1 + max(map(len, itertools.chain(fvs.terms.values(), fv.terms.values())),
                     default=0)
     acc: dict = {}
@@ -520,7 +513,23 @@ def _exchange(fvs: LaurentPoly, fv: LaurentPoly, D: tuple, b: tuple) -> LaurentP
         old = get(key)
         acc[key] = u if old is None else tuple(map(add, old, u))
 
-    # group by line: base m - kD, k the line index of m
+    terms, stray = _line_quotient(acc, D, width, negate=True)
+    if stray:
+        stray = {tuple(map(add, e, b)): u for e, u in stray.items()}
+        raise NonDivisibleError("exchange numerator not divisible by A - B",
+                                remainder=LaurentPoly(fv.vars, stray))
+    return LaurentPoly._from_trimmed(fv.vars, terms)
+
+
+def _line_quotient(acc: dict, D: tuple, width: int, negate: bool):
+    """Divide sum_e acc[e] tau^e (y-tuples padded to width) by 1 - tau^D,
+    or by tau^D - 1 if negate.  Along a line m + kD the numerator
+    coefficient at k is q_k - q_(k-1), so q_k is the prefix sum up to k.
+    Returns the quotient terms and {last exponent: sum} of the lines that
+    do not sum to zero: the division is exact iff there is none."""
+    p = next((k for k, d in enumerate(D) if d), None)
+    if p is None:
+        raise ZeroDenominatorError("division by 1 - tau^D across equal torus images")
     d = D[p]
     lines: dict = {}
     for e, u in acc.items():
@@ -534,76 +543,105 @@ def _exchange(fvs: LaurentPoly, fv: LaurentPoly, D: tuple, b: tuple) -> LaurentP
         run, last = zero, points[0][0]
         for k, u in points:
             if run != zero:
-                q = yp_trim(tuple(map(neg, run)))
+                q = yp_trim(tuple(map(neg, run)) if negate else run)
                 for j in range(last, k):
                     terms[tuple(x + j * y for x, y in zip(base, D))] = q
             run, last = tuple(map(add, run, u)), k
         if run != zero:
-            stray[tuple(x + last * y + z for x, y, z in zip(base, D, b))] = run
-    if stray:
-        raise NonDivisibleError("exchange numerator not divisible by A - B",
-                                remainder=LaurentPoly(fv.vars, stray))
-    return LaurentPoly._from_trimmed(fv.vars, terms)
-
-
-def point_euler(spec: TorusSpecialization) -> LaurentPoly:
-    """prod over a > b of (1 - tau_a/tau_b): the K-theoretic Euler class
-    of the ambient tangent space at the fixed point of the longest word.
-    It is the diagonal entry of the point cell's modified row and the
-    value of the point class there."""
-    out = spec.one()
-    for b in range(1, spec.n + 1):
-        for a in range(b + 1, spec.n + 1):
-            out = out * spec.one_minus_ratio(a, b)
-    return out
+            stray[tuple(x + last * y for x, y in zip(base, D))] = run
+    return terms, stray
 
 
 def point_cell_row(n: int, spec: TorusSpecialization) -> dict:
-    """Modified localization row of the longest (point) cell, keyed by w.
-
-    The closure of the point cell is one point, so by support the row
-    vanishes away from w0; there, by normalization, it is
-    ek_normal * ck_cell, where every tangent weight is normal and
-    ck_cell = 1.
-    """
-    w0 = Permutation.longest(n)
+    """Modified localization row of the longest (point) cell, keyed by w,
+    and the point class's row in the structure-sheaf basis.  The closure
+    of the point cell is one point, so by support the row vanishes away
+    from w0; there, by normalization, it is ek_normal * ck_cell = prod
+    over a > b of (1 - tau_a/tau_b), the K-theoretic Euler class of the
+    tangent space (every tangent weight is normal, and ck_cell = 1)."""
     row = {J.to_permutation(): spec.zero()
            for J in enumerate_index_tuples(Composition((1,) * n))}
-    row[w0] = point_euler(spec)
+    euler = spec.one()
+    for b in range(1, n + 1):
+        for a in range(b + 1, n + 1):
+            euler = euler * spec.one_minus_ratio(a, b)
+    row[Permutation.longest(n)] = euler
     return row
 
 
 def full_flag_table_recursive(n: int, spec: TorusSpecialization | None = None) -> dict:
-    """Modified localization rows of all Fl(n) cells via descent-edge
-    recursion.
+    """Modified localization rows of all Fl(n) cells, keyed by permutation."""
+    return dict(full_flag_rows(n, spec))
+
+
+def full_flag_rows(n: int, spec: TorusSpecialization | None = None, cells=None):
+    """Yield (w, modified localization row of w) for every w in cells
+    (default: every permutation), each as soon as it is built.
 
     Seeded with the closed-form row of the point cell; every other row
     is produced by one exchange step per descent edge, walking the weak
-    order downward.  Rows are keyed by permutation.
+    order downward.  Only the rows of cells and of their ancestors along
+    the walk are built, and a row is dropped once its children are.
     """
     if spec is None:
         spec = TorusSpecialization.standard(n)
-    rows = {Permutation.longest(n): point_cell_row(n, spec)}
-    for w, parent, i in weak_order_walk(n):
-        rows[w] = descent_step(rows[parent], i, spec)
-    return rows
+    walk = list(weak_order_walk(n))
+    w0 = Permutation.longest(n)
+    if cells is not None:
+        cells = set(cells)
+        parent_of = {w: parent for w, parent, _ in walk}
+        needed: set = set()
+        for w in cells:
+            while w in parent_of and w not in needed:
+                needed.add(w)
+                w = parent_of[w]
+        walk = [step for step in walk if step[0] in needed]
+    pending = Counter(parent for _, parent, _ in walk)
+    rows = {w0: point_cell_row(n, spec)}
+    if cells is None or w0 in cells:
+        yield w0, rows[w0]
+    for w, parent, i in walk:
+        row = descent_step(rows[parent], i, spec)
+        if pending[w]:
+            rows[w] = row
+        pending[parent] -= 1
+        if not pending[parent]:
+            del rows[parent]
+        if cells is None or w in cells:
+            yield w, row
 
 
 def demazure_step(row: Mapping[Permutation, LaurentPoly], i: int,
-                  spec: TorusSpecialization) -> dict:
+                  spec: TorusSpecialization, at=None) -> dict:
     """(pi_i f)(v) = (f(v) - beta * f(v s_i)) / (1 - beta) with
     beta = tau_{v(i)} / tau_{v(i+1)}: the isobaric Demazure operator,
-    pushforward along the P^1-fibration G/B -> G/P_i pulled back to G/B."""
+    pushforward along the P^1-fibration G/B -> G/P_i pulled back to G/B.
+
+    Evaluated at the points at (default: all of row), whose v s_i row
+    must hold too.  The value at v s_i is the same, so each pair is
+    computed once, by exponent shifts as in descent_step.
+    """
     out = {}
-    for v, fv in row.items():
+    for v in (row if at is None else at):
         vs = v.swap_positions(i)
-        ai, bi = v(i), v(i + 1)
-        num = fv - row[vs] * spec.ratio(ai, bi)
-        if num.is_zero():
-            out[v] = num
-            continue
-        out[v] = exact_divide(num, spec.one_minus_ratio(ai, bi))
+        g = out.get(vs)
+        out[v] = g if g is not None else _isobaric(row[v], row[vs],
+                                                   spec.ratio_exp(v(i), v(i + 1)))
     return out
+
+
+def _isobaric(fv: LaurentPoly, fvs: LaurentPoly, D: tuple) -> LaurentPoly:
+    """(f(v) - tau^D f(v*s_i)) / (1 - tau^D) of demazure_step."""
+    width = max(map(len, itertools.chain(fvs.terms.values(), fv.terms.values())), default=0)
+    acc = {e: c + (0,) * (width - len(c)) for e, c in fv.terms.items()}
+    for e, c in fvs.terms.items():
+        key, u = tuple(map(add, e, D)), tuple(map(neg, c)) + (0,) * (width - len(c))
+        acc[key] = tuple(map(add, acc[key], u)) if key in acc else u
+    terms, stray = _line_quotient(acc, D, width, negate=False)
+    if stray:
+        raise NonDivisibleError("Demazure numerator not divisible by 1 - beta",
+                                remainder=LaurentPoly(fv.vars, stray))
+    return LaurentPoly._from_trimmed(fv.vars, terms)
 
 
 def _top_of_coset(I: IndexTuple) -> Permutation:
@@ -624,11 +662,12 @@ def _parabolic_longest_word(mu: Composition) -> list:
 
 
 def localization_table(mu: Composition | Sequence[int], modified: bool = True,
-                       spec: TorusSpecialization | None = None) -> dict:
-    """Localization tables of every cell: {I: LocalizedClass}.
+                       spec: TorusSpecialization | None = None, cells=None) -> dict:
+    """Localization tables of the given cells (default: every cell):
+    {I: LocalizedClass}.
 
     Every composition reads the full-flag modified rows of
-    full_flag_table_recursive.  The projection G/B -> G/P maps the cell
+    full_flag_rows.  The projection G/B -> G/P maps the cell
     of the longest word over I isomorphically onto the cell of I, and
     motivic Chern classes push forward (Aluffi-Mihalcea-Schuermann-Su,
     arXiv:1902.10101); so the modified row of I is that full-flag row
@@ -640,18 +679,24 @@ def localization_table(mu: Composition | Sequence[int], modified: bool = True,
         mu = Composition(mu)
     if spec is None:
         spec = TorusSpecialization.standard(mu.n)
-    rows = full_flag_table_recursive(mu.n, spec)
-    fiber = _parabolic_longest_word(mu)
     points = enumerate_index_tuples(mu)
+    if cells is None:
+        cells = points
     tops = {J: _top_of_coset(J) for J in points}
+    cell_of = {tops[I]: I for I in cells}
+    fiber = _parabolic_longest_word(mu)
+    # reads[k]: the points whose values after k steps the later steps read
+    reads = [set(tops.values())]
+    for i in reversed(fiber):
+        reads.append(reads[-1] | {v.swap_positions(i) for v in reads[-1]})
+    reads.reverse()
     cmus = None if modified else {J: c_mu_at(J, spec) for J in points}
     out = {}
-    for I in points:
-        row = rows[tops[I]]
-        for i in fiber:
-            row = demazure_step(row, i, spec)
+    for w, row in full_flag_rows(mu.n, spec, cell_of):
+        for k, i in enumerate(fiber, 1):
+            row = demazure_step(row, i, spec, at=reads[k])
         table = {J: row[tops[J]] for J in points}
         if cmus is not None:
             table = {J: f * cmus[J] for J, f in table.items()}
-        out[I] = LocalizedClass(mu, table)
-    return out
+        out[cell_of[w]] = LocalizedClass(mu, table)
+    return {I: out[I] for I in cells}

@@ -5,8 +5,9 @@
   take dense integer rows and a right-hand side, and return the unique
   solution as Fractions or raise NoSolutionError / NonUniqueError, with
   the inconsistency check taking precedence.
-- `ring_descent_step`, the exchange operator of
-  `mcclass.weightfn.descent_step` written with ring products and exact
+- `ring_descent_step` and `ring_demazure_step`, the exchange operator of
+  `mcclass.weightfn.descent_step` and the isobaric Demazure operator of
+  `mcclass.weightfn.demazure_step` written with ring products and exact
   division.
 - `direct_table` and `modified_restriction_direct`, localization by
   direct symmetrization at each fixed point, the oracle of
@@ -119,6 +120,22 @@ def ring_descent_step(row: Mapping[Permutation, LaurentPoly], i: int,
             continue
         x = x.shift(spec.tau_exp(ai))
         out[v] = exact_divide(x, spec.tau_diff(ai, bi))
+    return out
+
+
+def ring_demazure_step(row: Mapping[Permutation, LaurentPoly], i: int,
+                       spec: TorusSpecialization) -> dict:
+    """(f(v) - beta * f(v*s_i)) / (1 - beta), beta = tau_{v(i)}/tau_{v(i+1)},
+    at every v, by ring products and exact_divide."""
+    out = {}
+    for v, fv in row.items():
+        vs = v.swap_positions(i)
+        ai, bi = v(i), v(i + 1)
+        num = fv - row[vs] * spec.ratio(ai, bi)
+        if num.is_zero():
+            out[v] = num
+            continue
+        out[v] = exact_divide(num, spec.one_minus_ratio(ai, bi))
     return out
 
 

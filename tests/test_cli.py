@@ -289,6 +289,20 @@ def test_golden_weight_table_json(capsys, golden, mu, kind):
     golden(f"weight_mu{mu.replace(',', '')}_{kind}.json", out)
 
 
+@pytest.mark.parametrize("kind", ["modified", "plain", "segre"])
+def test_weight_restricted_one_cell(capsys, kind):
+    # --I prints the class that --all prints for that cell
+    args = ["weight", "--mu", "1,2,1", "--restrict", "--kind", kind, "--format", "json"]
+    code, out, _ = run_cli(*args, "--all", capsys=capsys)
+    assert code == 0
+    classes = json.loads(out)["classes"]
+    for cls in (classes[0], classes[5], classes[-1]):
+        blocks = ",".join("{" + ",".join(map(str, b)) + "}" for b in cls["I"]["blocks"])
+        code, out, _ = run_cli(*args, "--I", blocks, capsys=capsys)
+        assert code == 0
+        assert json.loads(out)["classes"] == [cls], blocks
+
+
 def test_golden_newton_pair_svg(capsys, golden):
     code, out, _ = run_cli("newton", "--n", "3", "--pair", "2,3,1:3,2,1",
                            "--format", "svg", capsys=capsys)

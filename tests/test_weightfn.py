@@ -11,10 +11,12 @@ from mcclass.ring import (LaurentPoly, NonDivisibleError, RationalExpr, exact_di
                           poly_from_json, poly_to_json)
 from mcclass.weightfn import (PSI_EQUAL, PSI_GREATER, PSI_LESS, TorusSpecialization,
                               VariablePanel, c_mu_at, c_prime_mu_at, chern_products,
-                              descent_step, full_flag_table_recursive, localization_table,
+                              demazure_step, descent_step, full_flag_rows,
+                              full_flag_table_recursive, localization_table,
                               point_cell_row, psi_factor, restrict_to_fixed_point,
                               restriction_direct, u_term, weight_function)
-from oracles import direct_table, modified_restriction_direct, ring_descent_step
+from oracles import (direct_table, modified_restriction_direct, ring_demazure_step,
+                     ring_descent_step)
 
 MU11 = Composition((1, 1))
 I12 = IndexTuple(MU11, [(1,), (2,)])
@@ -286,6 +288,34 @@ def test_pushforward_matches_direct(parts, torus):
                 (I, modified)
 
 
+@pytest.mark.parametrize("parts", [(1, 3), (2, 2), (1, 2, 1), (1, 1, 1, 1)])
+def test_localization_table_of_some_cells(parts):
+    # each cell alone, and a pair, gives its row of the whole table
+    mu = Composition(parts)
+    spec = TorusSpecialization.one_parameter(mu.n)
+    for modified in (True, False):
+        whole = localization_table(mu, modified=modified, spec=spec)
+        points = list(whole)
+        for cells in [[I] for I in points] + [[points[-1], points[0]]]:
+            table = localization_table(mu, modified=modified, spec=spec, cells=cells)
+            assert list(table) == cells
+            for I in cells:
+                assert table[I] == whole[I], (I, modified)
+
+
+def test_recursive_rows_of_some_cells():
+    # only the asked rows are yielded, each equal to its row of the whole table
+    spec = TorusSpecialization.standard(4)
+    whole = full_flag_table_recursive(4, spec)
+    for cells in ([Permutation((1, 2, 3, 4))], [Permutation((4, 3, 1, 2))],
+                  [Permutation((2, 1, 4, 3)), Permutation((3, 4, 1, 2))],
+                  [Permutation.longest(4)]):
+        rows = dict(full_flag_rows(4, spec, cells))
+        assert set(rows) == set(cells)
+        for w in cells:
+            assert rows[w] == whole[w], w
+
+
 @pytest.mark.parametrize("parts", [(2, 2, 1), (1, 4), (2, 3)])
 def test_pushforward_spot_checks_n5(parts):
     # the row of the open cell and the whole diagonal
@@ -342,6 +372,16 @@ def test_descent_step_matches_ring_oracle(inputs):
     row, i, spec = inputs
     got = _step_outcome(descent_step, row, i, spec)
     assert got == _step_outcome(ring_descent_step, row, i, spec)
+
+
+@given(exchange_inputs())
+@settings(max_examples=150, deadline=None)
+def test_demazure_step_matches_ring_oracle(inputs):
+    # the rows that make the exchange exact make the Demazure step exact too:
+    # tau_a - tau_b is a unit times 1 - tau_a/tau_b
+    row, i, spec = inputs
+    got = _step_outcome(demazure_step, row, i, spec)
+    assert got == _step_outcome(ring_demazure_step, row, i, spec)
 
 
 def test_descent_step_spot_checks_n5():
