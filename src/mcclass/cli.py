@@ -1,10 +1,10 @@
 """Command-line front end.
 
 Subcommands: weight, axioms, expand, conjectures, limit, interpolate,
-newton.  All output is deterministic for fixed inputs and flags,
-including parallel runs (ordered reduction); exit code 0 means
-success/pass, 1 means a report contains violations, 2 means a
-computation fault or bad input.
+newton.  All output is deterministic for fixed inputs and flags; every
+subcommand runs in one process, and --jobs is accepted and changes
+nothing.  Exit code 0 means success/pass, 1 means a report contains
+violations, 2 means a computation fault or bad input.
 """
 
 from __future__ import annotations
@@ -110,6 +110,20 @@ def _report_exit(report: Report) -> int:
     return 0 if report.ok else 1
 
 
+def _report_text(report: Report, title: str) -> str:
+    """title, then per check its count and violations, with witnesses."""
+    by_check: dict = {}
+    for e in report.entries:
+        by_check.setdefault(e.check, []).append(e)
+    lines = [title]
+    for check, entries in by_check.items():
+        bad = [e for e in entries if not e.ok]
+        status = "pass" if not bad else "FAIL"
+        lines.append(f"  {check}: {len(entries)} checks, {len(bad)} violations [{status}]")
+        lines.extend(f"    violation at {e.pair}: {e.witness}" for e in bad)
+    return "\n".join(lines)
+
+
 # ---------------------------------------------------------------------------
 # weight
 # ---------------------------------------------------------------------------
@@ -199,20 +213,9 @@ def cmd_axioms(args) -> int:
     from .axioms import run_axiom_suite
     _guard_n(args.n)
     report = run_axiom_suite(args.n)
-    if args.format == "json":
-        _emit(dumps_canonical(report.entries_json()), args.output)
-    else:
-        by_check: dict = {}
-        for e in report.entries:
-            by_check.setdefault(e.check, []).append(e)
-        lines = [f"axiom suite for full flags on {args.n} letters:"]
-        for check, entries in by_check.items():
-            bad = [e for e in entries if not e.ok]
-            status = "pass" if not bad else "FAIL"
-            lines.append(f"  {check}: {len(entries)} checks, {len(bad)} violations [{status}]")
-            for e in bad:
-                lines.append(f"    violation at {e.pair}: {e.witness}")
-        _emit("\n".join(lines), args.output)
+    _emit(dumps_canonical(report.entries_json()) if args.format == "json"
+          else _report_text(report, f"axiom suite for full flags on {args.n} letters:"),
+          args.output)
     return _report_exit(report)
 
 
@@ -232,10 +235,9 @@ def cmd_expand(args) -> int:
     else:
         raise CliError("expand needs --p or --all")
 
-    ex = Expander(n, jobs=args.jobs or 1)
+    ex = Expander(n)
     if targets is None:
-        expansions = [ex.expansions[p] for p in sorted(
-            ex.expansions, key=lambda w: (w.length(), w.word))]
+        expansions = list(ex.expansions.values())
     else:
         expansions = [ex.expand(p) for p in targets]
 
@@ -261,41 +263,18 @@ def cmd_expand(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-CONJECTURE_CHECKS = ("sign", "log", "sdelta")
-
-
 def cmd_conjectures(args) -> int:
-    from .expand import (Expander, check_log_concavity, check_s_delta_signs,
-                         check_sign_conjecture)
+    from .expand import CONJECTURE_CHECKS, check_conjectures
     _guard_n(args.n)
     checks = args.checks.split(",") if args.checks else list(CONJECTURE_CHECKS)
     unknown = [c for c in checks if c not in CONJECTURE_CHECKS]
     if unknown:
         raise CliError(f"unknown check {unknown[0]!r}; choose among "
                        + ",".join(CONJECTURE_CHECKS))
-    combined = Report("conjectures")
-    expander = Expander(args.n, jobs=args.jobs or 1)
-    if "sign" in checks:
-        combined.extend(check_sign_conjecture(args.n, expander))
-    if "log" in checks:
-        combined.extend(check_log_concavity(args.n, expander))
-    if "sdelta" in checks:
-        combined.extend(check_s_delta_signs(args.n, expander))
-    if args.format == "json":
-        _emit(dumps_canonical(combined.to_json()), args.output)
-    else:
-        by_check: dict = {}
-        for e in combined.entries:
-            by_check.setdefault(e.check, []).append(e)
-        lines = [f"conjecture checks on {args.n} letters:"]
-        for check, entries in by_check.items():
-            bad = [e for e in entries if not e.ok]
-            status = "pass" if not bad else "FAIL"
-            lines.append(f"  {check}: {len(entries)} checks, {len(bad)} violations [{status}]")
-            for e in bad:
-                lines.append(f"    violation at {e.pair}: {e.witness}")
-        _emit("\n".join(lines), args.output)
-    return _report_exit(combined)
+    report = check_conjectures(args.n, checks)
+    _emit(dumps_canonical(report.to_json()) if args.format == "json"
+          else _report_text(report, f"conjecture checks on {args.n} letters:"), args.output)
+    return _report_exit(report)
 
 
 # ---------------------------------------------------------------------------
@@ -454,8 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=fmt, default="text")
         p.add_argument("--output", help="write output to this path")
         p.add_argument("--jobs", type=int, default=None,
-                       help="worker processes for expand and conjectures "
-                            "(default: all cores)")
+                       help="accepted and ignored: every subcommand runs in one process")
 
     w = sub.add_parser("weight", help="weight functions and localization tables")
     w.add_argument("--mu", required=True, help="composition, e.g. 1,1,1")
@@ -537,8 +515,6 @@ def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     args = ap.parse_args(_join_negative_values(list(argv)))
-    if args.jobs is None:
-        args.jobs = os.cpu_count() or 1
     try:
         return args.func(args)
     except CliError as err:

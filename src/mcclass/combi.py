@@ -182,6 +182,45 @@ def weak_order_walk(n: int) -> Iterator[tuple]:
         yield w, w.swap_positions(i), i
 
 
+def tree_walk(root, seed, edges, step, cells=None) -> Iterator[tuple]:
+    """Depth-first walk of a tree of values, yielding (node, value) for
+    every node in cells (default: every node), each after its parent.
+
+    edges are (child, parent, label) for every node but the root, whose
+    value is seed; a child's value is step(parent's value, label).  Only
+    subtrees that hold a wanted node are entered, children in the order
+    of edges.  Only the values on the current path are held: a node's
+    value is dropped before its last entered child is descended into,
+    so along a chain two values are alive at a time.
+    """
+    parent_of = {child: (parent, label) for child, parent, label in edges}
+    if cells is None:
+        keep = set(parent_of)
+    else:
+        keep = set()
+        for w in cells:
+            while w in parent_of and w not in keep:
+                keep.add(w)
+                w = parent_of[w][0]
+    children: dict = {}
+    for child, (parent, label) in parent_of.items():
+        if child in keep:
+            children.setdefault(parent, []).append((child, label))
+    wanted = None if cells is None else set(cells)
+
+    def visit(node, value):
+        if wanted is None or node in wanted:
+            yield node, value
+        kids = children.get(node, ())
+        for k, (child, label) in enumerate(kids, 1):
+            sub = visit(child, step(value, label))
+            if k == len(kids):
+                del value
+            yield from sub
+
+    return visit(root, seed)
+
+
 def enumerate_index_tuples(mu: Composition) -> list:
     """All index tuples for mu, ordered lexicographically by sorted blocks."""
     if not isinstance(mu, Composition):

@@ -1,15 +1,17 @@
 """Expansion of cell classes in the structure-sheaf basis, the
-non-equivariant and ratio-variable specializations, and the three
-conjecture checkers (signs, log-concavity, shifted-variable signs).
+non-equivariant and ratio-variable specializations, and the conjecture
+checks (signs, log-concavity, shifted-variable signs).
 
 Expansions are produced by the left Demazure-Lusztig recursion
 (Aluffi-Mihalcea-Schuermann-Su, arXiv:1902.10101): a sparse two-term
-step on the coefficients, walked down from the point class.  The step
+step on the coefficients, walked depth-first down the tree of left
+parents from the point class, holding only the current path.  The step
 is division-free and needs no ring product: it is accumulated term by
-term on plain dicts, one output cell at a time.  The localization rows
-of the basis (isobaric Demazure recursion) and the Bruhat-triangular
-back-substitution stay here as the independent oracle that the test
-suite pins the recursion against.
+term on plain dicts, one output cell at a time.  The conjecture checks
+read each cell's expansion as the walk yields it.  The localization
+rows of the basis (isobaric Demazure recursion) and the
+Bruhat-triangular back-substitution stay here as the independent
+oracle that the test suite pins the recursion against.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from functools import cached_property
 from operator import add, neg, sub
 from typing import Mapping, Sequence
 
-from .combi import Permutation, bruhat_leq, permutations_by_length, weak_order_walk
+from .combi import Permutation, bruhat_leq, permutations_by_length, tree_walk, weak_order_walk
 from .report import Report, ReportEntry
 from .ring import (LaurentPoly, exact_divide, format_poly_ygrouped, monomial_substitute,
                    poly_to_json, substitute_ones, yp_subst)
@@ -42,10 +44,8 @@ def structure_sheaf_rows(n: int, spec: TorusSpecialization | None = None) -> dic
     seeded with the point class (point_cell_row)."""
     if spec is None:
         spec = TorusSpecialization.standard(n)
-    rows = {Permutation.longest(n): point_cell_row(n, spec)}
-    for w, parent, i in weak_order_walk(n):
-        rows[w] = demazure_step(rows[parent], i, spec)
-    return rows
+    return dict(tree_walk(Permutation.longest(n), point_cell_row(n, spec), weak_order_walk(n),
+                          lambda row, i: demazure_step(row, i, spec)))
 
 
 @dataclass(frozen=True)
@@ -208,8 +208,14 @@ def _left_parent(w: Permutation) -> int:
 
 
 class Expander:
-    """Expansions of every cell class of Fl(n) in the structure-sheaf
-    basis, by the left Demazure-Lusztig recursion from the point class.
+    """Expansions of cell classes of Fl(n) in the structure-sheaf basis,
+    by the left Demazure-Lusztig recursion from the point class.
+
+    Every cell w other than w0 has one left parent s_i w, with i the
+    smallest left ascent of w, so the cells form a tree rooted at w0;
+    `walk` takes it depth-first (tree_walk) and holds only the
+    coefficients on its current path.  jobs is accepted and changes
+    nothing: the walk runs in one process.
 
     The recursion runs on the standard torus.  For another torus
     specialization each coefficient is mapped through the
@@ -226,56 +232,36 @@ class Expander:
     def __init__(self, n: int, spec: TorusSpecialization | None = None, jobs: int = 1):
         self.n = n
         self.spec = spec if spec is not None else TorusSpecialization.standard(n)
-        self.jobs = jobs
         self._standard = TorusSpecialization.standard(n)
-        w0 = Permutation.longest(n)
-        self._memo = {w0: {w0: self._standard.one()}}
 
-    def _coeffs(self, p: Permutation) -> dict:
-        """Standard-torus coefficients of p, walking the chain of left
-        parents up to the first one already known."""
-        chain = []
-        w = p
-        while w not in self._memo:
-            i = _left_parent(w)
-            chain.append((w, i))
-            w = w.swap_values(i)
-        for w, i in reversed(chain):
-            self._memo[w] = left_step(self._memo[w.swap_values(i)], i, self._standard)
-        return self._memo[p]
-
-    def _fill_in_parallel(self, perms) -> None:
-        """perms in (length, word) order; the steps of one length level
-        are independent of each other."""
-        import multiprocessing as mp
-        with mp.get_context("spawn").Pool(self.jobs) as pool:
-            for _, level in itertools.groupby(reversed(perms), key=Permutation.length):
-                todo = [(w, _left_parent(w)) for w in level if w not in self._memo]
-                results = pool.starmap(left_step, [(self._memo[w.swap_values(i)], i,
-                                                    self._standard) for w, i in todo])
-                self._memo.update(zip((w for w, _ in todo), results))
+    def walk(self, cells=None):
+        """Yield (p, expansion of p) for every p in cells (default: every
+        permutation), depth-first down the left-parent edges."""
+        w0 = Permutation.longest(self.n)
+        std, spec = self._standard, self.spec
+        images = {v: (1, dict(zip(spec.vars, exp))) for v, exp in zip(std.vars, spec.images)}
+        edges = ((w, w.swap_values(i), i) for w in permutations_by_length(self.n)[:-1]
+                 for i in (_left_parent(w),))
+        for p, coeffs in tree_walk(w0, {w0: std.one()}, edges,
+                                   lambda c, i: left_step(c, i, std), cells):
+            if spec != std:
+                coeffs = {w: monomial_substitute(c, images, spec.vars)
+                          for w, c in coeffs.items()}
+                coeffs = {w: c for w, c in coeffs.items() if not c.is_zero()}
+            yield p, Expansion(p, coeffs, spec)
 
     def expand(self, p: Permutation) -> Expansion:
-        coeffs = self._coeffs(p)
-        if self.spec != self._standard:
-            images = {v: (1, dict(zip(self.spec.vars, exp)))
-                      for v, exp in zip(self._standard.vars, self.spec.images)}
-            coeffs = {w: monomial_substitute(c, images, self.spec.vars)
-                      for w, c in coeffs.items()}
-            coeffs = {w: c for w, c in coeffs.items() if not c.is_zero()}
-        return Expansion(p, coeffs, self.spec)
+        """The expansion of p alone: one chain of left steps from w0."""
+        return next(self.walk([p]))[1]
 
     @cached_property
     def expansions(self) -> dict:
-        perms = permutations_by_length(self.n)
-        if self.jobs > 1:
-            self._fill_in_parallel(perms)
-        return {p: self.expand(p) for p in perms}
+        """Every expansion, in (length, word) order of the cells."""
+        return dict(sorted(self.walk(), key=lambda kv: _cell_key(kv[0])))
 
 
-def expand(p: Permutation, spec: TorusSpecialization | None = None) -> Expansion:
-    """Expansion of the class of the cell of p in the basis."""
-    return Expander(p.n, spec).expand(p)
+def _cell_key(w: Permutation) -> tuple:
+    return w.length(), w.word
 
 
 # ---------------------------------------------------------------------------
@@ -342,25 +328,23 @@ def _sign_of(x: int) -> int:
     return (x > 0) - (x < 0)
 
 
-def check_sign_conjecture(n: int, expander: Expander | None = None) -> Report:
+def _sign_entry(p: Permutation, w: Permutation, c: LaurentPoly, parity: int,
+                check: str, degree: str) -> ReportEntry:
+    """Every monomial of c has the sign (-1)^parity; the witness lists
+    the terms that do not."""
+    want = -1 if parity % 2 else 1
+    bad = [{"exp": list(exp), degree: k, "coeff": ck}
+           for exp, pol in c.sorted_terms() for k, ck in enumerate(pol)
+           if ck and _sign_of(ck) != want]
+    return ReportEntry(pair=(str(p), str(w)), check=check, ok=not bad,
+                       witness={"terms": bad} if bad else None)
+
+
+def _sign_entries(p: Permutation, e: Expansion) -> list:
     """Every tau,y-monomial of the coefficient of [w] in the expansion
     of the class of p has sign (-1)^(l(p) - l(w))."""
-    if expander is None:
-        expander = Expander(n)
-    report = Report("sign-conjecture")
-    for p, e in sorted(expander.expansions.items(), key=lambda kv: (kv[0].length(), kv[0].word)):
-        lp = p.length()
-        for w, c in e.sorted_items():
-            want = 1 if (lp - w.length()) % 2 == 0 else -1
-            bad = []
-            for exp, ypol in c.sorted_terms():
-                for k, ck in enumerate(ypol):
-                    if ck and _sign_of(ck) != want:
-                        bad.append({"exp": list(exp), "ydeg": k, "coeff": ck})
-            report.add(ReportEntry(pair=(str(p), str(w)), check="sign",
-                                   ok=not bad,
-                                   witness={"terms": bad} if bad else None))
-    return report
+    return [_sign_entry(p, w, c, p.length() - w.length(), "sign", "ydeg")
+            for w, c in e.sorted_items()]
 
 
 def is_strictly_log_concave(seq: Sequence[int]) -> bool:
@@ -371,23 +355,18 @@ def is_strictly_log_concave(seq: Sequence[int]) -> bool:
     return True
 
 
-def check_log_concavity(n: int, expander: Expander | None = None,
-                        jobs: int = 1) -> Report:
+def _log_entries(p: Permutation, e: Expansion) -> list:
     """Strict log-concavity of every non-equivariant coefficient."""
-    if expander is None:
-        expander = Expander(n, jobs=jobs)
-    report = Report("log-concavity")
-    for p, e in sorted(expander.expansions.items(), key=lambda kv: (kv[0].length(), kv[0].word)):
-        for w, c in e.sorted_items():
-            seq = substitute_ones(c)
-            ok = is_strictly_log_concave(seq)
-            report.add(ReportEntry(pair=(str(p), str(w)), check="log-concavity",
-                                   ok=ok,
-                                   witness=None if ok else {"coefficients": list(seq)}))
-    return report
+    out = []
+    for w, c in e.sorted_items():
+        seq = substitute_ones(c)
+        ok = is_strictly_log_concave(seq)
+        out.append(ReportEntry(pair=(str(p), str(w)), check="log-concavity", ok=ok,
+                               witness=None if ok else {"coefficients": list(seq)}))
+    return out
 
 
-def check_s_delta_signs(n: int, expander: Expander | None = None) -> Report:
+def _sdelta_entries(p: Permutation, e: Expansion) -> list:
     """Every s,delta-monomial of every rewritten coefficient has a sign
     depending on w only: the parity of the dimension of the cell of w.
 
@@ -397,28 +376,50 @@ def check_s_delta_signs(n: int, expander: Expander | None = None) -> Report:
     normalization (codimension parity fails already on the one-term
     expansion of the point class there).
     """
+    try:
+        rewritten = substitute_s_delta(e)
+    except NegativeRatioExponentError as err:
+        return [ReportEntry(pair=(str(p), None), check="s-delta", ok=False,
+                            witness={"error": str(err)})]
+    total = p.n * (p.n - 1) // 2
+    return [_sign_entry(p, w, rewritten[w], total - w.length(), "s-delta", "deltadeg")
+            for w in sorted(rewritten, key=_cell_key)]
+
+
+# The per-cell checks, in report order: name -> check(p, expansion of p).
+CONJECTURE_CHECKS = {"sign": _sign_entries, "log": _log_entries, "sdelta": _sdelta_entries}
+
+
+def check_conjectures(n: int, checks=tuple(CONJECTURE_CHECKS),
+                      expander: Expander | None = None) -> Report:
+    """The named checks in one report, from one walk of the left-parent
+    tree: each cell's expansion is fed to every check, then dropped.
+    Entries run check by check in CONJECTURE_CHECKS order, each in the
+    (length, word) order of the cells."""
     if expander is None:
         expander = Expander(n)
-    total = n * (n - 1) // 2
-    report = Report("s-delta-signs")
-    for p, e in sorted(expander.expansions.items(), key=lambda kv: (kv[0].length(), kv[0].word)):
-        try:
-            rewritten = substitute_s_delta(e)
-        except NegativeRatioExponentError as err:
-            report.add(ReportEntry(pair=(str(p), None), check="s-delta",
-                                   ok=False, witness={"error": str(err)}))
-            continue
-        for w in sorted(rewritten, key=lambda w: (w.length(), w.word)):
-            want = 1 if (total - w.length()) % 2 == 0 else -1
-            bad = []
-            for exp, dpol in rewritten[w].sorted_terms():
-                for k, ck in enumerate(dpol):
-                    if ck and _sign_of(ck) != want:
-                        bad.append({"exp": list(exp), "deltadeg": k, "coeff": ck})
-            report.add(ReportEntry(pair=(str(p), str(w)), check="s-delta",
-                                   ok=not bad,
-                                   witness={"terms": bad} if bad else None))
+    found = {name: [] for name in CONJECTURE_CHECKS if name in checks}
+    for p, e in expander.walk():
+        for name, cells in found.items():
+            cells.append((_cell_key(p), CONJECTURE_CHECKS[name](p, e)))
+    report = Report("conjectures")
+    for cells in found.values():
+        for _, entries in sorted(cells, key=lambda kv: kv[0]):
+            report.entries.extend(entries)
     return report
+
+
+def check_sign_conjecture(n: int, expander: Expander | None = None) -> Report:
+    return Report("sign-conjecture", check_conjectures(n, ("sign",), expander).entries)
+
+
+def check_log_concavity(n: int, expander: Expander | None = None,
+                        jobs: int = 1) -> Report:
+    return Report("log-concavity", check_conjectures(n, ("log",), expander).entries)
+
+
+def check_s_delta_signs(n: int, expander: Expander | None = None) -> Report:
+    return Report("s-delta-signs", check_conjectures(n, ("sdelta",), expander).entries)
 
 
 # ---------------------------------------------------------------------------

@@ -19,14 +19,14 @@ the test suite builds its oracle tables from it.
 
 from __future__ import annotations
 
+import functools
 import itertools
-from collections import Counter
 from dataclasses import dataclass
 from operator import add, neg, sub
 from typing import Mapping, Sequence
 
 from .combi import (Composition, IndexTuple, Permutation, enumerate_index_tuples,
-                    weak_order_walk)
+                    tree_walk, weak_order_walk)
 from .ring import (LaurentPoly, NonDivisibleError, RationalExpr, YP_ONE, YP_ONE_PLUS_Y, YP_Y,
                    ZeroDenominatorError, exact_divide, yp_trim)
 
@@ -580,35 +580,12 @@ def full_flag_rows(n: int, spec: TorusSpecialization | None = None, cells=None):
 
     Seeded with the closed-form row of the point cell; every other row
     is produced by one exchange step per descent edge, walking the weak
-    order downward.  Only the rows of cells and of their ancestors along
-    the walk are built, and a row is dropped once its children are.
+    order depth-first (tree_walk) through the rows that cells need.
     """
     if spec is None:
         spec = TorusSpecialization.standard(n)
-    walk = list(weak_order_walk(n))
-    w0 = Permutation.longest(n)
-    if cells is not None:
-        cells = set(cells)
-        parent_of = {w: parent for w, parent, _ in walk}
-        needed: set = set()
-        for w in cells:
-            while w in parent_of and w not in needed:
-                needed.add(w)
-                w = parent_of[w]
-        walk = [step for step in walk if step[0] in needed]
-    pending = Counter(parent for _, parent, _ in walk)
-    rows = {w0: point_cell_row(n, spec)}
-    if cells is None or w0 in cells:
-        yield w0, rows[w0]
-    for w, parent, i in walk:
-        row = descent_step(rows[parent], i, spec)
-        if pending[w]:
-            rows[w] = row
-        pending[parent] -= 1
-        if not pending[parent]:
-            del rows[parent]
-        if cells is None or w in cells:
-            yield w, row
+    return tree_walk(Permutation.longest(n), point_cell_row(n, spec), weak_order_walk(n),
+                     lambda row, i: descent_step(row, i, spec), cells)
 
 
 def demazure_step(row: Mapping[Permutation, LaurentPoly], i: int,
@@ -673,7 +650,8 @@ def localization_table(mu: Composition | Sequence[int], modified: bool = True,
     arXiv:1902.10101); so the modified row of I is that full-flag row
     pushed forward by the Demazure steps along the longest word of W_P,
     and read at any point over J.  Plain rows are the modified rows
-    times c_mu at J.
+    times c_mu at J, which is built once per point and only where the
+    entry is nonzero.
     """
     if not isinstance(mu, Composition):
         mu = Composition(mu)
@@ -690,13 +668,13 @@ def localization_table(mu: Composition | Sequence[int], modified: bool = True,
     for i in reversed(fiber):
         reads.append(reads[-1] | {v.swap_positions(i) for v in reads[-1]})
     reads.reverse()
-    cmus = None if modified else {J: c_mu_at(J, spec) for J in points}
+    cmu = functools.cache(lambda J: c_mu_at(J, spec))
     out = {}
     for w, row in full_flag_rows(mu.n, spec, cell_of):
         for k, i in enumerate(fiber, 1):
             row = demazure_step(row, i, spec, at=reads[k])
         table = {J: row[tops[J]] for J in points}
-        if cmus is not None:
-            table = {J: f * cmus[J] for J, f in table.items()}
+        if not modified:
+            table = {J: f if f.is_zero() else f * cmu(J) for J, f in table.items()}
         out[cell_of[w]] = LocalizedClass(mu, table)
     return {I: out[I] for I in cells}

@@ -252,6 +252,24 @@ def test_serial_and_parallel_byte_identical(tmp_path):
     assert a.stdout == b.stdout
 
 
+@pytest.mark.skipif(not pathlib.Path("/proc/self/status").exists(),
+                    reason="reads VmHWM from /proc/self/status")
+def test_conjectures_n5_peak_memory():
+    # the checks read each expansion as the walk yields it, so the run
+    # holds one path of cells rather than all 120 (about 121 MB)
+    code = ("import sys\n"
+            "from mcclass.cli import main\n"
+            "code = main(['conjectures', '--n', '5', '--checks', 'log', '--jobs', '1'])\n"
+            "with open('/proc/self/status') as fh:\n"
+            "    sys.stderr.write(next(l for l in fh if l.startswith('VmHWM:')))\n"
+            "sys.exit(code)\n")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, cwd=ROOT, text=True)
+    assert r.returncode == 0, r.stderr
+    assert "log-concavity: 3781 checks, 0 violations" in r.stdout
+    peak_kb = int(r.stderr.split()[-2])
+    assert peak_kb < 80 * 1024, f"VmHWM {peak_kb} kB"
+
+
 # ---------------------------------------------------------------------------
 # golden outputs
 # ---------------------------------------------------------------------------

@@ -1,11 +1,13 @@
 import itertools
+import weakref
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mcclass.combi import (Composition, IndexTuple, Permutation, bruhat_leq,
-                           closure_leq, enumerate_index_tuples, inversions, length)
+                           closure_leq, enumerate_index_tuples, inversions, length,
+                           tree_walk)
 from mcclass.ring import yp_mul
 
 
@@ -138,3 +140,87 @@ def test_inverse_is_involutive(word):
     w = Permutation(tuple(word))
     assert w.inverse().inverse() == w
     assert w.length() == w.inverse().length()
+
+
+# ---------------------------------------------------------------------------
+# the depth-first tree walk
+# ---------------------------------------------------------------------------
+
+# child -> parent of a small tree rooted at "r": a branch point, a chain of
+# three under "a1", and leaves on either side
+TREE = {"a": "r", "b": "r", "a1": "a", "a2": "a", "a1x": "a1", "a1xy": "a1x",
+        "b1": "b", "b2": "b"}
+
+
+def _ancestors(node):
+    while node != "r":
+        node = TREE[node]
+        yield node
+
+
+class _Value:
+    """A walk value that weak references can follow."""
+
+    def __init__(self, node):
+        self.node = node
+
+
+def _walk(cells=None, tree=TREE, root="r"):
+    """Run tree_walk with values that record their node; return the yielded
+    nodes, the labels passed to step, and after each step the number of
+    values alive, paired with the depth of the node the step built."""
+    live = weakref.WeakSet()
+    steps, peaks = [], []
+
+    def step(value, label):
+        steps.append(label)
+        out = _Value(label)
+        live.add(out)
+        peaks.append((len(live), _depth_in(tree, root, label)))
+        return out
+
+    seed = _Value(root)
+    live.add(seed)
+    edges = [(child, parent, child) for child, parent in tree.items()]
+    walk = tree_walk(root, seed, edges, step, cells)
+    del seed
+    order = []
+    for node, value in walk:
+        assert value.node == node
+        order.append(node)
+        del value
+    return order, steps, peaks
+
+
+def _depth_in(tree, root, node):
+    return 0 if node == root else 1 + _depth_in(tree, root, tree[node])
+
+
+def test_tree_walk_yields_every_node_once_after_its_parent():
+    order, steps, _ = _walk()
+    assert sorted(order) == sorted(set(TREE) | {"r"})
+    for node in TREE:
+        assert order.index(TREE[node]) < order.index(node), node
+    assert sorted(steps) == sorted(TREE)  # one step per edge
+
+
+def test_tree_walk_enters_only_subtrees_with_a_wanted_cell():
+    for cells in (["a1xy"], ["a2", "b1"], ["r"], ["a", "a1x"], []):
+        order, steps, _ = _walk(cells)
+        assert sorted(order) == sorted(cells), cells
+        entered = {u for c in cells for u in itertools.chain([c], _ancestors(c))} - {"r"}
+        assert sorted(steps) == sorted(entered), cells
+        for c in cells:
+            for a in _ancestors(c):
+                if a in cells:
+                    assert order.index(a) < order.index(c), (a, c)
+
+
+def test_tree_walk_holds_only_the_current_path():
+    _, _, peaks = _walk()
+    # the path from the root to the node being built has depth + 1 nodes
+    assert all(alive <= depth + 1 for alive, depth in peaks), peaks
+    chain = {k: k - 1 for k in range(1, 12)}
+    _, steps, peaks = _walk(tree=chain, root=0)
+    assert steps == list(range(1, 12))
+    assert max(alive for alive, _ in peaks) == 2

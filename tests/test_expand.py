@@ -6,13 +6,15 @@ from hypothesis import strategies as st
 
 from frozen_expansions import EXPANSIONS_N3, NONEQ_OPEN_N4
 from mcclass.combi import Composition, Permutation, bruhat_leq
-from mcclass.expand import (Expander, NegativeRatioExponentError, _left_parent,
-                            check_log_concavity, check_s_delta_signs,
-                            check_sign_conjecture, expand, expand_by_solve,
+import mcclass.expand
+from mcclass.expand import (CONJECTURE_CHECKS, Expander, NegativeRatioExponentError,
+                            _left_parent, check_conjectures, check_log_concavity,
+                            check_s_delta_signs, check_sign_conjecture, expand_by_solve,
                             format_expansion, is_strictly_log_concave, left_step,
                             ratio_exponents, specialize_nonequivariant,
                             structure_sheaf_rows, substitute_s_delta)
-from mcclass.ring import LaurentPoly, exact_divide, monomial_substitute, substitute_ones
+from mcclass.ring import (LaurentPoly, dumps_canonical, exact_divide, monomial_substitute,
+                          substitute_ones)
 from mcclass.weightfn import TorusSpecialization, demazure_step, full_flag_table_recursive
 
 
@@ -158,8 +160,29 @@ def test_chain_walk_matches_full_walk():
         assert Expander(4).expand(p) == full[p]
 
 
-def test_parallel_levels_match_serial():
-    assert Expander(4, jobs=2).expansions == Expander(4).expansions
+@pytest.fixture
+def left_steps(monkeypatch):
+    """The i of every left_step call the walk makes."""
+    calls = []
+    step = mcclass.expand.left_step
+
+    def counted(coeffs, i, spec):
+        calls.append(i)
+        return step(coeffs, i, spec)
+
+    monkeypatch.setattr(mcclass.expand, "left_step", counted)
+    return calls
+
+
+def test_walk_takes_one_step_per_cell(left_steps):
+    # 23 left-parent edges below w0 at n = 4, each stepped once
+    assert len(Expander(4).expansions) == 24
+    assert len(left_steps) == 23
+    w0 = Permutation.longest(4)
+    for p in (Permutation.identity(4), perm(1, 3, 2, 4), perm(4, 1, 3, 2), w0):
+        del left_steps[:]
+        Expander(4).expand(p)
+        assert len(left_steps) == w0.length() - p.length(), p
 
 
 # ---------------------------------------------------------------------------
@@ -386,6 +409,13 @@ def test_conjectures_small(n):
     assert check_sign_conjecture(n).ok
     assert check_log_concavity(n).ok
     assert check_s_delta_signs(n).ok
+
+
+def test_golden_conjectures_n4_entries(golden, left_steps):
+    # every entry of the three reports, in report order, from one walk
+    report = check_conjectures(4, tuple(CONJECTURE_CHECKS))
+    assert len(left_steps) == 23
+    golden("conjectures_n4_entries.json", dumps_canonical(report.entries_json()) + "\n")
 
 
 @pytest.mark.slow
