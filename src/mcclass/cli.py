@@ -227,34 +227,31 @@ def cmd_axioms(args) -> int:
 def cmd_expand(args) -> int:
     from .expand import Expander, format_expansion, specialize_nonequivariant
     _guard_n(args.n)
-    n = args.n
     if args.all:
-        targets = None
+        cells = None
     elif args.p:
-        targets = [_parse_perm(args.p, n)]
+        cells = [_parse_perm(args.p, args.n)]
     else:
         raise CliError("expand needs --p or --all")
 
-    ex = Expander(n)
-    if targets is None:
-        expansions = list(ex.expansions.values())
-    else:
-        expansions = [ex.expand(p) for p in targets]
-
-    if args.format == "json":
+    def render(e) -> str:
+        if args.format == "text":
+            return format_expansion(e, nonequivariant=args.nonequivariant)
         if args.nonequivariant:
-            body = [{"p": list(e.p.word),
-                     "coeffs": [{"w": list(w.word), "y": list(c)}
-                                for w, c in sorted(specialize_nonequivariant(e).items(),
-                                                   key=lambda kv: (kv[0].length(), kv[0].word))]}
-                    for e in expansions]
-        else:
-            body = [e.to_json() for e in expansions]
-        _emit(dumps_canonical(body), args.output)
-    else:
-        lines = [format_expansion(e, nonequivariant=args.nonequivariant)
-                 for e in expansions]
-        _emit("\n\n".join(lines), args.output)
+            return dumps_canonical(
+                {"p": list(e.p.word),
+                 "coeffs": [{"w": list(w.word), "y": list(c)}
+                            for w, c in sorted(specialize_nonequivariant(e).items(),
+                                               key=lambda kv: (kv[0].length(), kv[0].word))]})
+        return dumps_canonical(e.to_json())
+
+    # each cell is rendered as the walk yields it, so only text is held;
+    # the JSON cells are joined the way dumps_canonical joins a list
+    printed = sorted(((p.length(), p.word), render(e))
+                     for p, e in Expander(args.n).walk(cells))
+    texts = [text for _, text in printed]
+    _emit("[" + ", ".join(texts) + "]" if args.format == "json" else "\n\n".join(texts),
+          args.output)
     return 0
 
 

@@ -8,6 +8,12 @@ inhomogeneous solution of the divisibility, normalization and degree
 constraints.  Both are found as exact rational linear systems over a
 symmetric-polynomial ansatz; answers are verified to be integral.
 
+A system is held sparse: one row per monomial of each polynomial
+identity, a dict {column: int} of its nonzero coefficients, with a
+separate right-hand side and the column count passed as `width`.  The
+CSM solver restricts each basis class once per orbit and reads the
+fundamental class off the degree-codim columns of the same basis.
+
 All cohomology classes here are ordinary polynomials (Chern-root
 degree one per variable); the shared Laurent kernel is used with
 nonnegative exponents and a trivial parameter slot.
@@ -40,7 +46,10 @@ class NonUniqueError(ValueError):
 @dataclass(frozen=True)
 class OrbitSpec:
     """One orbit: restriction map, Euler class and tangent Chern class
-    (both already written in the image variables of the restriction)."""
+    (both already written in the image variables of the restriction).
+    The Euler class must be nonzero and homogeneous of degree codim,
+    and the tangent Chern class nonzero; otherwise the classes are not
+    defined by the constraints, and ValueError is raised."""
 
     name: str
     codim: int
@@ -51,6 +60,11 @@ class OrbitSpec:
     def __post_init__(self):
         if self.euler.is_zero():
             raise ValueError(f"orbit {self.name}: Euler class must be nonzero")
+        if any(sum(e) != self.codim for e in self.euler.terms):
+            raise ValueError(f"orbit {self.name}: Euler class must be homogeneous "
+                             f"of degree codim = {self.codim}")
+        if self.tangent_c.is_zero():
+            raise ValueError(f"orbit {self.name}: tangent Chern class must be nonzero")
 
 
 @dataclass(frozen=True)
@@ -196,25 +210,29 @@ class OrbitProblem:
 # ---------------------------------------------------------------------------
 
 
-def solve_unique_fractions(rows, rhs):
-    """The unique solution of rows * x == rhs, as Fractions, or raise
-    NoSolutionError (inconsistent) before NonUniqueError (rank < width).
+def solve_unique_fractions(rows, rhs, *, width):
+    """The unique solution of rows * x == rhs in `width` unknowns, as
+    Fractions, or raise NoSolutionError (inconsistent) before
+    NonUniqueError (rank < width).
 
-    Sparse fraction-free elimination over the integers.  Each distinct
-    nonzero row becomes a dict {column: int}, the right-hand side under
-    key n.  It is reduced against the pivot rows kept so far, lowest
-    column first, by the cross-multiplication b/g * row - a/g * pivot
-    (g = gcd(a, b)), and divided by its content; what is left becomes
-    the pivot of its lowest column.  A back-substitution over Fractions
-    finishes.
+    Each row is a sparse dict {column: int} with columns in
+    0..width-1; absent columns are zero, and listing a row's columns
+    in ascending order lets equal rows be found as duplicates and
+    reduced once.  Fraction-free elimination over the integers: each
+    distinct row, with its right-hand side under key width, is reduced
+    against the pivot rows kept so far, lowest column first, by the
+    cross-multiplication b/g * row - a/g * pivot (g = gcd(a, b)), and
+    divided by its content; what is left becomes the pivot of its
+    lowest column.  A back-substitution over Fractions finishes.
     """
-    m = len(rows)
-    if m == 0:
+    if not rows:
         raise NonUniqueError("no equations")
-    n = len(rows[0])
+    n = width
     pivots = {}
-    for key in dict.fromkeys(tuple(row) + (b,) for row, b in zip(rows, rhs)):
-        row = {c: v for c, v in enumerate(key) if v}
+    for items, b in dict.fromkeys((tuple(row.items()), b) for row, b in zip(rows, rhs)):
+        row = {c: v for c, v in items if v}
+        if b:
+            row[n] = b
         while row:
             c = min(row)
             if c == n:
@@ -276,30 +294,43 @@ class SymmetricExpansion:
         return {"coefficients": [{"monomial": n, "coeff": c} for n, c in self.coeffs]}
 
 
-def _const(p: LaurentPoly, mono) -> int:
-    c = p.terms.get(mono)
-    return c[0] if c else 0
+def _system_from_identities(identities):
+    """Sparse rows of the linear system: one equation per monomial of
+    every polynomial identity sum_j x_j * P_j == target.
 
-
-def _system_from_identities(basis_values_and_targets):
-    """Rows of the linear system: one equation per monomial of every
-    polynomial identity sum_j x_j * P_j == target."""
+    identities holds (columns, target) pairs, columns being (j, P_j)
+    pairs in ascending j.  Each row is a dict {j: coefficient of the
+    monomial in P_j} over the P_j that have the monomial, so its
+    columns come in ascending order; the rows of one identity come in
+    sorted monomial order.  Coefficients are read at y^0: every class
+    here has a trivial parameter slot.
+    """
     rows = []
     rhs = []
-    for basis_values, target in basis_values_and_targets:
-        monomials = set(target.terms)
-        for p in basis_values:
-            monomials.update(p.terms)
-        for mono in sorted(monomials):
-            rows.append([_const(p, mono) for p in basis_values])
-            rhs.append(_const(target, mono))
+    for columns, target in identities:
+        by_mono = {}
+        for j, p in columns:
+            for mono, c in p.terms.items():
+                row = by_mono.get(mono)
+                if row is None:
+                    by_mono[mono] = {j: c[0]}
+                else:
+                    row[j] = c[0]
+        for mono in target.terms:
+            by_mono.setdefault(mono, {})
+        for mono in sorted(by_mono):
+            rows.append(by_mono[mono])
+            c = target.terms.get(mono)
+            rhs.append(c[0] if c else 0)
     return rows, rhs
 
 
-def _as_expansion(names, polys, values) -> SymmetricExpansion:
+def _as_expansion(names, polys, values, vars) -> SymmetricExpansion:
+    """The class sum_j values[j] * polys[j], written over vars, with its
+    nonzero coefficients; raise NoSolutionError on a non-integral one."""
     coeffs = []
     total = None
-    for (name, poly), v in zip(zip(names, polys), values):
+    for name, poly, v in zip(names, polys, values):
         if v == 0:
             continue
         if v.denominator != 1:
@@ -309,8 +340,26 @@ def _as_expansion(names, polys, values) -> SymmetricExpansion:
         contrib = poly.scale_ypoly((c,))
         total = contrib if total is None else total + contrib
     if total is None:
-        total = LaurentPoly.zero(polys[0].vars if polys else ())
-    return SymmetricExpansion(tuple(coeffs), total)
+        return SymmetricExpansion((), LaurentPoly.zero(vars))
+    return SymmetricExpansion(tuple(coeffs), total.extend_vars(vars))
+
+
+def _fundamental(problem: OrbitProblem, t: OrbitSpec, names, polys, restricted,
+                 solver) -> SymmetricExpansion:
+    """The fundamental class of t over the homogeneous basis classes
+    (names, polys) of degree codim(t); restricted[k] holds the classes
+    restricted to problem.orbits[k], for every orbit the constraints
+    read (t and each orbit of codimension <= codim(t))."""
+    zero = LaurentPoly.zero(problem.all_vars)
+    identities = []
+    for k, o in enumerate(problem.orbits):
+        if o.name == t.name:
+            identities.append((enumerate(restricted[k]), o.euler))
+        elif o.codim <= t.codim:
+            identities.append((enumerate(restricted[k]), zero))
+    rows, rhs = _system_from_identities(identities)
+    values = solver(rows, rhs, width=len(polys))
+    return _as_expansion(names, polys, values, problem.all_vars)
 
 
 def solve_fundamental(problem: OrbitProblem, target: str,
@@ -321,17 +370,11 @@ def solve_fundamental(problem: OrbitProblem, target: str,
     t = problem.orbit(target)
     basis = problem.ansatz.basis(t.codim, homogeneous=True)
     names = [n for n, _ in basis]
-    polys = [p.extend_vars(problem.all_vars) for _, p in basis]
-    identities = []
-    for o in problem.orbits:
-        if o.name == target:
-            identities.append(([problem.restrict(p, o) for p in polys], o.euler))
-        elif o.codim <= t.codim:
-            identities.append(([problem.restrict(p, o) for p in polys],
-                               LaurentPoly.zero(problem.all_vars)))
-    rows, rhs = _system_from_identities(identities)
-    values = solver(rows, rhs)
-    return _as_expansion(names, polys, values)
+    polys = [p for _, p in basis]
+    restricted = {k: [problem.restrict(p, o) for p in polys]
+                  for k, o in enumerate(problem.orbits)
+                  if o.name == target or o.codim <= t.codim}
+    return _fundamental(problem, t, names, polys, restricted, solver)
 
 
 @dataclass(frozen=True)
@@ -369,81 +412,57 @@ def solve_csm(problem: OrbitProblem, target: str,
 
     Divisibility is encoded linearly with an auxiliary quotient per
     orbit; the degree window for the quotient comes from the smallness
-    condition.
+    condition.  The basis classes are restricted once per orbit, and
+    the fundamental class is solved over those of degree codim(target):
+    the basis enumerates its monomials in an order that does not depend
+    on the degree bound, so they are basis(codim, homogeneous=True) in
+    its order, and the bound is at least codim since tangent_c != 0.
     """
     t = problem.orbit(target)
     target_value = t.euler * t.tangent_c
+    # euler is homogeneous of degree codim (OrbitSpec), so
+    # deg(euler * tangent_c) = codim + deg(tangent_c)
     bound = _degree(target_value)
     for o in problem.orbits:
         if o.name != target:
-            bound = max(bound, _degree(o.euler * o.tangent_c) - 1)
+            bound = max(bound, o.codim + _degree(o.tangent_c) - 1)
 
-    basis = problem.ansatz.basis(bound, homogeneous=False)
+    basis = problem.ansatz.basis(bound)
     names = [n for n, _ in basis]
-    polys = [p.extend_vars(problem.all_vars) for _, p in basis]
+    polys = [p for _, p in basis]
+    degrees = [_degree(p) for p in polys]
+    restricted = [[problem.restrict(p, o) for p in polys] for o in problem.orbits]
 
-    columns = [[problem.restrict(p, o) for p in polys] for o in problem.orbits]
     zero = LaurentPoly.zero(problem.all_vars)
-
-    # auxiliary quotient monomials per non-target orbit, in image variables
-    aux_columns = {}
-    for o in problem.orbits:
+    width = len(polys)
+    identities = []
+    for o, values in zip(problem.orbits, restricted):
+        columns = list(enumerate(values))
         if o.name == target:
+            identities.append((columns, target_value))
             continue
-        window = _degree(o.euler * o.tangent_c) - 1 - _degree(o.tangent_c)
+        # phi(P) - tangent_c * Q == 0 with Q an unknown quotient of degree
+        # below codim, in the image variables
+        neg_tangent = -o.tangent_c
         image_vars = sorted({o.phi.get(v, v) for v in problem.ansatz.vars})
-        aux_columns[o.name] = _monomials_up_to(problem.all_vars, image_vars, window)
-
-    unknown_count = len(polys) + sum(len(v) for v in aux_columns.values())
-    aux_offsets = {}
-    off = len(polys)
-    for name, monos in aux_columns.items():
-        aux_offsets[name] = off
-        off += len(monos)
-
-    rows = []
-    rhs = []
-    for idx, o in enumerate(problem.orbits):
-        basis_values = columns[idx]
-        if o.name == target:
-            target_poly = target_value
-            extra = {}
-        else:
-            # phi(P) - tangent_c * Q = 0 with Q an unknown quotient
-            target_poly = zero
-            extra = {aux_offsets[o.name] + k:
-                     -(o.tangent_c * LaurentPoly.monomial(problem.all_vars, mono))
-                     for k, mono in enumerate(aux_columns[o.name])}
-        monomials = set(target_poly.terms)
-        for p in basis_values:
-            monomials.update(p.terms)
-        for p in extra.values():
-            monomials.update(p.terms)
-        for mono in sorted(monomials):
-            row = [0] * unknown_count
-            for j, p in enumerate(basis_values):
-                row[j] = _const(p, mono)
-            for j, p in extra.items():
-                row[j] = _const(p, mono)
-            rows.append(row)
-            rhs.append(_const(target_poly, mono))
-
-    values = solver(rows, rhs)
-    expansion = _as_expansion(names, polys, values[:len(polys)])
-
+        for mono in _monomials_up_to(problem.all_vars, image_vars, o.codim - 1):
+            columns.append((width, neg_tangent.shift(mono)))
+            width += 1
+        identities.append((columns, zero))
+    rows, rhs = _system_from_identities(identities)
+    values = solver(rows, rhs, width=width)[:len(polys)]
+    expansion = _as_expansion(names, polys, values, problem.all_vars)
     restrictions = {o.name: problem.restrict(expansion.poly, o) for o in problem.orbits}
-    fundamental = solve_fundamental(problem, target, solver)
-    low = _degree(fundamental.poly) if not fundamental.poly.is_zero() else 0
-    low_names, low_coeffs = [], []
-    low_polys = []
-    for (name, poly), v in zip(basis, values[:len(polys)]):
-        pd = _degree(poly)
-        if v != 0 and pd == low:
-            low_names.append(name)
-            low_coeffs.append(v)
-            low_polys.append(poly.extend_vars(problem.all_vars))
-    lowest = _as_expansion(low_names, low_polys, low_coeffs) if low_names else \
-        SymmetricExpansion((), LaurentPoly.zero(problem.all_vars))
+
+    fund = [j for j, d in enumerate(degrees) if d == t.codim]
+    fundamental = _fundamental(problem, t, [names[j] for j in fund],
+                               [polys[j] for j in fund],
+                               [[row[j] for j in fund] for row in restricted], solver)
+
+    low = max(_degree(fundamental.poly), 0)
+    low_cols = [j for j, v in enumerate(values) if v != 0 and degrees[j] == low]
+    lowest = _as_expansion([names[j] for j in low_cols], [polys[j] for j in low_cols],
+                           [values[j] for j in low_cols], problem.all_vars)
     return CsmSolution(expansion, restrictions, lowest, fundamental)
 
 

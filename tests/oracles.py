@@ -4,7 +4,10 @@
   the production solver `mcclass.interp.solve_unique_fractions`.  Both
   take dense integer rows and a right-hand side, and return the unique
   solution as Fractions or raise NoSolutionError / NonUniqueError, with
-  the inconsistency check taking precedence.
+  the inconsistency check taking precedence.  The production solver
+  takes sparse rows {column: int} and the width by keyword; the tests
+  compare the two through adapters (`sparse` and `densified` in
+  test_interp.py), so the oracles see dense rows.
 - `ring_descent_step` and `ring_demazure_step`, the exchange operator of
   `mcclass.weightfn.descent_step` and the isobaric Demazure operator of
   `mcclass.weightfn.demazure_step` written with ring products and exact

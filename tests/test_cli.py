@@ -201,6 +201,10 @@ SEGMENT = ('{"vars": ["t1", "t2"], "terms": [{"exp": [-1, 1], "y": [-1]}, '
     (DATA, _bundled_orbits(lambda d: d["orbits"][1].pop("codim"))),
     (DATA, _bundled_orbits(lambda d: d.pop("orbits"))),
     (DATA, _bundled_orbits(lambda d: d.update(orbits=5))),
+    (["interpolate", "--target", "omega1", "--mode", "csm", "--data", FILE],
+     _bundled_orbits(lambda d: d["orbits"][0].update(tangent_c=[{"const": 0}]))),
+    (["interpolate", "--target", "omega2", "--data", FILE],
+     _bundled_orbits(lambda d: d["orbits"][1].update(codim=3))),
     (DATA, None),
     (LIMIT, NO_VARS), (LIMIT, "[1, 2]"), (LIMIT, '{"vars": ['), (LIMIT, None),
     (NEWTON, NO_VARS), (NEWTON, "[1, 2]"), (NEWTON, '{"vars": ['), (NEWTON, None),
@@ -212,6 +216,7 @@ SEGMENT = ('{"vars": ["t1", "t2"], "terms": [{"exp": [-1, 1], "y": [-1]}, '
     (["expand", "--n", "3", "--p", "1,1,2"], None),
     (["limit", "--cocharacter", "abc"], None),
 ], ids=["unknown-target", "orbit-without-codim", "no-orbits", "orbits-not-a-list",
+        "zero-tangent-class", "codim-not-euler-degree",
         "data-missing-file",
         "limit-missing-key", "limit-wrong-type", "limit-bad-json", "limit-missing-file",
         "newton-missing-key", "newton-wrong-type", "newton-bad-json",

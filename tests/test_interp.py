@@ -25,6 +25,23 @@ def coeff_dict(expansion):
     return dict(expansion.coeffs)
 
 
+def sparse(rows):
+    """Dense integer rows as the sparse rows the production solver takes."""
+    return [{c: v for c, v in enumerate(row) if v} for row in rows]
+
+
+def solve_dense(rows, rhs):
+    """The production solver on dense rows, through `sparse`."""
+    return solve_unique_fractions(sparse(rows), rhs, width=len(rows[0]))
+
+
+def densified(oracle):
+    """A dense oracle in the calling convention of the production solver."""
+    def solve(rows, rhs, *, width):
+        return oracle([[row.get(c, 0) for c in range(width)] for row in rows], rhs)
+    return solve
+
+
 # ---------------------------------------------------------------------------
 # linear algebra
 # ---------------------------------------------------------------------------
@@ -33,7 +50,7 @@ def coeff_dict(expansion):
 def test_two_solvers_agree_on_small_system():
     rows = [[2, 1, 0], [1, -1, 1], [0, 3, -2], [1, 1, 1]]
     rhs = [3, 0, 3, 2]
-    a = solve_unique_fractions(rows, rhs)
+    a = solve_dense(rows, rhs)
     b = solve_unique_bareiss(rows, rhs)
     c = solve_unique_gauss_jordan(rows, rhs)
     assert a == b == c == [Fraction(1), Fraction(1), Fraction(0)]
@@ -43,23 +60,27 @@ def test_two_solvers_agree_on_small_system():
 
 def test_inconsistent_system_detected():
     with pytest.raises(NoSolutionError):
-        solve_unique_fractions([[1, 0], [1, 0]], [1, 2])
+        solve_dense([[1, 0], [1, 0]], [1, 2])
 
 
 def test_underdetermined_system_detected():
     with pytest.raises(NonUniqueError):
-        solve_unique_fractions([[1, 1]], [1])
+        solve_dense([[1, 1]], [1])
 
 
 def test_solver_error_contract():
     with pytest.raises(NonUniqueError, match="^no equations$"):
-        solve_unique_fractions([], [])
+        solve_unique_fractions([], [], width=2)
     # inconsistency wins over rank deficiency
     with pytest.raises(NoSolutionError, match="^inconsistent linear system$"):
-        solve_unique_fractions([[1, 1, 0], [2, 2, 0]], [1, 3])
+        solve_dense([[1, 1, 0], [2, 2, 0]], [1, 3])
     with pytest.raises(NonUniqueError, match="^solution space has dimension 2$"):
-        solve_unique_fractions([[0, 0, 0], [1, 2, 3], [2, 4, 6]], [0, 1, 2])
-    assert solve_unique_fractions([[]], [0]) == []
+        solve_dense([[0, 0, 0], [1, 2, 3], [2, 4, 6]], [0, 1, 2])
+    assert solve_dense([[]], [0]) == []
+    # absent columns are zero, and a row may list its columns in any order
+    assert solve_unique_fractions([{1: 2, 0: 1}, {1: 1}], [4, 1], width=2) == [2, 1]
+    with pytest.raises(NonUniqueError, match="^solution space has dimension 1$"):
+        solve_unique_fractions([{0: 1}], [1], width=2)
 
 
 def _outcome(solver, rows, rhs):
@@ -114,7 +135,7 @@ def small_systems(draw):
 @given(small_systems())
 def test_solver_matches_oracles_on_small_systems(system):
     rows, rhs = system
-    got = _outcome(solve_unique_fractions, rows, rhs)
+    got = _outcome(solve_dense, rows, rhs)
     for oracle in ORACLES:
         assert _outcome(oracle, rows, rhs) == got, oracle.__name__
     if isinstance(got, list):
@@ -163,7 +184,7 @@ def test_fundamental_open_orbit_is_one(a2):
 
 def test_fundamental_omega2_dual_solver_oracle(a2):
     a = solve_fundamental(a2, "omega2", solver=solve_unique_fractions)
-    b = solve_fundamental(a2, "omega2", solver=solve_unique_bareiss)
+    b = solve_fundamental(a2, "omega2", solver=densified(solve_unique_bareiss))
     assert a.coeffs == b.coeffs
     # normalization: restriction at omega2 (the identity map) is the Euler class
     o2 = a2.orbit("omega2")
@@ -208,11 +229,17 @@ def test_csm_open_orbit_normalization(a2):
 @pytest.mark.parametrize("target", ["omega0", "omega1", "omega2"])
 def test_csm_matches_oracle_solvers(a2, target, oracle):
     got = solve_csm(a2, target)
-    want = solve_csm(a2, target, solver=oracle)
+    want = solve_csm(a2, target, solver=densified(oracle))
     assert got.expansion.coeffs == want.expansion.coeffs
     assert got.lowest_degree.coeffs == want.lowest_degree.coeffs
     assert got.fundamental.coeffs == want.fundamental.coeffs
     assert got.restrictions == want.restrictions
+
+
+@pytest.mark.parametrize("target", ["omega0", "omega1", "omega2"])
+def test_csm_fundamental_equals_standalone_solve(a2, target):
+    # solve_csm reads the fundamental class off its own restricted basis
+    assert solve_csm(a2, target).fundamental == solve_fundamental(a2, target)
 
 
 def test_csm_report_json(a2):
@@ -227,3 +254,16 @@ def test_euler_zero_rejected():
     vars = ("a1",)
     with pytest.raises(ValueError):
         OrbitSpec("bad", 1, {}, LaurentPoly.zero(vars), LaurentPoly.one(vars))
+
+
+def test_orbit_data_that_cannot_define_the_classes_rejected():
+    from mcclass.interp import OrbitSpec
+    vars = ("a1",)
+    a1 = LaurentPoly.variable(vars, "a1")
+    with pytest.raises(ValueError, match="tangent Chern class must be nonzero"):
+        OrbitSpec("bad", 1, {}, a1, LaurentPoly.zero(vars))
+    with pytest.raises(ValueError, match="homogeneous of degree codim = 2"):
+        OrbitSpec("bad", 2, {}, a1, LaurentPoly.one(vars))
+    with pytest.raises(ValueError, match="homogeneous of degree codim = 1"):
+        OrbitSpec("bad", 1, {}, a1 + 1, LaurentPoly.one(vars))
+    OrbitSpec("good", 1, {}, a1, a1 + 1)
