@@ -10,6 +10,8 @@ violations, 2 means a computation fault or bad input.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import itertools
 import json
 import os
 import sys
@@ -96,14 +98,17 @@ def _load_json_file(path: str, what: str, parse):
         raise CliError(f"malformed {what} {path!r}: {err}")
 
 
-def _emit(text: str, path: str | None) -> None:
-    if path is None:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+def _emit(text, path: str | None) -> None:
+    """Write text, a string or its pieces in order, to path or stdout,
+    ending it with a newline if it does not end with one."""
+    with (open(path, "w", encoding="utf-8") if path is not None
+          else contextlib.nullcontext(sys.stdout)) as fh:
+        last = ""
+        for piece in [text] if isinstance(text, str) else text:
+            fh.write(piece)
+            last = piece or last
+        if not last.endswith("\n"):
+            fh.write("\n")
 
 
 def _report_exit(report: Report) -> int:
@@ -146,15 +151,17 @@ def cmd_weight(args) -> int:
                                    cells=targets)
         if args.kind == "segre":
             dens = {J: c_prime_mu_at(J, spec) for J in points}
-            payload = []
-            for I in targets:
-                entries = [{"point": J.to_json(),
-                            "value": rational_to_json(RationalExpr(table[I][J], dens[J]))}
-                           for J in points]
-                payload.append({"I": I.to_json(), "entries": entries})
-            body = {"mu": list(mu.parts), "kind": args.kind, "classes": payload}
-            _emit(dumps_canonical(body) if args.format == "json"
-                  else _render_segre_tables(payload), args.output)
+            classes = [(I, [(J, RationalExpr(table[I][J], dens[J])) for J in points])
+                       for I in targets]
+            if args.format == "json":
+                payload = [{"I": I.to_json(),
+                            "entries": [{"point": J.to_json(), "value": rational_to_json(r)}
+                                        for J, r in entries]}
+                           for I, entries in classes]
+                _emit(dumps_canonical({"mu": list(mu.parts), "kind": args.kind,
+                                       "classes": payload}), args.output)
+            else:
+                _emit(_render_segre_tables(classes), args.output)
             return 0
         payload = [{"I": I.to_json(), **table[I].to_json()} for I in targets]
         if args.format == "json":
@@ -170,6 +177,9 @@ def cmd_weight(args) -> int:
         return 0
 
     panel = VariablePanel(mu)
+    if args.kind != "plain":
+        c, cp = chern_products(mu, panel)
+        den = c if args.kind == "modified" else cp
     out = []
     for I in targets:
         W = weight_function(I, panel)
@@ -177,8 +187,6 @@ def cmd_weight(args) -> int:
             value = poly_to_json(W)
             text = format_poly(W)
         else:
-            c, cp = chern_products(mu, panel)
-            den = c if args.kind == "modified" else cp
             ratio = RationalExpr(W, den)
             value = rational_to_json(ratio)
             text = f"({format_poly(ratio.num)}) / ({format_poly(ratio.den)})"
@@ -192,15 +200,14 @@ def cmd_weight(args) -> int:
     return 0
 
 
-def _render_segre_tables(payload) -> str:
+def _render_segre_tables(classes) -> str:
+    """Text of [(I, [(J, Segre ratio at J)])]; cells and points print as
+    their block lists."""
     lines = []
-    for cls in payload:
-        lines.append(f"segre class of cell {cls['I']['blocks']}:")
-        for e in cls["entries"]:
-            num = poly_from_json(e["value"]["num"])
-            den = poly_from_json(e["value"]["den"])
-            lines.append(f"  at {e['point']['blocks']}: "
-                         f"({format_poly(num)}) / ({format_poly(den)})")
+    for I, entries in classes:
+        lines.append(f"segre class of cell {I.to_json()['blocks']}:")
+        lines.extend(f"  at {J.to_json()['blocks']}: "
+                     f"({format_poly(r.num)}) / ({format_poly(r.den)})" for J, r in entries)
     return "\n".join(lines)
 
 
@@ -245,12 +252,15 @@ def cmd_expand(args) -> int:
                                                key=lambda kv: (kv[0].length(), kv[0].word))]})
         return dumps_canonical(e.to_json())
 
-    # each cell is rendered as the walk yields it, so only text is held;
-    # the JSON cells are joined the way dumps_canonical joins a list
+    # each cell is rendered as the walk yields it, so only text is held,
+    # and the sorted texts are written one by one, never joined; the JSON
+    # cells are separated the way dumps_canonical joins a list
     printed = sorted(((p.length(), p.word), render(e))
                      for p, e in Expander(args.n).walk(cells))
-    texts = [text for _, text in printed]
-    _emit("[" + ", ".join(texts) + "]" if args.format == "json" else "\n\n".join(texts),
+    sep = ", " if args.format == "json" else "\n\n"
+    body = itertools.chain.from_iterable((sep, text) for _, text in printed)
+    body = itertools.islice(body, 1, None)
+    _emit(itertools.chain(("[",), body, ("]",)) if args.format == "json" else body,
           args.output)
     return 0
 

@@ -7,12 +7,13 @@ equivariant motivic Chern classes of matrix Schubert cells (plain) and
 of flag-variety Schubert cells (modified, after division by a Chern
 product).
 
-localization_table takes one route for every composition.  The
-full-flag rows come from a descent-edge recursion: seeded with the
-closed-form row of the point cell, it walks the weak order downward
-with a two-term exchange operator.  A partial flag pushes the full-flag
-row of the longest word over each cell forward along G/B -> G/P with
-isobaric Demazure steps; only the rows it reads are built.
+localization_table takes one route for every composition, and one
+division kernel, the isobaric Demazure operator pi_i.  The full-flag
+rows come from a descent-edge recursion: seeded with the closed-form
+row of the point cell, it walks the weak order downward with the
+Demazure-Lusztig operator T_i = (1 + y*beta) pi_i - 1.  A partial flag
+pushes the full-flag row of the longest word over each cell forward
+along G/B -> G/P with pi_i itself; only the rows it reads are built.
 restriction_direct evaluates the symmetrization at one fixed point;
 the test suite builds its oracle tables from it.
 """
@@ -22,7 +23,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from operator import add, neg, sub
+from operator import add, neg
 from typing import Mapping, Sequence
 
 from .combi import (Composition, IndexTuple, Permutation, enumerate_index_tuples,
@@ -464,69 +465,51 @@ class LocalizedClass:
                             for p in points]}
 
 
-# The full-flag exchange operator acts on MODIFIED localization rows.
-# For the modified row f of a cell w with a descent edge w -> w*s_i
-# (codimension drops by one), the row of w*s_i is, writing
-# A = tau_{v(i)}, B = tau_{v(i+1)}:
-#     g(v) = A*((1 + y*A/B) * f(v*s_i) - (1 + y) * f(v)) / (A - B).
-# The two-term shape and the coefficients are pinned by exact comparison
-# with the direct symmetrization for n <= 4 in the test suite.  The
-# operator does not commute with the pointwise c_mu multipliers, so it
-# is wrong on plain rows; plain tables multiply c_mu back at the end.
+# The full-flag descent step acts on MODIFIED localization rows.  For the
+# modified row f of a cell w with a descent edge w -> w*s_i (codimension
+# drops by one), the row of w*s_i is T_i f, with the Demazure-Lusztig
+# operator T_i = (1 + y*beta) pi_i - 1 built on the isobaric Demazure
+# operator pi_i of demazure_step, beta = tau_{v(i)}/tau_{v(i+1)} at the
+# point v (Aluffi-Mihalcea-Schuermann-Su, arXiv:1902.10101).  Written out,
+#     (T_i f)(v) = beta*((1 + y) f(v) - (1 + y*beta) f(v*s_i)) / (1 - beta).
+# The operator is pinned by exact comparison with the direct
+# symmetrization for n <= 4 in the test suite.  It does not commute with
+# the pointwise c_mu multipliers, so it is wrong on plain rows; plain
+# tables multiply c_mu back at the end.
 
 
 def descent_step(row: Mapping[Permutation, LaurentPoly], i: int,
                  spec: TorusSpecialization) -> dict:
-    """The exchange operator on a modified row, by exponent shifts.
+    """T_i f = (1 + y*beta) pi_i f - f on a modified row f.
 
-    With tau^D = A/B in the spec's exponents, A - B = B*(tau^D - 1), so
-    g(v) = Z / (tau^D - 1) with
-
-        Z = tau^D f(v*s_i) + y tau^2D f(v*s_i) - (1 + y) tau^D f(v),
-
-    divided along lines of exponents by _line_quotient: no ring product
-    and no long division is made.
+    pi_i f divides once per pair v, v*s_i (demazure_step); the factor
+    1 + y*tau^D and the subtraction of f(v) are applied in one pass of
+    exponent shifts per point, with tau^D = beta in the spec's exponents.
     """
-    out = {}
-    for v, fv in row.items():
-        out[v] = _exchange(row[v.swap_positions(i)], fv,
-                           spec.ratio_exp(v(i), v(i + 1)), spec.tau_exp(v(i + 1)))
-    return out
+    q = demazure_step(row, i, spec)
+    return {v: _demazure_lusztig(q[v], fv, spec.ratio_exp(v(i), v(i + 1)))
+            for v, fv in row.items()}
 
 
-def _exchange(fvs: LaurentPoly, fv: LaurentPoly, D: tuple, b: tuple) -> LaurentPoly:
-    """g(v) of descent_step from f(v*s_i), f(v), D and the exponent b of B."""
-    width = 1 + max(map(len, itertools.chain(fvs.terms.values(), fv.terms.values())),
+def _demazure_lusztig(q: LaurentPoly, fv: LaurentPoly, D: tuple) -> LaurentPoly:
+    """(T_i f)(v) = (1 + y*tau^D) q - f(v) of descent_step, from q = (pi_i f)(v)."""
+    width = 1 + max(map(len, itertools.chain(q.terms.values(), fv.terms.values())),
                     default=0)
-    acc: dict = {}
-    get = acc.get
-    for e, c in fvs.terms.items():
+    acc = {e: tuple(map(neg, c)) + (0,) * (width - len(c)) for e, c in fv.terms.items()}
+    for e, c in q.terms.items():
         cp = c + (0,) * (width - len(c))
-        e1 = tuple(map(add, e, D))
-        for key, u in ((e1, cp), (tuple(map(add, e1, D)), (0,) + cp[:-1])):
-            old = get(key)
-            acc[key] = u if old is None else tuple(map(add, old, u))
-    for e, c in fv.terms.items():
-        cp = c + (0,) * (width - len(c))
-        u = tuple(map(sub, map(neg, cp), (0,) + cp[:-1]))
-        key = tuple(map(add, e, D))
-        old = get(key)
-        acc[key] = u if old is None else tuple(map(add, old, u))
-
-    terms, stray = _line_quotient(acc, D, width, negate=True)
-    if stray:
-        stray = {tuple(map(add, e, b)): u for e, u in stray.items()}
-        raise NonDivisibleError("exchange numerator not divisible by A - B",
-                                remainder=LaurentPoly(fv.vars, stray))
-    return LaurentPoly._from_trimmed(fv.vars, terms)
+        for key, u in ((e, cp), (tuple(map(add, e, D)), (0,) + cp[:-1])):
+            acc[key] = tuple(map(add, acc[key], u)) if key in acc else u
+    return LaurentPoly._from_trimmed(fv.vars,
+                                     {e: t for e, u in acc.items() if (t := yp_trim(u))})
 
 
-def _line_quotient(acc: dict, D: tuple, width: int, negate: bool):
-    """Divide sum_e acc[e] tau^e (y-tuples padded to width) by 1 - tau^D,
-    or by tau^D - 1 if negate.  Along a line m + kD the numerator
-    coefficient at k is q_k - q_(k-1), so q_k is the prefix sum up to k.
-    Returns the quotient terms and {last exponent: sum} of the lines that
-    do not sum to zero: the division is exact iff there is none."""
+def _line_quotient(acc: dict, D: tuple, width: int):
+    """Divide sum_e acc[e] tau^e (y-tuples padded to width) by 1 - tau^D.
+    Along a line m + kD the numerator coefficient at k is q_k - q_(k-1),
+    so q_k is the prefix sum up to k.  Returns the quotient terms and
+    {last exponent: sum} of the lines that do not sum to zero: the
+    division is exact iff there is none."""
     p = next((k for k, d in enumerate(D) if d), None)
     if p is None:
         raise ZeroDenominatorError("division by 1 - tau^D across equal torus images")
@@ -543,7 +526,7 @@ def _line_quotient(acc: dict, D: tuple, width: int, negate: bool):
         run, last = zero, points[0][0]
         for k, u in points:
             if run != zero:
-                q = yp_trim(tuple(map(neg, run)) if negate else run)
+                q = yp_trim(run)
                 for j in range(last, k):
                     terms[tuple(x + j * y for x, y in zip(base, D))] = q
             run, last = tuple(map(add, run, u)), k
@@ -579,7 +562,7 @@ def full_flag_rows(n: int, spec: TorusSpecialization | None = None, cells=None):
     (default: every permutation), each as soon as it is built.
 
     Seeded with the closed-form row of the point cell; every other row
-    is produced by one exchange step per descent edge, walking the weak
+    is produced by one descent step T_i per descent edge, walking the weak
     order depth-first (tree_walk) through the rows that cells need.
     """
     if spec is None:
@@ -596,7 +579,8 @@ def demazure_step(row: Mapping[Permutation, LaurentPoly], i: int,
 
     Evaluated at the points at (default: all of row), whose v s_i row
     must hold too.  The value at v s_i is the same, so each pair is
-    computed once, by exponent shifts as in descent_step.
+    computed once, by exponent shifts and prefix sums (_line_quotient):
+    no ring product and no long division is made.
     """
     out = {}
     for v in (row if at is None else at):
@@ -614,7 +598,7 @@ def _isobaric(fv: LaurentPoly, fvs: LaurentPoly, D: tuple) -> LaurentPoly:
     for e, c in fvs.terms.items():
         key, u = tuple(map(add, e, D)), tuple(map(neg, c)) + (0,) * (width - len(c))
         acc[key] = tuple(map(add, acc[key], u)) if key in acc else u
-    terms, stray = _line_quotient(acc, D, width, negate=False)
+    terms, stray = _line_quotient(acc, D, width)
     if stray:
         raise NonDivisibleError("Demazure numerator not divisible by 1 - beta",
                                 remainder=LaurentPoly(fv.vars, stray))

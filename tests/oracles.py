@@ -8,10 +8,12 @@
   takes sparse rows {column: int} and the width by keyword; the tests
   compare the two through adapters (`sparse` and `densified` in
   test_interp.py), so the oracles see dense rows.
-- `ring_descent_step` and `ring_demazure_step`, the exchange operator of
-  `mcclass.weightfn.descent_step` and the isobaric Demazure operator of
-  `mcclass.weightfn.demazure_step` written with ring products and exact
-  division.
+- `ring_descent_step` and `ring_demazure_step`, written with ring
+  products and exact division.  `ring_descent_step` is the exchange
+  formula, an independent form of the Demazure-Lusztig operator
+  T_i = (1 + y*beta) pi_i - 1 that `mcclass.weightfn.descent_step`
+  builds on the isobaric Demazure operator pi_i; `ring_demazure_step`
+  is pi_i itself, the operator of `mcclass.weightfn.demazure_step`.
 - `direct_table` and `modified_restriction_direct`, localization by
   direct symmetrization at each fixed point, the oracle of
   `mcclass.weightfn.localization_table` for every composition.

@@ -114,6 +114,7 @@ def test_criterion_5_interpolation():
         assert sol.lowest_matches_fundamental
 
 
+@pytest.mark.slow
 def test_criterion_6_axiom_suite(n4_table):
     with criterion(6, "axioms (normalization, divisibility, support, strict smallness), n in {2,3,4}"):
         t0 = time.time()
@@ -135,6 +136,7 @@ def test_criterion_6_axiom_suite(n4_table):
         assert time.time() - t0 < 180
 
 
+@pytest.mark.slow
 def test_criterion_7_additivity(n4_table):
     with criterion(7, "additivity of modified rows against the ambient class, n <= 4"):
         for n in (1, 2, 3):

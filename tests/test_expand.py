@@ -254,6 +254,7 @@ def expander5():
     return Expander(5)
 
 
+@pytest.mark.slow
 def test_left_step_spot_checks_n5(expander5):
     # one ring-formula step from the production parent; (1,3,4,5,2) has
     # length 3, and its parent carries 912 terms

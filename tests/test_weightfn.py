@@ -9,6 +9,7 @@ from mcclass.combi import (Composition, IndexTuple, Permutation, closure_leq,
                            enumerate_index_tuples, weak_order_walk)
 from mcclass.ring import (LaurentPoly, NonDivisibleError, RationalExpr, exact_divide,
                           poly_from_json, poly_to_json)
+import mcclass.weightfn
 from mcclass.weightfn import (PSI_EQUAL, PSI_GREATER, PSI_LESS, TorusSpecialization,
                               VariablePanel, c_mu_at, c_prime_mu_at, chern_products,
                               demazure_step, descent_step, full_flag_rows,
@@ -235,6 +236,7 @@ def test_recursion_matches_direct_n4():
         assert direct[I].table == rec[I].table
 
 
+@pytest.mark.slow
 def test_recursion_matches_direct_one_parameter_spot_n5():
     # honest spot check of the fast route at n = 5: a few direct entries,
     # two of them in the closed-form row of the point cell
@@ -275,7 +277,9 @@ def test_point_cell_row_matches_direct(n, torus):
 
 @pytest.mark.parametrize("torus", sorted(TORI))
 @pytest.mark.parametrize("parts", [(2,), (3,), (1, 2), (2, 1), (4,), (1, 3), (3, 1),
-                                   (2, 2), (1, 1, 2), (1, 2, 1), (2, 1, 1)])
+                                   (2, 2), (1, 1, 2),
+                                   pytest.param((1, 2, 1), marks=pytest.mark.slow),
+                                   pytest.param((2, 1, 1), marks=pytest.mark.slow)])
 def test_pushforward_matches_direct(parts, torus):
     mu = Composition(parts)
     spec = TORI[torus](mu.n)
@@ -316,6 +320,7 @@ def test_recursive_rows_of_some_cells():
             assert rows[w] == whole[w], w
 
 
+@pytest.mark.slow
 @pytest.mark.parametrize("parts", [(2, 2, 1), (1, 4), (2, 3)])
 def test_pushforward_spot_checks_n5(parts):
     # the row of the open cell and the whole diagonal
@@ -384,6 +389,25 @@ def test_demazure_step_matches_ring_oracle(inputs):
     assert got == _step_outcome(ring_demazure_step, row, i, spec)
 
 
+def test_descent_step_divides_once_per_pair(monkeypatch):
+    # T_i = (1 + y*beta) pi_i - 1 divides once per pair v, v*s_i: n!/2 = 12
+    # line quotients at n = 4, where one division per point would make 24
+    calls = []
+    quotient = mcclass.weightfn._line_quotient
+
+    def counted(*args):
+        calls.append(args)
+        return quotient(*args)
+
+    monkeypatch.setattr(mcclass.weightfn, "_line_quotient", counted)
+    spec = TorusSpecialization.standard(4)
+    row = point_cell_row(4, spec)
+    got = descent_step(row, 2, spec)
+    assert len(calls) == 12
+    assert got == ring_descent_step(row, 2, spec)
+
+
+@pytest.mark.slow
 def test_descent_step_spot_checks_n5():
     # steps of the production one-parameter table at n = 5, from the top of
     # the weak order down to the last step, which yields the identity's row
