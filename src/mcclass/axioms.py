@@ -18,8 +18,8 @@ from typing import Mapping
 from .combi import Composition, IndexTuple, closure_leq
 from .newton import LatticePolytope, is_vertex, minkowski_sum, newton_polytope, polytope_contained
 from .report import Report, ReportEntry
-from .ring import (LaurentPoly, NonDivisibleError, RationalExpr, YP_ONE_PLUS_Y,
-                   divisible_by_y_binomials, exact_divide)
+from .ring import (LaurentPoly, NonDivisibleError, RationalExpr, YP_ONE_PLUS_Y, YP_ZERO,
+                   divisible_by_y_binomials, exact_divide, yp_add)
 from .weightfn import (TorusSpecialization, c_mu_factors, c_prime_mu_factors,
                        chern_factor_product, localization_table)
 
@@ -258,9 +258,11 @@ def check_additivity(mu, table: Mapping | None = None,
     report = Report("additivity")
     points = list(table)
     for J in points:
-        total = spec.zero()
+        terms: dict = {}
         for I in points:
-            total = total + table[I][J]
+            for e, c in table[I][J].terms.items():
+                terms[e] = yp_add(terms.get(e, YP_ZERO), c)
+        total = LaurentPoly(spec.vars, terms)
         expected = orbit_local_data(J).ck_full(spec)
         report.add(ReportEntry(pair=(None, str(J)), check="additivity",
                                ok=(total == expected),

@@ -408,7 +408,8 @@ def cmd_newton(args) -> int:
         _emit(svg, args.svg or args.output)
         return 0
     if args.klass:
-        P = newton_polytope(_load_json_file(args.klass, "class file", poly_from_json))
+        P = _load_json_file(args.klass, "class file",
+                            lambda obj: newton_polytope(poly_from_json(obj)))
         if args.contains:
             x = _parse_point(args.contains, P.dim)
             inside = contains_point(P, x)

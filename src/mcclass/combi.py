@@ -81,6 +81,13 @@ class IndexTuple:
             out.append(tuple(acc))
         return tuple(out)
 
+    @cached_property
+    def rank_table(self) -> tuple:
+        """Counts #{i in I^{(p)} : i > n - q} for all p, q; drives the closure order."""
+        n = self.mu.n
+        return tuple(tuple(sum(1 for i in union if i > n - q) for q in range(1, n + 1))
+                     for union in self.unions)
+
     def to_permutation(self) -> "Permutation":
         if not self.mu.is_full_flag():
             raise ValueError("only full-flag tuples correspond to permutations")
@@ -253,16 +260,6 @@ def length(I: IndexTuple) -> int:
     return count
 
 
-def rank_table(I: IndexTuple) -> tuple:
-    """Counts #{i in I^{(p)} : i > n - q} for all p, q; drives the closure order."""
-    n = I.mu.n
-    out = []
-    for union in I.unions:
-        row = tuple(sum(1 for i in union if i > n - q) for q in range(1, n + 1))
-        out.append(row)
-    return tuple(out)
-
-
 def closure_leq(I: IndexTuple, J: IndexTuple) -> bool:
     """True when the cell of J lies in the closure of the cell of I.
 
@@ -271,8 +268,8 @@ def closure_leq(I: IndexTuple, J: IndexTuple) -> bool:
     """
     if I.mu != J.mu:
         raise ValueError("index tuples over different compositions")
-    ri, rj = rank_table(I), rank_table(J)
-    return all(a <= b for rowi, rowj in zip(ri, rj) for a, b in zip(rowi, rowj))
+    return all(a <= b for rowi, rowj in zip(I.rank_table, J.rank_table)
+               for a, b in zip(rowi, rowj))
 
 
 def bruhat_leq(u: Permutation, v: Permutation) -> bool:

@@ -1,9 +1,13 @@
-"""Lattice polytopes from Laurent supports, with an exact integer LP.
+"""Lattice polytopes from Laurent supports, with exact H-representations.
 
-A polytope is stored as its generator set (deduplicated integer
-vectors); the convex hull is never materialized.  Membership and
-containment questions are decided by a phase-one simplex on a
-fraction-free integer tableau (a rational query point is scaled to
+A polytope is given by its generator set (deduplicated integer
+vectors).  The first question that needs its facets computes its exact
+integer H-representation once and caches it: the equalities of the
+affine hull, and the facets of the polytope projected onto the pivot
+coordinates of the hull, found by the double description method
+(Motzkin; Fukuda and Prodon, "Double description method revisited",
+1996).  Membership, containment and vertex questions are then integer
+dot products against those rows (a rational query point is scaled to
 integers once), so every answer is exact, never a float heuristic.
 """
 
@@ -11,7 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 from .ring import LaurentPoly
@@ -22,8 +28,24 @@ class ZeroPolynomialError(ValueError):
 
 
 @dataclass(frozen=True)
+class HRepresentation:
+    """conv(generators) as {x : u.x = c for every (u, c) in equalities,
+    a.(x at pivots) <= b for every (a, b) in facets}, all integers.
+
+    Projecting onto the pivot coordinates is injective on the affine
+    hull, so the projected polytope is full-dimensional there and its
+    facets are unique up to a positive factor; each is primitive.
+    """
+
+    pivots: tuple
+    equalities: tuple
+    facets: tuple
+
+
+@dataclass(frozen=True)
 class LatticePolytope:
-    """Finite set of integer generator vectors; hull implicit."""
+    """Finite set of integer generator vectors; the H-representation is
+    computed on first use and cached."""
 
     dim: int
     points: tuple
@@ -42,6 +64,19 @@ class LatticePolytope:
     def to_json(self) -> dict:
         return {"dim": self.dim, "points": [list(p) for p in self.points]}
 
+    @cached_property
+    def point_set(self) -> frozenset:
+        return frozenset(self.points)
+
+    @cached_property
+    def box(self) -> tuple:
+        """Per coordinate, the least and greatest generator entry."""
+        return tuple((min(col), max(col)) for col in zip(*self.points))
+
+    @cached_property
+    def hrep(self) -> HRepresentation:
+        return _h_representation(self.points, self.dim)
+
 
 def newton_polytope(p: LaurentPoly) -> LatticePolytope:
     """Generators are the exponent vectors of the support; the parameter
@@ -59,100 +94,173 @@ def minkowski_sum(A: LatticePolytope, B: LatticePolytope) -> LatticePolytope:
 
 
 # ---------------------------------------------------------------------------
-# Exact feasibility: is x a convex combination of the generators?
+# Exact H-representation: affine hull, then double description
 # ---------------------------------------------------------------------------
 
 
-def _convex_feasible(gens: Sequence[Sequence[int]], x: Sequence[Fraction]) -> bool:
-    """Phase one of the simplex method with Bland's rule, on a
-    fraction-free integer tableau: x is a convex combination of gens
-    exactly when the artificial variables can all be driven to zero.
+def _primitive(v: list) -> list:
+    g = gcd(*v)
+    return v if g <= 1 else [a // g for a in v]
 
-    The coordinate rows are scaled once by the lcm of the denominators
-    of x.  Each row is kept up to a positive factor: a pivot replaces a
-    row by piv*row - f*pivot_row (piv > 0) and divides it by the gcd of
-    its entries, so the signs, and with them every choice the rule
-    makes, are those of the rational tableau of the scaled system.
-    """
-    m = len(x) + 1
-    n = len(gens)
-    if n == 0:
-        return False
 
-    scale = lcm(*(v.denominator for v in x))
-    rows = []
-    for i in range(m):
-        if i < m - 1:
-            row = [g[i] * scale for g in gens]
-            rhs = int(x[i] * scale)
-        else:
-            row = [1] * n
-            rhs = 1
-        if rhs < 0:
+def _reduced_basis(rows: Iterable[Sequence[int]], ncols: int) -> dict:
+    """{pivot column: row}, an integer basis of the span of rows in
+    reduced echelon form: each row is primitive, positive at its pivot
+    and zero at every other row's pivot."""
+    basis: dict = {}
+    for row in rows:
+        row = list(row)
+        for c, b in basis.items():
+            if row[c]:
+                row = _primitive([b[c] * v - row[c] * w for v, w in zip(row, b)])
+        c = next((k for k in range(ncols) if row[k]), None)
+        if c is None:
+            continue
+        if row[c] < 0:
             row = [-v for v in row]
-            rhs = -rhs
-        art = [0] * m
-        art[i] = 1
-        rows.append(row + art + [rhs])
-    ncols = n + m
-    basis = [n + i for i in range(m)]
+        for k, b in basis.items():
+            if b[c]:
+                basis[k] = _primitive([row[c] * v - b[c] * w for v, w in zip(b, row)])
+        basis[c] = row
+    return basis
 
-    obj = [-sum(row[j] for row in rows) for j in range(n)] + [0] * m
-    obj.append(-sum(row[ncols] for row in rows))
 
-    while True:
-        enter = next((j for j in range(ncols) if obj[j] < 0), -1)
-        if enter < 0:
-            break
-        # ratio test rhs/a over a > 0, compared by cross-multiplying
-        leave = -1
-        for i, row in enumerate(rows):
-            a = row[enter]
-            if a > 0:
-                if leave < 0:
-                    leave = i
+def _null_space(basis: dict, ncols: int) -> list:
+    """Primitive integer vectors u spanning {u : row.u = 0 for every row
+    of the reduced basis}, one per non-pivot column."""
+    scale = lcm(*(row[c] for c, row in basis.items()))
+    out = []
+    for f in range(ncols):
+        if f in basis:
+            continue
+        u = [0] * ncols
+        u[f] = scale
+        for c, row in basis.items():
+            u[c] = -row[f] * (scale // row[c])
+        out.append(tuple(_primitive(u)))
+    return out
+
+
+def _h_representation(points: Sequence[tuple], dim: int) -> HRepresentation:
+    # the differences p - p0 span the hull's direction; a difference that
+    # the current normals u already annihilate adds nothing to it
+    p0 = points[0]
+    basis: dict = {}
+    normals = _null_space(basis, dim)
+    for p in points[1:]:
+        d = tuple(a - b for a, b in zip(p, p0))
+        if any(_dot(u, d) for u in normals):
+            basis = _reduced_basis([*basis.values(), d], dim)
+            normals = _null_space(basis, dim)
+    pivots = tuple(sorted(basis))
+    equalities = tuple((u, _dot(u, p0)) for u in normals)
+    projected = sorted({tuple(p[c] for c in pivots) for p in points})
+    return HRepresentation(pivots, equalities, _facets(projected))
+
+
+def _facets(pts: list) -> tuple:
+    """The facets (a, b), a.q <= b, of conv(pts), a full-dimensional
+    polytope in Z^r, by double description on the pointed cone
+    {(a, b) : a.q <= b for every q}, whose extreme rays are the facets.
+
+    A ray v = (a, b) has slack v.(-q, 1) = b - a.q at q.  The cone
+    starts as that of a simplex of pts and takes the other points in
+    turn, farthest from the centroid first, so that the early hulls are
+    large and most later points leave the rays unchanged.  A new ray
+    comes only from an adjacent pair of rays on the two sides of the new
+    point: no third ray is tight wherever both are (the combinatorial
+    test, on zero sets held as int bitmasks).
+    """
+    r = len(pts[0])
+    if r == 0:
+        return ()
+    m = len(pts)
+    total = [sum(col) for col in zip(*pts)]
+    order = sorted(pts, key=lambda q: (-sum((m * v - t) ** 2 for v, t in zip(q, total)), q))
+    simplex = [order[0]]
+    for q in order[1:]:
+        diffs = [tuple(a - b for a, b in zip(s, order[0])) for s in simplex[1:] + [q]]
+        if len(_reduced_basis(diffs, r)) == len(diffs):
+            simplex.append(q)
+            if len(simplex) == r + 1:
+                break
+    rest = [q for q in order if q not in simplex]
+    lifted = [tuple(-v for v in q) + (1,) for q in simplex + rest]
+
+    rays = []
+    zeros = []
+    for j, qj in enumerate(simplex):
+        face = [q for q in simplex if q != qj]
+        (a,) = _null_space(_reduced_basis(
+            [tuple(x - y for x, y in zip(q, face[0])) for q in face[1:]], r), r)
+        v = a + (_dot(a, face[0]),)
+        if _dot(v, lifted[j]) < 0:
+            v = tuple(-x for x in v)
+        rays.append(v)
+        zeros.append(((1 << (r + 1)) - 1) ^ (1 << j))
+
+    least = r - 1  # the rank a common zero set of adjacent rays needs
+    for k in range(r + 1, len(lifted)):
+        h = lifted[k]
+        bit = 1 << k
+        slack = [_dot(v, h) for v in rays]
+        neg = [(v, s, z) for v, s, z in zip(rays, slack, zeros) if s < 0]
+        new = []
+        for vi, si, zi in zip(rays, slack, zeros) if neg else ():
+            if si <= 0:
+                continue
+            for vj, sj, zj in neg:
+                common = zi & zj
+                # distinct extreme rays have distinct zero sets
+                if common.bit_count() < least or any(
+                        (z & common) == common and z != zi and z != zj for z in zeros):
                     continue
-                lhs = row[ncols] * rows[leave][enter]
-                best = rows[leave][ncols] * a
-                if lhs < best or (lhs == best and basis[i] < basis[leave]):
-                    leave = i
-        if leave < 0:
-            # unbounded phase-one objective cannot happen; defensive
-            return False
-        pivot_row = rows[leave]
-        piv = pivot_row[enter]
-        for i, row in enumerate(rows):
-            f = row[enter]
-            if i != leave and f != 0:
-                rows[i] = _eliminate(row, pivot_row, piv, f)
-        obj = _eliminate(obj, pivot_row, piv, obj[enter])
-        basis[leave] = enter
-
-    return obj[ncols] == 0
+                new.append((tuple(_primitive([si * x - sj * y for x, y in zip(vj, vi)])),
+                            common | bit))
+        kept = [(v, z | bit if s == 0 else z)
+                for v, s, z in zip(rays, slack, zeros) if s >= 0] + new
+        rays = [v for v, _ in kept]
+        zeros = [z for _, z in kept]
+    return tuple(sorted((v[:-1], v[-1]) for v in rays))
 
 
-def _eliminate(row: list, pivot_row: list, piv: int, f: int) -> list:
-    """piv*row - f*pivot_row divided by the gcd of its entries."""
-    out = [piv * a - f * b for a, b in zip(row, pivot_row)]
-    g = gcd(*out)
-    return out if g <= 1 else [v // g for v in out]
+def _dot(u: Sequence[int], v: Sequence[int]) -> int:
+    return sum(map(mul, u, v))
+
+
+# ---------------------------------------------------------------------------
+# Queries against the cached representation
+# ---------------------------------------------------------------------------
+
+
+def _scaled(x: Sequence) -> tuple:
+    """(s, s*x) with s the lcm of the denominators of x, so that s*x is
+    an integer vector; s = 1 for an integer x, which skips Fraction."""
+    if all(type(v) is int for v in x):
+        return 1, tuple(x)
+    x = tuple(Fraction(v) for v in x)
+    s = lcm(*(v.denominator for v in x))
+    return s, tuple(int(v * s) for v in x)
 
 
 def contains_point(P: LatticePolytope, x: Sequence) -> bool:
     """Exact test x in conv(P.points); x may have rational coordinates."""
-    x = tuple(Fraction(v) for v in x)
+    x = tuple(x)
     if len(x) != P.dim:
         raise ValueError("dimension mismatch in contains_point")
     if not P.points:
         return False
-    if x in P.points:
+    s, X = _scaled(x)
+    if s == 1 and X in P.point_set:
         return True
-    # cheap bounding-box refutation before the simplex
-    for k in range(P.dim):
-        col = [p[k] for p in P.points]
-        if x[k] < min(col) or x[k] > max(col):
+    for v, (lo, hi) in zip(X, P.box):
+        if not lo * s <= v <= hi * s:
             return False
-    return _convex_feasible(P.points, x)
+    H = P.hrep
+    if any(_dot(u, X) != c * s for u, c in H.equalities):
+        return False
+    Xp = [X[c] for c in H.pivots]
+    return all(_dot(a, Xp) <= b * s for a, b in H.facets)
 
 
 def polytope_contained(A: LatticePolytope, B: LatticePolytope) -> bool:
@@ -163,13 +271,17 @@ def polytope_contained(A: LatticePolytope, B: LatticePolytope) -> bool:
 
 
 def is_vertex(P: LatticePolytope, x: Sequence[int]) -> bool:
-    """True when x is a generator outside the hull of the remaining
-    generators; a point that is not a generator is never a vertex."""
+    """True when x is a vertex of conv(P.points): a generator at which
+    the tight facets have rank equal to the affine dimension.  A
+    one-point polytope's point is a vertex; a point that is not a
+    generator is never one."""
     x = tuple(int(v) for v in x)
-    if x not in P.points:
+    if x not in P.point_set:
         return False
-    rest = [p for p in P.points if p != x]
-    return not rest or not contains_point(LatticePolytope(P.dim, rest), x)
+    H = P.hrep
+    xp = [x[c] for c in H.pivots]
+    tight = [a for a, b in H.facets if _dot(a, xp) == b]
+    return len(_reduced_basis(tight, len(xp))) == len(xp)
 
 
 # ---------------------------------------------------------------------------

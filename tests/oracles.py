@@ -17,14 +17,20 @@
 - `direct_table` and `modified_restriction_direct`, localization by
   direct symmetrization at each fixed point, the oracle of
   `mcclass.weightfn.localization_table` for every composition.
+- `convex_feasible`, a phase-one simplex on a fraction-free integer
+  tableau, and `lp_contains` and `lp_is_vertex` built on it: the oracles
+  of `mcclass.newton.contains_point` and `is_vertex`, which answer from
+  the cached H-representation of the polytope.
 """
 
 import functools
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Mapping, Sequence
 
 from mcclass.combi import Composition, IndexTuple, Permutation, enumerate_index_tuples
 from mcclass.interp import NonUniqueError, NoSolutionError
+from mcclass.newton import LatticePolytope
 from mcclass.ring import YP_ONE_PLUS_Y, LaurentPoly, exact_divide
 from mcclass.weightfn import LocalizedClass, TorusSpecialization, c_mu_at, restriction_direct
 
@@ -176,3 +182,93 @@ def _direct_table(mu: Composition, modified: bool, spec: TorusSpecialization) ->
     points = enumerate_index_tuples(mu)
     return {I: LocalizedClass(mu, {J: restrict(I, J, spec) for J in points})
             for I in points}
+
+
+
+
+
+def convex_feasible(gens: Sequence[Sequence[int]], x: Sequence[Fraction]) -> bool:
+    """Phase one of the simplex method with Bland's rule, on a
+    fraction-free integer tableau: x is a convex combination of gens
+    exactly when the artificial variables can all be driven to zero.
+
+    The coordinate rows are scaled once by the lcm of the denominators
+    of x.  Each row is kept up to a positive factor: a pivot replaces a
+    row by piv*row - f*pivot_row (piv > 0) and divides it by the gcd of
+    its entries, so the signs, and with them every choice the rule
+    makes, are those of the rational tableau of the scaled system.
+    """
+    m = len(x) + 1
+    n = len(gens)
+    if n == 0:
+        return False
+
+    scale = lcm(*(v.denominator for v in x))
+    rows = []
+    for i in range(m):
+        if i < m - 1:
+            row = [g[i] * scale for g in gens]
+            rhs = int(x[i] * scale)
+        else:
+            row = [1] * n
+            rhs = 1
+        if rhs < 0:
+            row = [-v for v in row]
+            rhs = -rhs
+        art = [0] * m
+        art[i] = 1
+        rows.append(row + art + [rhs])
+    ncols = n + m
+    basis = [n + i for i in range(m)]
+
+    obj = [-sum(row[j] for row in rows) for j in range(n)] + [0] * m
+    obj.append(-sum(row[ncols] for row in rows))
+
+    while True:
+        enter = next((j for j in range(ncols) if obj[j] < 0), -1)
+        if enter < 0:
+            break
+        # ratio test rhs/a over a > 0, compared by cross-multiplying
+        leave = -1
+        for i, row in enumerate(rows):
+            a = row[enter]
+            if a > 0:
+                if leave < 0:
+                    leave = i
+                    continue
+                lhs = row[ncols] * rows[leave][enter]
+                best = rows[leave][ncols] * a
+                if lhs < best or (lhs == best and basis[i] < basis[leave]):
+                    leave = i
+        if leave < 0:
+            # unbounded phase-one objective cannot happen; defensive
+            return False
+        pivot_row = rows[leave]
+        piv = pivot_row[enter]
+        for i, row in enumerate(rows):
+            f = row[enter]
+            if i != leave and f != 0:
+                rows[i] = _eliminate(row, pivot_row, piv, f)
+        obj = _eliminate(obj, pivot_row, piv, obj[enter])
+        basis[leave] = enter
+
+    return obj[ncols] == 0
+
+
+def _eliminate(row: list, pivot_row: list, piv: int, f: int) -> list:
+    """piv*row - f*pivot_row divided by the gcd of its entries."""
+    out = [piv * a - f * b for a, b in zip(row, pivot_row)]
+    g = gcd(*out)
+    return out if g <= 1 else [v // g for v in out]
+
+
+def lp_contains(P: LatticePolytope, x: Sequence) -> bool:
+    """x in conv(P.points) by the simplex alone, for rational x."""
+    return convex_feasible(P.points, tuple(Fraction(v) for v in x))
+
+
+def lp_is_vertex(P: LatticePolytope, x: Sequence[int]) -> bool:
+    """x is a generator outside the hull of the remaining generators."""
+    x = tuple(x)
+    rest = [p for p in P.points if p != x]
+    return x in P.points and (not rest or not convex_feasible(rest, x))

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from mcclass.axioms import (OrbitLocalData, Weight, check_additivity,
@@ -9,7 +11,7 @@ from mcclass.combi import Composition, IndexTuple, Permutation, enumerate_index_
 from mcclass.newton import newton_polytope, is_vertex
 from mcclass.ring import LaurentPoly, exact_divide, format_poly
 from mcclass.weightfn import LocalizedClass, TorusSpecialization, c_mu_at, localization_table
-from oracles import direct_table
+from oracles import direct_table, lp_contains, lp_is_vertex
 
 
 def test_orbit_local_data_n2():
@@ -62,6 +64,36 @@ def test_axiom_suite_small(n):
 def test_axiom_suite_n4():
     report = run_axiom_suite(4)
     assert report.ok, [e.to_json() for e in report.violations]
+
+
+def test_polytope_answers_match_lp_oracle(monkeypatch):
+    # every membership, containment and vertex question the suite asks at
+    # n <= 4, answered from cached facets, against the simplex
+    import mcclass.axioms as axioms
+    import mcclass.newton as newton
+    asked = []
+
+    def recorder(kind, fn):
+        def answer(P, x):
+            got = fn(P, x)
+            asked.append((kind, P, x, got))
+            return got
+        return answer
+
+    monkeypatch.setattr(newton, "contains_point", recorder("contains", newton.contains_point))
+    monkeypatch.setattr(axioms, "polytope_contained",
+                        recorder("contained", axioms.polytope_contained))
+    monkeypatch.setattr(axioms, "is_vertex", recorder("vertex", axioms.is_vertex))
+    for n in (2, 3, 4):
+        assert run_axiom_suite(n).ok
+    oracle = {"contains": lp_contains, "vertex": lp_is_vertex,
+              "contained": lambda A, B: all(lp_contains(B, p) for p in A.points)}
+    counts = Counter((kind, got) for kind, _, _, got in asked)
+    assert counts == {("contains", True): 1870, ("contains", False): 232,
+                      ("contained", True): 29, ("contained", False): 29,
+                      ("vertex", True): 32}
+    for kind, P, x, got in asked:
+        assert got == oracle[kind](P, x), (kind, P, x)
 
 
 def test_checks_individually_n3():

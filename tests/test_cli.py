@@ -208,6 +208,7 @@ SEGMENT = ('{"vars": ["t1", "t2"], "terms": [{"exp": [-1, 1], "y": [-1]}, '
     (DATA, None),
     (LIMIT, NO_VARS), (LIMIT, "[1, 2]"), (LIMIT, '{"vars": ['), (LIMIT, None),
     (NEWTON, NO_VARS), (NEWTON, "[1, 2]"), (NEWTON, '{"vars": ['), (NEWTON, None),
+    (NEWTON, '{"vars": ["t1", "t2"], "terms": []}'),
     (NEWTON + ["--contains", "1/0"], SEGMENT), (NEWTON + ["--contains", "abc"], SEGMENT),
     (NEWTON + ["--contains", "1"], SEGMENT),
     (["conjectures", "--n", "2", "--checks", "bogus"], None),
@@ -220,8 +221,8 @@ SEGMENT = ('{"vars": ["t1", "t2"], "terms": [{"exp": [-1, 1], "y": [-1]}, '
         "data-missing-file",
         "limit-missing-key", "limit-wrong-type", "limit-bad-json", "limit-missing-file",
         "newton-missing-key", "newton-wrong-type", "newton-bad-json",
-        "newton-missing-file", "contains-zero-denominator", "contains-not-a-number",
-        "contains-wrong-dimension", "unknown-check", "bad-mu", "bad-index-tuple",
+        "newton-missing-file", "newton-zero-class", "contains-zero-denominator",
+        "contains-not-a-number", "contains-wrong-dimension", "unknown-check", "bad-mu", "bad-index-tuple",
         "bad-permutation", "bad-cocharacter"])
 def test_interpolate_malformed_input_exit_2(tmp_path, args, content):
     # a full process run, so that a traceback would show on stderr; an

@@ -5,11 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mcclass.axioms import quadratic_cone_euler
+from mcclass.axioms import orbit_local_data, quadratic_cone_euler
+from mcclass.combi import Composition, Permutation
 from mcclass.newton import (LatticePolytope, ZeroPolynomialError, contains_point,
                             hull_2d, is_vertex, minkowski_sum, newton_polytope,
                             polytope_contained, project_sum_zero, render_svg)
 from mcclass.ring import LaurentPoly
+from mcclass.weightfn import TorusSpecialization, localization_table
+from oracles import lp_contains, lp_is_vertex
 
 V2 = ("t1", "t2")
 
@@ -163,6 +166,20 @@ def test_contains_point_matches_bruteforce_oracle(case):
 
 
 @given(instances())
+@settings(max_examples=60, deadline=None)
+def test_is_vertex_matches_bruteforce_oracle(case):
+    # a vertex is a generator outside the hull of the other generators
+    dim, pts, x = case
+    P = LatticePolytope(dim, pts)
+    for p in P.points:
+        rest = [q for q in P.points if q != p]
+        assert is_vertex(P, p) == (not rest or not _oracle_contains(rest, p))
+    near = tuple(int(v) for v in x)
+    if near not in P.points:
+        assert not is_vertex(P, near)
+
+
+@given(instances())
 @settings(max_examples=30, deadline=None)
 def test_containment_partial_order(case):
     dim, pts, _ = case
@@ -183,6 +200,62 @@ def test_minkowski_contains_translates(case):
         assert polytope_contained(translate(A, b), S)
     for a in A.points:
         assert polytope_contained(translate(B, a), S)
+
+
+# ---------------------------------------------------------------------------
+# the polytopes of strict smallness
+# ---------------------------------------------------------------------------
+
+
+def _subset_sum_contains(P, x):
+    """Membership in a generalized permutahedron: the coordinate sum of
+    the generators, and <1_S, x> <= max_p <1_S, p> for every proper
+    subset S."""
+    n = P.dim
+    if sum(x) != sum(P.points[0]):
+        return False
+    for mask in range(1, 2 ** n - 1):
+        S = [i for i in range(n) if mask >> i & 1]
+        if sum(x[i] for i in S) > max(sum(p[i] for i in S) for p in P.points):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_diagonal_polytope_matches_subset_sum_oracle(n):
+    # the diagonal polytope at J is a Minkowski sum of root segments, so
+    # its facets are subset-sum bounds; compare at every lattice point of
+    # its bounding box (the Minkowski bound is no such polytope)
+    table = localization_table(Composition((1,) * n), modified=True,
+                               spec=TorusSpecialization.standard(n))
+    checked = 0
+    for J in table:
+        P = newton_polytope(table[J][J])
+        for x in itertools.product(*(range(lo, hi + 1) for lo, hi in P.box)):
+            assert contains_point(P, x) == _subset_sum_contains(P, x), (str(J), x)
+            checked += 1
+    assert checked == {3: 162, 4: 6144}[n]
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("word", [(5, 4, 3, 2, 1), (4, 5, 3, 2, 1), (1, 5, 4, 3, 2)])
+def test_smallness_polytopes_match_lp_oracle_n5(word):
+    # hull against simplex on J's bound and diagonal polytopes: each one's
+    # generators in the other, the points around the origin, and the
+    # origin as a vertex of the diagonal polytope
+    spec = TorusSpecialization.standard(5)
+    J = Permutation(word).to_index_tuple()
+    row = localization_table(Composition((1,) * 5), modified=True, spec=spec, cells=[J])[J]
+    data = orbit_local_data(J)
+    big = newton_polytope(row[J])
+    bound = minkowski_sum(newton_polytope(data.ek_normal(spec) - spec.one()),
+                          newton_polytope(data.ck_cell(spec)))
+    near = [x for x in itertools.product((-1, 0, 1), repeat=5) if sum(x) == 0]
+    for P, queries in ((big, bound.points + tuple(near)), (bound, big.points + tuple(near))):
+        for x in queries:
+            assert contains_point(P, x) == lp_contains(P, x), x
+    origin = spec.zero_exp()
+    assert is_vertex(big, origin) == lp_is_vertex(big, origin)
 
 
 # ---------------------------------------------------------------------------
