@@ -298,8 +298,8 @@ def run_axiom_suite(n: int, jobs: int = 1,
                     spec: TorusSpecialization | None = None) -> Report:
     """All checks for the full flag variety on n letters, one report.
 
-    The table comes from localization_table's descent recursion, which
-    runs serially; jobs changes nothing.
+    The table comes from localization_table's left recursion, walked in
+    one process; jobs changes nothing.
     """
     mu = Composition((1,) * n)
     if spec is None:

@@ -163,17 +163,15 @@ def cmd_weight(args) -> int:
             else:
                 _emit(_render_segre_tables(classes), args.output)
             return 0
-        payload = [{"I": I.to_json(), **table[I].to_json()} for I in targets]
         if args.format == "json":
+            payload = [{"I": I.to_json(), **table[I].to_json()} for I in targets]
             _emit(dumps_canonical({"mu": list(mu.parts), "kind": args.kind,
                                    "classes": payload}), args.output)
         else:
-            lines = []
-            for I in targets:
-                lines.append(f"class of cell {I} ({args.kind}):")
-                for J in points:
-                    lines.append(f"  at {J}: {format_poly(table[I][J])}")
-            _emit("\n".join(lines), args.output)
+            _emit((("\n" if k else "") + "\n".join(
+                [f"class of cell {I} ({args.kind}):"]
+                + [f"  at {J}: {format_poly(table[I][J])}" for J in points])
+                for k, I in enumerate(targets)), args.output)
         return 0
 
     panel = VariablePanel(mu)

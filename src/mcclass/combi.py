@@ -88,6 +88,11 @@ class IndexTuple:
         return tuple(tuple(sum(1 for i in union if i > n - q) for q in range(1, n + 1))
                      for union in self.unions)
 
+    def swap_values(self, i: int) -> "IndexTuple":
+        """Left multiplication by s_i: the values i and i+1 trade blocks."""
+        swap = {i: i + 1, i + 1: i}
+        return IndexTuple(self.mu, [[swap.get(x, x) for x in b] for b in self.blocks])
+
     def to_permutation(self) -> "Permutation":
         if not self.mu.is_full_flag():
             raise ValueError("only full-flag tuples correspond to permutations")

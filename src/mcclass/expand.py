@@ -22,11 +22,12 @@ from functools import cached_property
 from operator import add, neg, sub
 from typing import Mapping, Sequence
 
-from .combi import Permutation, bruhat_leq, permutations_by_length, tree_walk, weak_order_walk
+from .combi import (Composition, Permutation, bruhat_leq, permutations_by_length, tree_walk,
+                    weak_order_walk)
 from .report import Report, ReportEntry
-from .ring import (LaurentPoly, exact_divide, format_poly_ygrouped, monomial_substitute,
-                   poly_to_json, substitute_ones, yp_subst)
-from .weightfn import TorusSpecialization, demazure_step, point_cell_row
+from .ring import (LaurentPoly, exact_divide, format_poly_ygrouped, poly_to_json,
+                   substitute_ones, yp_subst)
+from .weightfn import TorusSpecialization, demazure_step, top_cell_row
 
 
 class NegativeRatioExponentError(ValueError):
@@ -41,10 +42,11 @@ class NegativeRatioExponentError(ValueError):
 
 def structure_sheaf_rows(n: int, spec: TorusSpecialization | None = None) -> dict:
     """Localization rows of every basis class, keyed by permutation,
-    seeded with the point class (point_cell_row)."""
+    seeded with the point class (top_cell_row of the full flag)."""
     if spec is None:
         spec = TorusSpecialization.standard(n)
-    return dict(tree_walk(Permutation.longest(n), point_cell_row(n, spec), weak_order_walk(n),
+    seed = {J.to_permutation(): f for J, f in top_cell_row(Composition((1,) * n), spec).items()}
+    return dict(tree_walk(Permutation.longest(n), seed, weak_order_walk(n),
                           lambda row, i: demazure_step(row, i, spec)))
 
 
@@ -239,15 +241,13 @@ class Expander:
         permutation), depth-first down the left-parent edges."""
         w0 = Permutation.longest(self.n)
         std, spec = self._standard, self.spec
-        images = {v: (1, dict(zip(spec.vars, exp))) for v, exp in zip(std.vars, spec.images)}
         edges = ((w, w.swap_values(i), i) for w in permutations_by_length(self.n)[:-1]
                  for i in (_left_parent(w),))
         for p, coeffs in tree_walk(w0, {w0: std.one()}, edges,
                                    lambda c, i: left_step(c, i, std), cells):
             if spec != std:
-                coeffs = {w: monomial_substitute(c, images, spec.vars)
-                          for w, c in coeffs.items()}
-                coeffs = {w: c for w, c in coeffs.items() if not c.is_zero()}
+                coeffs = {w: c for w, c in ((w, spec.specialize(c)) for w, c in coeffs.items())
+                          if not c.is_zero()}
             yield p, Expansion(p, coeffs, spec)
 
     def expand(self, p: Permutation) -> Expansion:

@@ -7,29 +7,24 @@ equivariant motivic Chern classes of matrix Schubert cells (plain) and
 of flag-variety Schubert cells (modified, after division by a Chern
 product).
 
-localization_table takes one route for every composition, and one
-division kernel, the isobaric Demazure operator pi_i.  The full-flag
-rows come from a descent-edge recursion: seeded with the closed-form
-row of the point cell, it walks the weak order downward with the
-Demazure-Lusztig operator T_i = (1 + y*beta) pi_i - 1.  A partial flag
-pushes the full-flag row of the longest word over each cell forward
-along G/B -> G/P with pi_i itself; only the rows it reads are built.
-restriction_direct evaluates the symmetrization at one fixed point;
-the test suite builds its oracle tables from it.
+localization_table takes one route for every composition: a depth-first
+walk over the cells of G/P by the left Demazure-Lusztig step, seeded with
+the closed-form row of the top cell and dividing along lines of exponents.
+restriction_direct evaluates the symmetrization at one fixed point; the
+test suite builds its oracle tables from it.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
-from operator import add, neg
+from operator import add, mul, neg, sub
 from typing import Mapping, Sequence
 
-from .combi import (Composition, IndexTuple, Permutation, enumerate_index_tuples,
-                    tree_walk, weak_order_walk)
+from .combi import Composition, IndexTuple, Permutation, enumerate_index_tuples, tree_walk
 from .ring import (LaurentPoly, NonDivisibleError, RationalExpr, YP_ONE, YP_ONE_PLUS_Y, YP_Y,
-                   ZeroDenominatorError, exact_divide, yp_trim)
+                   ZeroDenominatorError, exact_divide, monomial_substitute, poly_to_json,
+                   yp_add, yp_neg, yp_trim)
 
 # ---------------------------------------------------------------------------
 # Variable panels and torus specializations
@@ -107,6 +102,14 @@ class TorusSpecialization:
 
     def zero_exp(self) -> tuple:
         return (0,) * len(self.vars)
+
+    def specialize(self, p: LaurentPoly) -> LaurentPoly:
+        """The image of a polynomial in the standard variables t1..tn."""
+        out: dict = {}
+        for e, c in p.terms.items():
+            key = tuple(sum(map(mul, e, column)) for column in zip(*self.images))
+            out[key] = yp_add(out[key], c) if key in out else c
+        return LaurentPoly(self.vars, out)
 
     def tau_exp(self, i: int) -> tuple:
         return self.images[i - 1]
@@ -330,7 +333,6 @@ def restrict_to_fixed_point(W: LaurentPoly, J: IndexTuple,
         for a, tau_index in enumerate(tJ[j - 1], start=1):
             e = spec.tau_exp(tau_index)
             images[panel.var(j, a)] = (1, {v: k for v, k in zip(spec.vars, e) if k})
-    from .ring import monomial_substitute
     return monomial_substitute(W, images, out_vars=spec.vars)
 
 
@@ -458,66 +460,103 @@ class LocalizedClass:
         return self.table[J]
 
     def to_json(self) -> dict:
-        from .ring import poly_to_json
         points = sorted(self.table, key=lambda J: J.blocks)
         return {"mu": list(self.mu.parts),
                 "entries": [{"point": p.to_json(), "value": poly_to_json(self.table[p])}
                             for p in points]}
 
 
-# The full-flag descent step acts on MODIFIED localization rows.  For the
-# modified row f of a cell w with a descent edge w -> w*s_i (codimension
-# drops by one), the row of w*s_i is T_i f, with the Demazure-Lusztig
-# operator T_i = (1 + y*beta) pi_i - 1 built on the isobaric Demazure
-# operator pi_i of demazure_step, beta = tau_{v(i)}/tau_{v(i+1)} at the
-# point v (Aluffi-Mihalcea-Schuermann-Su, arXiv:1902.10101).  Written out,
-#     (T_i f)(v) = beta*((1 + y) f(v) - (1 + y*beta) f(v*s_i)) / (1 - beta).
-# The operator is pinned by exact comparison with the direct
-# symmetrization for n <= 4 in the test suite.  It does not commute with
-# the pointwise c_mu multipliers, so it is wrong on plain rows; plain
-# tables multiply c_mu back at the end.
+def top_cell(mu: Composition) -> IndexTuple:
+    """The point cell: each block holds the largest values left by the earlier ones."""
+    return IndexTuple(mu, [range(mu.n - end + 1, mu.n - end + size + 1)
+                           for end, size in zip(mu.partial_sums, mu.parts)])
 
 
-def descent_step(row: Mapping[Permutation, LaurentPoly], i: int,
-                 spec: TorusSpecialization) -> dict:
-    """T_i f = (1 + y*beta) pi_i f - f on a modified row f.
+def top_cell_row(mu: Composition, spec: TorusSpecialization) -> dict:
+    """Modified row of the top cell, keyed by the points of mu in order: by
+    support zero but at the cell's own point, and there, by normalization,
+    the product over a in I_j, b in I_k, j < k (a > b) of 1 - tau_a/tau_b."""
+    top = top_cell(mu)
+    row = {J: spec.zero() for J in enumerate_index_tuples(mu)}
+    row[top] = spec.one()
+    for j, upper in enumerate(top.blocks):
+        for a, b in itertools.product(upper, itertools.chain(*top.blocks[j + 1:])):
+            row[top] = row[top] * spec.one_minus_ratio(a, b)
+    return row
 
-    pi_i f divides once per pair v, v*s_i (demazure_step); the factor
-    1 + y*tau^D and the subtraction of f(v) are applied in one pass of
-    exponent shifts per point, with tau^D = beta in the spec's exponents.
-    """
-    q = demazure_step(row, i, spec)
-    return {v: _demazure_lusztig(q[v], fv, spec.ratio_exp(v(i), v(i + 1)))
-            for v, fv in row.items()}
+
+def left_row_step(row: Mapping[IndexTuple, LaurentPoly], i: int) -> dict:
+    """The row f' of s_i I (values i, i+1 swapped) from the row f of I,
+    when s_i I is one shorter than I, on plain and modified rows alike:
+        f'(J) = ((1 + y*tau^D) s(f(s_i J)) - (1 + y) f(J)) / (1 - tau^D)
+    with D = e_i - e_{i+1} and s exchanging tau_i and tau_{i+1}: the left
+    Demazure-Lusztig operator (Aluffi-Mihalcea-Schuermann-Su) on fixed
+    points.  The numerator is built by exponent shifts and divided along
+    lines; f'(s_i J) = s(f'(J)) + s(f(J)) - f(s_i J), so each pair J,
+    s_i J divides once.  Needs the standard torus."""
+    out = dict.fromkeys(row)
+    for J, fJ in row.items():
+        if out[J] is None:
+            sJ = J.swap_values(i)
+            fsJ = row[sJ]
+            out[J] = q = _left_quotient(fJ, fsJ, i)
+            if sJ != J:
+                out[sJ] = _left_partner(q, fJ, fsJ, i)
+    return out
 
 
-def _demazure_lusztig(q: LaurentPoly, fv: LaurentPoly, D: tuple) -> LaurentPoly:
-    """(T_i f)(v) = (1 + y*tau^D) q - f(v) of descent_step, from q = (pi_i f)(v)."""
-    width = 1 + max(map(len, itertools.chain(q.terms.values(), fv.terms.values())),
+def _left_partner(q: LaurentPoly, fJ: LaurentPoly, fsJ: LaurentPoly, i: int) -> LaurentPoly:
+    """f'(s_i J) = s(q + f(J)) - f(s_i J) of left_row_step, q = f'(J)."""
+    p = i - 1
+    acc = {e: yp_neg(c) for e, c in fsJ.terms.items()}
+    for f in (q, fJ):
+        for e, c in f.terms.items():
+            key = e[:p] + (e[i], e[p]) + e[i + 1:]
+            old = acc.get(key)
+            acc[key] = c if old is None else yp_add(old, c)
+    return LaurentPoly._from_trimmed(fsJ.vars, {e: c for e, c in acc.items() if c})
+
+
+def _left_quotient(fJ: LaurentPoly, fsJ: LaurentPoly, i: int) -> LaurentPoly:
+    """((1 + y*tau^D) s(f(s_i J)) - (1 + y) f(J)) / (1 - tau^D) of left_row_step."""
+    p = i - 1
+    D = tuple(1 if k == p else -1 if k == i else 0 for k in range(len(fJ.vars)))
+    width = 1 + max(map(len, itertools.chain(fJ.terms.values(), fsJ.terms.values())),
                     default=0)
-    acc = {e: tuple(map(neg, c)) + (0,) * (width - len(c)) for e, c in fv.terms.items()}
-    for e, c in q.terms.items():
+    acc = {}
+    for e, c in fJ.terms.items():
         cp = c + (0,) * (width - len(c))
-        for key, u in ((e, cp), (tuple(map(add, e, D)), (0,) + cp[:-1])):
+        acc[e] = tuple(map(neg, map(add, cp, (0,) + cp[:-1])))
+    for e, c in fsJ.terms.items():
+        cp = c + (0,) * (width - len(c))
+        head, tail = e[:p], e[i + 1:]
+        for key, u in ((head + (e[i], e[p]) + tail, cp),
+                       (head + (e[i] + 1, e[p] - 1) + tail, (0,) + cp[:-1])):
             acc[key] = tuple(map(add, acc[key], u)) if key in acc else u
-    return LaurentPoly._from_trimmed(fv.vars,
-                                     {e: t for e, u in acc.items() if (t := yp_trim(u))})
+    return _line_quotient(acc, D, width, fJ.vars)
 
 
-def _line_quotient(acc: dict, D: tuple, width: int):
+def _line_quotient(acc: dict, D: tuple, width: int, vars: tuple) -> LaurentPoly:
     """Divide sum_e acc[e] tau^e (y-tuples padded to width) by 1 - tau^D.
     Along a line m + kD the numerator coefficient at k is q_k - q_(k-1),
-    so q_k is the prefix sum up to k.  Returns the quotient terms and
-    {last exponent: sum} of the lines that do not sum to zero: the
-    division is exact iff there is none."""
+    so q_k is the prefix sum up to k; the division is exact iff every
+    line sums to zero, else NonDivisibleError carries the line sums."""
     p = next((k for k, d in enumerate(D) if d), None)
     if p is None:
         raise ZeroDenominatorError("division by 1 - tau^D across equal torus images")
     d = D[p]
+    multiples: dict = {}
+
+    def multiple(k):
+        m = multiples.get(k)
+        if m is None:
+            m = multiples[k] = tuple(k * x for x in D)
+        return m
+
     lines: dict = {}
     for e, u in acc.items():
         k = e[p] // d
-        lines.setdefault(tuple(x - k * y for x, y in zip(e, D)), []).append((k, u))
+        lines.setdefault(tuple(map(sub, e, multiple(k))), []).append((k, u))
     terms: dict = {}
     stray: dict = {}
     zero = (0,) * width
@@ -528,62 +567,83 @@ def _line_quotient(acc: dict, D: tuple, width: int):
             if run != zero:
                 q = yp_trim(run)
                 for j in range(last, k):
-                    terms[tuple(x + j * y for x, y in zip(base, D))] = q
+                    terms[tuple(map(add, base, multiple(j)))] = q
             run, last = tuple(map(add, run, u)), k
         if run != zero:
-            stray[tuple(x + last * y for x, y in zip(base, D))] = run
-    return terms, stray
+            stray[tuple(map(add, base, multiple(last)))] = run
+    if stray:
+        raise NonDivisibleError("numerator not divisible by 1 - tau^D",
+                                remainder=LaurentPoly(vars, stray))
+    return LaurentPoly._from_trimmed(vars, terms)
 
 
-def point_cell_row(n: int, spec: TorusSpecialization) -> dict:
-    """Modified localization row of the longest (point) cell, keyed by w,
-    and the point class's row in the structure-sheaf basis.  The closure
-    of the point cell is one point, so by support the row vanishes away
-    from w0; there, by normalization, it is ek_normal * ck_cell = prod
-    over a > b of (1 - tau_a/tau_b), the K-theoretic Euler class of the
-    tangent space (every tangent weight is normal, and ck_cell = 1)."""
-    row = {J.to_permutation(): spec.zero()
-           for J in enumerate_index_tuples(Composition((1,) * n))}
-    euler = spec.one()
-    for b in range(1, n + 1):
-        for a in range(b + 1, n + 1):
-            euler = euler * spec.one_minus_ratio(a, b)
-    row[Permutation.longest(n)] = euler
-    return row
+def _left_parent(I: IndexTuple) -> int:
+    """The smallest i in an earlier block than i+1: s_i I is one longer."""
+    block = {x: j for j, b in enumerate(I.blocks) for x in b}
+    return next(i for i in range(1, I.mu.n) if block[i] < block[i + 1])
+
+
+def localization_table(mu: Composition | Sequence[int], modified: bool = True,
+                       spec: TorusSpecialization | None = None, cells=None) -> dict:
+    """Localization tables of the given cells (default: every cell):
+    {I: LocalizedClass}.
+
+    One depth-first walk (tree_walk) of left_row_step from the top cell's
+    row down the left parents, holding only the current path.  The step
+    commutes with c_mu (c_mu at s_i J, swapped, is c_mu at J), so plain
+    rows start from the top row times c_mu.  The walk runs on the standard
+    torus; for another spec each finished row is mapped."""
+    if not isinstance(mu, Composition):
+        mu = Composition(mu)
+    std = TorusSpecialization.standard(mu.n)
+    spec = spec or std
+    points = enumerate_index_tuples(mu)
+    top = top_cell(mu)
+    seed = top_cell_row(mu, std)
+    if not modified:
+        seed[top] = seed[top] * c_mu_at(top, std)
+    edges = ((I, I.swap_values(i), i) for I in points if I != top for i in [_left_parent(I)])
+    out = {}
+    for I, row in tree_walk(top, seed, edges, left_row_step, cells):
+        if spec != std:
+            row = {J: spec.specialize(f) for J, f in row.items()}
+        out[I] = LocalizedClass(mu, row)
+    return {I: out[I] for I in (points if cells is None else cells)}
 
 
 def full_flag_table_recursive(n: int, spec: TorusSpecialization | None = None) -> dict:
-    """Modified localization rows of all Fl(n) cells, keyed by permutation."""
-    return dict(full_flag_rows(n, spec))
+    """Modified rows of all Fl(n) cells, keyed by permutation."""
+    table = localization_table(Composition((1,) * n), True, spec)
+    return {I.to_permutation(): {J.to_permutation(): f for J, f in cls.table.items()}
+            for I, cls in table.items()}
 
 
-def full_flag_rows(n: int, spec: TorusSpecialization | None = None, cells=None):
-    """Yield (w, modified localization row of w) for every w in cells
-    (default: every permutation), each as soon as it is built.
+# ---------------------------------------------------------------------------
+# Right steps on full-flag rows, which no route of the package takes.  The
+# isobaric Demazure operator pi_i builds the basis rows of the expansion
+# oracle; T_i = (1 + y*beta) pi_i - 1 takes the modified row of w to that
+# of w*s_i when that is one shorter, which the tests cross-check.
+# ---------------------------------------------------------------------------
 
-    Seeded with the closed-form row of the point cell; every other row
-    is produced by one descent step T_i per descent edge, walking the weak
-    order depth-first (tree_walk) through the rows that cells need.
-    """
-    if spec is None:
-        spec = TorusSpecialization.standard(n)
-    return tree_walk(Permutation.longest(n), point_cell_row(n, spec), weak_order_walk(n),
-                     lambda row, i: descent_step(row, i, spec), cells)
+
+def descent_step(row: Mapping[Permutation, LaurentPoly], i: int,
+                 spec: TorusSpecialization) -> dict:
+    """T_i f = (1 + y*beta) pi_i f - f on a modified row f, beta = tau^D
+    in the spec's exponents; pi_i divides once per pair v, v*s_i."""
+    q = demazure_step(row, i, spec)
+    return {v: q[v] + q[v].shift(spec.ratio_exp(v(i), v(i + 1))).scale_ypoly(YP_Y) - fv
+            for v, fv in row.items()}
 
 
 def demazure_step(row: Mapping[Permutation, LaurentPoly], i: int,
-                  spec: TorusSpecialization, at=None) -> dict:
+                  spec: TorusSpecialization) -> dict:
     """(pi_i f)(v) = (f(v) - beta * f(v s_i)) / (1 - beta) with
     beta = tau_{v(i)} / tau_{v(i+1)}: the isobaric Demazure operator,
     pushforward along the P^1-fibration G/B -> G/P_i pulled back to G/B.
-
-    Evaluated at the points at (default: all of row), whose v s_i row
-    must hold too.  The value at v s_i is the same, so each pair is
-    computed once, by exponent shifts and prefix sums (_line_quotient):
-    no ring product and no long division is made.
+    The value at v s_i is the same, so each pair divides once, along lines.
     """
     out = {}
-    for v in (row if at is None else at):
+    for v in row:
         vs = v.swap_positions(i)
         g = out.get(vs)
         out[v] = g if g is not None else _isobaric(row[v], row[vs],
@@ -593,72 +653,7 @@ def demazure_step(row: Mapping[Permutation, LaurentPoly], i: int,
 
 def _isobaric(fv: LaurentPoly, fvs: LaurentPoly, D: tuple) -> LaurentPoly:
     """(f(v) - tau^D f(v*s_i)) / (1 - tau^D) of demazure_step."""
-    width = max(map(len, itertools.chain(fvs.terms.values(), fv.terms.values())), default=0)
-    acc = {e: c + (0,) * (width - len(c)) for e, c in fv.terms.items()}
-    for e, c in fvs.terms.items():
-        key, u = tuple(map(add, e, D)), tuple(map(neg, c)) + (0,) * (width - len(c))
-        acc[key] = tuple(map(add, acc[key], u)) if key in acc else u
-    terms, stray = _line_quotient(acc, D, width)
-    if stray:
-        raise NonDivisibleError("Demazure numerator not divisible by 1 - beta",
-                                remainder=LaurentPoly(fv.vars, stray))
-    return LaurentPoly._from_trimmed(fv.vars, terms)
-
-
-def _top_of_coset(I: IndexTuple) -> Permutation:
-    """The word of I with each block written in decreasing order: the
-    longest element of the coset w W_P of permutations over I."""
-    return Permutation(tuple(i for block in I.blocks for i in reversed(block)))
-
-
-def _parabolic_longest_word(mu: Composition) -> list:
-    """A reduced word of the longest element of W_P, which reverses the
-    positions of each block of mu."""
-    word = []
-    for end, size in zip(mu.partial_sums, mu.parts):
-        start = end - size
-        for k in range(size - 1, 0, -1):
-            word.extend(start + i for i in range(1, k + 1))
-    return word
-
-
-def localization_table(mu: Composition | Sequence[int], modified: bool = True,
-                       spec: TorusSpecialization | None = None, cells=None) -> dict:
-    """Localization tables of the given cells (default: every cell):
-    {I: LocalizedClass}.
-
-    Every composition reads the full-flag modified rows of
-    full_flag_rows.  The projection G/B -> G/P maps the cell
-    of the longest word over I isomorphically onto the cell of I, and
-    motivic Chern classes push forward (Aluffi-Mihalcea-Schuermann-Su,
-    arXiv:1902.10101); so the modified row of I is that full-flag row
-    pushed forward by the Demazure steps along the longest word of W_P,
-    and read at any point over J.  Plain rows are the modified rows
-    times c_mu at J, which is built once per point and only where the
-    entry is nonzero.
-    """
-    if not isinstance(mu, Composition):
-        mu = Composition(mu)
-    if spec is None:
-        spec = TorusSpecialization.standard(mu.n)
-    points = enumerate_index_tuples(mu)
-    if cells is None:
-        cells = points
-    tops = {J: _top_of_coset(J) for J in points}
-    cell_of = {tops[I]: I for I in cells}
-    fiber = _parabolic_longest_word(mu)
-    # reads[k]: the points whose values after k steps the later steps read
-    reads = [set(tops.values())]
-    for i in reversed(fiber):
-        reads.append(reads[-1] | {v.swap_positions(i) for v in reads[-1]})
-    reads.reverse()
-    cmu = functools.cache(lambda J: c_mu_at(J, spec))
-    out = {}
-    for w, row in full_flag_rows(mu.n, spec, cell_of):
-        for k, i in enumerate(fiber, 1):
-            row = demazure_step(row, i, spec, at=reads[k])
-        table = {J: row[tops[J]] for J in points}
-        if not modified:
-            table = {J: f if f.is_zero() else f * cmu(J) for J, f in table.items()}
-        out[cell_of[w]] = LocalizedClass(mu, table)
-    return {I: out[I] for I in cells}
+    num = fv - fvs.shift(D)
+    width = max(map(len, num.terms.values()), default=0)
+    return _line_quotient({e: c + (0,) * (width - len(c)) for e, c in num.terms.items()},
+                          D, width, fv.vars)

@@ -8,12 +8,18 @@
   takes sparse rows {column: int} and the width by keyword; the tests
   compare the two through adapters (`sparse` and `densified` in
   test_interp.py), so the oracles see dense rows.
-- `ring_descent_step` and `ring_demazure_step`, written with ring
-  products and exact division.  `ring_descent_step` is the exchange
-  formula, an independent form of the Demazure-Lusztig operator
-  T_i = (1 + y*beta) pi_i - 1 that `mcclass.weightfn.descent_step`
-  builds on the isobaric Demazure operator pi_i; `ring_demazure_step`
-  is pi_i itself, the operator of `mcclass.weightfn.demazure_step`.
+- `ring_left_row_step`, the left Demazure-Lusztig step on the rows of a
+  flag variety G/P written with ring products and exact division: the
+  oracle of `mcclass.weightfn.left_row_step`, the step of
+  `localization_table` for every composition.
+- `ring_descent_step` and `ring_demazure_step`, the right steps on
+  full-flag rows written the same way.  `ring_descent_step` is the
+  exchange formula, an independent form of the Demazure-Lusztig
+  operator T_i = (1 + y*beta) pi_i - 1 that `mcclass.weightfn.descent_step`
+  builds on the isobaric Demazure operator pi_i; `ring_demazure_step` is
+  pi_i itself, the operator of `mcclass.weightfn.demazure_step`.  The
+  tests cross-check the left-built full-flag rows against the exchange
+  formula.
 - `direct_table` and `modified_restriction_direct`, localization by
   direct symmetrization at each fixed point, the oracle of
   `mcclass.weightfn.localization_table` for every composition.
@@ -114,6 +120,21 @@ def solve_unique_bareiss(rows, rhs):
             acc -= Fraction(aug[i][j]) * x[j]
         x[c] = acc / aug[i][c]
     return x
+
+
+def ring_left_row_step(row: Mapping[IndexTuple, LaurentPoly], i: int) -> dict:
+    """f'(J) = ((1 + y*t_i/t_(i+1)) s(f(s_i J)) - (1 + y) f(J)) / (1 - t_i/t_(i+1))
+    at every point J of a row on the standard torus, s exchanging t_i and
+    t_(i+1), by ring products and exact_divide."""
+    spec = TorusSpecialization.standard(next(iter(row)).mu.n)
+    swap = {f"t{i}": f"t{i + 1}", f"t{i + 1}": f"t{i}"}
+    out = {}
+    for J, fJ in row.items():
+        sJ = IndexTuple(J.mu, [[{i: i + 1, i + 1: i}.get(x, x) for x in b] for b in J.blocks])
+        num = (row[sJ].rename_vars(swap) * spec.one_plus_y_ratio(i, i + 1)
+               - fJ.scale_ypoly(YP_ONE_PLUS_Y))
+        out[J] = num if num.is_zero() else exact_divide(num, spec.one_minus_ratio(i, i + 1))
+    return out
 
 
 def ring_descent_step(row: Mapping[Permutation, LaurentPoly], i: int,

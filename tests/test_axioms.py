@@ -266,3 +266,15 @@ def test_cone_euler_factors():
     ek = quadratic_cone_euler()
     assert ek.terms[(0, 0, 0)] == (1,)
     assert (-4, 0, 0) in ek.terms
+
+
+@pytest.mark.parametrize("parts", [(1, 5), (2, 4), (3, 3)])
+def test_axioms_on_n6_two_block_flags(parts):
+    # the first n = 6 tables, built by the left recursion, beyond the reach
+    # of the direct oracle: the row-local axioms and additivity must hold
+    mu = Composition(parts)
+    spec = TorusSpecialization.standard(6)
+    table = localization_table(mu, modified=True, spec=spec)
+    for check in (check_normalization, check_support, check_divisibility, check_additivity):
+        report = check(mu, table, spec)
+        assert report.ok, [e.to_json() for e in report.violations]

@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import pytest
@@ -6,18 +7,18 @@ from hypothesis import strategies as st
 
 from mcclass.axioms import orbit_local_data
 from mcclass.combi import (Composition, IndexTuple, Permutation, closure_leq,
-                           enumerate_index_tuples, weak_order_walk)
+                           enumerate_index_tuples, length, weak_order_walk)
 from mcclass.ring import (LaurentPoly, NonDivisibleError, RationalExpr, exact_divide,
                           poly_from_json, poly_to_json)
 import mcclass.weightfn
 from mcclass.weightfn import (PSI_EQUAL, PSI_GREATER, PSI_LESS, TorusSpecialization,
                               VariablePanel, c_mu_at, c_prime_mu_at, chern_products,
-                              demazure_step, descent_step, full_flag_rows,
-                              full_flag_table_recursive, localization_table,
-                              point_cell_row, psi_factor, restrict_to_fixed_point,
-                              restriction_direct, u_term, weight_function)
+                              demazure_step, descent_step, full_flag_table_recursive,
+                              left_row_step, localization_table, psi_factor,
+                              restrict_to_fixed_point, restriction_direct, top_cell_row,
+                              u_term, weight_function)
 from oracles import (direct_table, modified_restriction_direct, ring_demazure_step,
-                     ring_descent_step)
+                     ring_descent_step, ring_left_row_step)
 
 MU11 = Composition((1, 1))
 I12 = IndexTuple(MU11, [(1,), (2,)])
@@ -236,12 +237,18 @@ def test_recursion_matches_direct_n4():
         assert direct[I].table == rec[I].table
 
 
+@functools.cache
+def fl5_one_parameter_rows():
+    """The production one-parameter table at n = 5, built once per session."""
+    return full_flag_table_recursive(5, TorusSpecialization.one_parameter(5))
+
+
 @pytest.mark.slow
 def test_recursion_matches_direct_one_parameter_spot_n5():
     # honest spot check of the fast route at n = 5: a few direct entries,
     # two of them in the closed-form row of the point cell
     spec = TorusSpecialization.one_parameter(5)
-    rows = full_flag_table_recursive(5, spec)
+    rows = fl5_one_parameter_rows()
     cases = [((1, 2, 3, 4, 5), (5, 4, 3, 2, 1)),
              ((2, 1, 3, 4, 5), (2, 1, 3, 4, 5)),
              ((3, 1, 4, 2, 5), (5, 3, 4, 2, 1)),
@@ -258,20 +265,31 @@ TORI = {"standard": TorusSpecialization.standard,
         "one_parameter": TorusSpecialization.one_parameter}
 
 
+def compositions(n):
+    if n == 0:
+        yield ()
+    for k in range(1, n + 1):
+        for rest in compositions(n - k):
+            yield (k,) + rest
+
+
 @pytest.mark.parametrize("torus", sorted(TORI))
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_point_cell_row_matches_direct(n, torus):
+    # the closed-form seed of every composition of n: the row of the
+    # longest cell, keyed by the points in enumeration order
     spec = TORI[torus](n)
-    point = Permutation.longest(n).to_index_tuple()
-    row = point_cell_row(n, spec)
-    points = enumerate_index_tuples(Composition((1,) * n))
-    assert list(row) == [J.to_permutation() for J in points]
-    for J in points:
-        assert row[J.to_permutation()] == modified_restriction_direct(point, J, spec), J
+    for parts in compositions(n):
+        points = enumerate_index_tuples(Composition(parts))
+        top = max(points, key=length)
+        row = top_cell_row(Composition(parts), spec)
+        assert list(row) == points
+        for J in points:
+            assert row[J] == modified_restriction_direct(top, J, spec), (parts, J)
 
 
 # ---------------------------------------------------------------------------
-# partial flags by pushforward
+# partial flags against the direct oracle
 # ---------------------------------------------------------------------------
 
 
@@ -294,30 +312,25 @@ def test_pushforward_matches_direct(parts, torus):
 
 @pytest.mark.parametrize("parts", [(1, 3), (2, 2), (1, 2, 1), (1, 1, 1, 1)])
 def test_localization_table_of_some_cells(parts):
-    # each cell alone, and a pair, gives its row of the whole table
+    # each cell alone, and a pair, gives its row of the whole table; on
+    # (1,1,1,1) so do some cells on the standard torus, the top one among them
     mu = Composition(parts)
-    spec = TorusSpecialization.one_parameter(mu.n)
+    points = enumerate_index_tuples(mu)
+    cases = {TorusSpecialization.one_parameter(mu.n):
+             [[I] for I in points] + [[points[-1], points[0]]]}
+    if mu.is_full_flag():
+        cases[TorusSpecialization.standard(4)] = [
+            [Permutation(w).to_index_tuple() for w in words]
+            for words in ([(1, 2, 3, 4)], [(4, 3, 1, 2)], [(2, 1, 4, 3), (3, 4, 1, 2)],
+                          [(4, 3, 2, 1)])]
     for modified in (True, False):
-        whole = localization_table(mu, modified=modified, spec=spec)
-        points = list(whole)
-        for cells in [[I] for I in points] + [[points[-1], points[0]]]:
-            table = localization_table(mu, modified=modified, spec=spec, cells=cells)
-            assert list(table) == cells
-            for I in cells:
-                assert table[I] == whole[I], (I, modified)
-
-
-def test_recursive_rows_of_some_cells():
-    # only the asked rows are yielded, each equal to its row of the whole table
-    spec = TorusSpecialization.standard(4)
-    whole = full_flag_table_recursive(4, spec)
-    for cells in ([Permutation((1, 2, 3, 4))], [Permutation((4, 3, 1, 2))],
-                  [Permutation((2, 1, 4, 3)), Permutation((3, 4, 1, 2))],
-                  [Permutation.longest(4)]):
-        rows = dict(full_flag_rows(4, spec, cells))
-        assert set(rows) == set(cells)
-        for w in cells:
-            assert rows[w] == whole[w], w
+        for spec, cell_lists in cases.items():
+            whole = localization_table(mu, modified=modified, spec=spec)
+            for cells in cell_lists:
+                table = localization_table(mu, modified=modified, spec=spec, cells=cells)
+                assert list(table) == cells
+                for I in cells:
+                    assert table[I] == whole[I], (I, modified)
 
 
 @pytest.mark.slow
@@ -332,11 +345,19 @@ def test_pushforward_spot_checks_n5(parts):
         assert table[I][J] == modified_restriction_direct(I, J, spec), (I, J)
 
 
-def _step_outcome(step, row, i, spec):
+def _step_outcome(step, *args):
     try:
-        return step(row, i, spec)
+        return step(*args)
     except NonDivisibleError:
         return "not divisible"
+
+
+def draw_poly(draw, vars, max_terms):
+    terms = {}
+    for _ in range(draw(st.integers(0, max_terms))):
+        e = tuple(draw(st.integers(-2, 2)) for _ in vars)
+        terms[e] = tuple(draw(st.integers(-3, 3)) for _ in range(draw(st.integers(1, 3))))
+    return LaurentPoly(vars, terms)
 
 
 @st.composite
@@ -349,14 +370,7 @@ def exchange_inputs(draw):
                                  TorusSpecialization.one_parameter(n)]))
     i = draw(st.integers(1, n - 1))
 
-    def poly(max_terms):
-        terms = {}
-        for _ in range(draw(st.integers(0, max_terms))):
-            e = tuple(draw(st.integers(-2, 2)) for _ in spec.vars)
-            terms[e] = tuple(draw(st.integers(-3, 3))
-                             for _ in range(draw(st.integers(1, 3))))
-        return LaurentPoly(spec.vars, terms)
-
+    poly = functools.partial(draw_poly, draw, spec.vars)
     row = {}
     for word in itertools.permutations(range(1, n + 1)):
         v = Permutation(word)
@@ -401,18 +415,72 @@ def test_descent_step_divides_once_per_pair(monkeypatch):
 
     monkeypatch.setattr(mcclass.weightfn, "_line_quotient", counted)
     spec = TorusSpecialization.standard(4)
-    row = point_cell_row(4, spec)
+    row = {J.to_permutation(): f for J, f in top_cell_row(Composition((1, 1, 1, 1)), spec).items()}
     got = descent_step(row, 2, spec)
     assert len(calls) == 12
     assert got == ring_descent_step(row, 2, spec)
 
 
+@st.composite
+def left_inputs(draw):
+    """A row over the points of a random composition with n <= 4 on the
+    standard torus, for a random step i.  f(s_i J) - f(J) is a multiple of
+    t_i - t_(i+1) at every J, which makes the left step exact, unless one
+    entry is perturbed."""
+    n = draw(st.integers(2, 4))
+    mu = Composition(draw(st.sampled_from(list(compositions(n)))))
+    spec = TorusSpecialization.standard(n)
+    i = draw(st.integers(1, n - 1))
+
+    poly = functools.partial(draw_poly, draw, spec.vars)
+    points = enumerate_index_tuples(mu)
+    row = {}
+    for J in points:
+        if J in row:
+            continue
+        sJ = IndexTuple(mu, [[{i: i + 1, i + 1: i}.get(x, x) for x in b] for b in J.blocks])
+        row[J] = poly(3)
+        if sJ != J:
+            row[sJ] = row[J] + spec.tau_diff(i, i + 1) * poly(2)
+    if draw(st.booleans()):
+        J = draw(st.sampled_from(points))
+        row[J] = row[J] + poly(2)
+    return {J: row[J] for J in points}, i
+
+
+@given(left_inputs())
+@settings(max_examples=150, deadline=None)
+def test_left_row_step_matches_ring_oracle(inputs):
+    row, i = inputs
+    assert _step_outcome(left_row_step, row, i) == _step_outcome(ring_left_row_step, row, i)
+
+
+@pytest.mark.parametrize("parts, pairs", [((1, 1, 1, 1), 12), ((1, 2, 1), 7)])
+def test_left_row_step_divides_once_per_pair(monkeypatch, parts, pairs):
+    # one line quotient per pair J, s_2 J; on (1,2,1) the two points with
+    # 2 and 3 in the middle block are pairs of one
+    calls = []
+    quotient = mcclass.weightfn._line_quotient
+
+    def counted(*args):
+        calls.append(args)
+        return quotient(*args)
+
+    row = next(iter(localization_table(parts).values())).table
+    monkeypatch.setattr(mcclass.weightfn, "_line_quotient", counted)
+    got = left_row_step(row, 2)
+    assert len(calls) == pairs
+    assert got == ring_left_row_step(row, 2)
+    assert list(got) == list(row)
+
+
 @pytest.mark.slow
 def test_descent_step_spot_checks_n5():
-    # steps of the production one-parameter table at n = 5, from the top of
-    # the weak order down to the last step, which yields the identity's row
+    # the left-built one-parameter table at n = 5 against the right exchange
+    # formula, from the top of the weak order down to the last step, which
+    # yields the identity's row
     spec = TorusSpecialization.one_parameter(5)
-    rows = full_flag_table_recursive(5, spec)
+    rows = fl5_one_parameter_rows()
     walk = list(weak_order_walk(5))
     for w, parent, i in walk[:3] + walk[60:62] + walk[-2:]:
         assert ring_descent_step(rows[parent], i, spec) == rows[w], w
