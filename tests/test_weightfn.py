@@ -312,25 +312,34 @@ def test_pushforward_matches_direct(parts, torus):
 
 @pytest.mark.parametrize("parts", [(1, 3), (2, 2), (1, 2, 1), (1, 1, 1, 1)])
 def test_localization_table_of_some_cells(parts):
-    # each cell alone, and a pair, gives its row of the whole table; on
-    # (1,1,1,1) so do some cells on the standard torus, the top one among them
+    # each cell alone, and a pair, gives its row of the whole table
     mu = Composition(parts)
+    spec = TorusSpecialization.one_parameter(mu.n)
     points = enumerate_index_tuples(mu)
-    cases = {TorusSpecialization.one_parameter(mu.n):
-             [[I] for I in points] + [[points[-1], points[0]]]}
-    if mu.is_full_flag():
-        cases[TorusSpecialization.standard(4)] = [
-            [Permutation(w).to_index_tuple() for w in words]
-            for words in ([(1, 2, 3, 4)], [(4, 3, 1, 2)], [(2, 1, 4, 3), (3, 4, 1, 2)],
-                          [(4, 3, 2, 1)])]
     for modified in (True, False):
-        for spec, cell_lists in cases.items():
-            whole = localization_table(mu, modified=modified, spec=spec)
-            for cells in cell_lists:
-                table = localization_table(mu, modified=modified, spec=spec, cells=cells)
-                assert list(table) == cells
-                for I in cells:
-                    assert table[I] == whole[I], (I, modified)
+        whole = localization_table(mu, modified=modified, spec=spec)
+        for cells in [[I] for I in points] + [[points[-1], points[0]]]:
+            table = localization_table(mu, modified=modified, spec=spec, cells=cells)
+            assert list(table) == cells
+            for I in cells:
+                assert table[I] == whole[I], (I, modified)
+
+
+def test_recursive_rows_of_some_cells():
+    # on the standard torus of Fl(4) only the asked rows are yielded, each
+    # equal to its row of the whole table, the top cell among them
+    spec = TorusSpecialization.standard(4)
+    whole = full_flag_table_recursive(4, spec)
+    for cells in ([Permutation((1, 2, 3, 4))], [Permutation((4, 3, 1, 2))],
+                  [Permutation((2, 1, 4, 3)), Permutation((3, 4, 1, 2))],
+                  [Permutation.longest(4)]):
+        table = localization_table((1, 1, 1, 1), spec=spec,
+                                   cells=[w.to_index_tuple() for w in cells])
+        rows = {I.to_permutation(): {J.to_permutation(): f for J, f in cls.table.items()}
+                for I, cls in table.items()}
+        assert list(rows) == cells
+        for w in cells:
+            assert rows[w] == whole[w], w
 
 
 @pytest.mark.slow
