@@ -189,7 +189,9 @@ def check_smallness_strict(mu, table: Mapping | None = None,
 
     The conditions on J alone (the sum inside the diagonal polytope,
     strictness, the origin a vertex) are certified once per J, and
-    each generator point is tested against J's bound at most once.
+    each generator point, the origin included, is tested against J's
+    bound at most once.  An off-diagonal polytope inside a bound that
+    misses the origin misses it too, without a hull of its own.
     """
     mu, table, spec = _table_or_build(mu, table, spec)
     report = Report("smallness")
@@ -203,10 +205,14 @@ def check_smallness_strict(mu, table: Mapping | None = None,
             small = newton_polytope(val)
             bound, escape, own_problems = per_point[J]
             problems = []
-            if not _all_inside(bound, inside[J], small.points):
+            escaped = not _all_inside(bound, inside[J], small.points)
+            if escaped:
                 problems.append(escape)
             problems.extend(own_problems)
-            if small.contains_point(origin):
+            # a polytope inside J's bound misses the origin when the bound
+            # does, and then needs no hull of its own
+            if ((escaped or _all_inside(bound, inside[J], (origin,)))
+                    and small.contains_point(origin)):
                 problems.append("origin lies in the off-diagonal polytope")
             report.add(ReportEntry(pair=(str(I), str(J)), check="smallness",
                                    ok=not problems,

@@ -10,9 +10,11 @@ symmetric-polynomial ansatz; answers are verified to be integral.
 
 A system is held sparse: one row per monomial of each polynomial
 identity, a dict {column: int} of its nonzero coefficients, with a
-separate right-hand side and the column count passed as `width`.  The
-CSM solver restricts each basis class once per orbit and reads the
-fundamental class off the degree-codim columns of the same basis.
+separate right-hand side and the column count passed as `width`.  Each
+orbit's restriction is compiled once, when the problem is built, into a
+monomial map of the ring kernel.  The CSM solver restricts each basis
+class once per orbit and reads the fundamental class off the
+degree-codim columns of the same basis.
 
 All cohomology classes here are ordinary polynomials (Chern-root
 degree one per variable); the shared Laurent kernel is used with
@@ -22,12 +24,12 @@ nonnegative exponents and a trivial parameter slot.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 from typing import Mapping, Sequence
 
-from .ring import LaurentPoly, format_poly, monomial_substitute
+from .ring import LaurentPoly, MonomialMap, format_poly
 
 
 class NoSolutionError(ValueError):
@@ -170,24 +172,55 @@ def _groups_from_json(obj: Mapping):
     return groups
 
 
+def _orbits_from_json(obj: Mapping, ansatz_vars: tuple) -> list:
+    """The orbit entries, after rejecting a repeated orbit name, a phi
+    key that is not an ansatz variable and a phi image that is not a
+    variable name."""
+    orbits = list(obj["orbits"])
+    names = set()
+    for o in orbits:
+        name = o["name"]
+        if name in names:
+            raise ValueError(f"duplicate orbit name {name!r}")
+        names.add(name)
+        for v, img in o.get("phi", {}).items():
+            if v not in ansatz_vars:
+                raise ValueError(f"orbit {name}: phi key {v!r} is not an ansatz variable")
+            if not isinstance(img, str):
+                raise ValueError(f"orbit {name}: phi image {img!r} of {v} is not a variable name")
+    return orbits
+
+
 @dataclass(frozen=True)
 class OrbitProblem:
+    """Orbit data over a symmetric ansatz.  Each orbit's restriction map,
+    from the ansatz variables to all_vars, is compiled once here;
+    restrict only applies it."""
+
     ansatz: SymmetricAnsatz
     orbits: tuple
     all_vars: tuple  # base variables plus every restriction image variable
+    restriction_maps: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "restriction_maps", {
+            o.name: MonomialMap(self.ansatz.vars, {v: (1, {img: 1}) for v, img in o.phi.items()},
+                                self.all_vars)
+            for o in self.orbits})
 
     @classmethod
     def from_json(cls, obj: Mapping) -> "OrbitProblem":
         ansatz = SymmetricAnsatz.from_groups(_groups_from_json(obj))
+        entries = _orbits_from_json(obj, ansatz.vars)
         base = list(ansatz.vars)
         extra = []
-        for o in obj["orbits"]:
+        for o in entries:
             for img in o.get("phi", {}).values():
                 if img not in base and img not in extra:
                     extra.append(img)
         all_vars = tuple(base + sorted(extra))
         orbits = []
-        for o in obj["orbits"]:
+        for o in entries:
             euler = _poly_from_factors(o.get("euler", []), all_vars)
             tangent = _poly_from_factors(o.get("tangent_c", []), all_vars)
             orbits.append(OrbitSpec(o["name"], int(o["codim"]),
@@ -201,8 +234,9 @@ class OrbitProblem:
         raise KeyError(f"unknown orbit {name!r}")
 
     def restrict(self, p: LaurentPoly, o: OrbitSpec) -> LaurentPoly:
-        images = {v: (1, {img: 1}) for v, img in o.phi.items()}
-        return monomial_substitute(p, images, out_vars=self.all_vars)
+        """The restriction to o of a class p in the ansatz variables,
+        written over all_vars, by o's map compiled at construction."""
+        return self.restriction_maps[o.name](p)
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +309,7 @@ class SymmetricExpansion:
     """A class written in the symmetric-generator monomial basis."""
 
     coeffs: tuple  # ((name, coefficient), ...) nonzero, deterministic order
-    poly: LaurentPoly
+    poly: LaurentPoly  # the class in the ansatz variables
 
     def __str__(self):
         if not self.coeffs:
@@ -341,7 +375,7 @@ def _as_expansion(names, polys, values, vars) -> SymmetricExpansion:
         total = contrib if total is None else total + contrib
     if total is None:
         return SymmetricExpansion((), LaurentPoly.zero(vars))
-    return SymmetricExpansion(tuple(coeffs), total.extend_vars(vars))
+    return SymmetricExpansion(tuple(coeffs), total)
 
 
 def _fundamental(problem: OrbitProblem, t: OrbitSpec, names, polys, restricted,
@@ -359,7 +393,7 @@ def _fundamental(problem: OrbitProblem, t: OrbitSpec, names, polys, restricted,
             identities.append((enumerate(restricted[k]), zero))
     rows, rhs = _system_from_identities(identities)
     values = solver(rows, rhs, width=len(polys))
-    return _as_expansion(names, polys, values, problem.all_vars)
+    return _as_expansion(names, polys, values, problem.ansatz.vars)
 
 
 def solve_fundamental(problem: OrbitProblem, target: str,
@@ -451,7 +485,7 @@ def solve_csm(problem: OrbitProblem, target: str,
         identities.append((columns, zero))
     rows, rhs = _system_from_identities(identities)
     values = solver(rows, rhs, width=width)[:len(polys)]
-    expansion = _as_expansion(names, polys, values, problem.all_vars)
+    expansion = _as_expansion(names, polys, values, problem.ansatz.vars)
     restrictions = {o.name: problem.restrict(expansion.poly, o) for o in problem.orbits}
 
     fund = [j for j, d in enumerate(degrees) if d == t.codim]
@@ -462,7 +496,7 @@ def solve_csm(problem: OrbitProblem, target: str,
     low = max(_degree(fundamental.poly), 0)
     low_cols = [j for j, v in enumerate(values) if v != 0 and degrees[j] == low]
     lowest = _as_expansion([names[j] for j in low_cols], [polys[j] for j in low_cols],
-                           [values[j] for j in low_cols], problem.all_vars)
+                           [values[j] for j in low_cols], problem.ansatz.vars)
     return CsmSolution(expansion, restrictions, lowest, fundamental)
 
 

@@ -384,23 +384,8 @@ class LaurentPoly:
         new = tuple(mapping.get(v, v) for v in self.vars)
         if sorted(new) != sorted(self.vars):
             raise ValueError("rename must permute the variable list")
-        perm = [new.index(v) for v in self.vars]
-        return LaurentPoly(self.vars,
-                           {tuple(e[perm[i]] for i in range(len(e))): c
-                            for e, c in self.terms.items()})
-
-    def extend_vars(self, vars: Sequence[str]) -> "LaurentPoly":
-        """Re-express over a larger variable list containing self.vars."""
-        vars = tuple(vars)
-        idx = [vars.index(v) for v in self.vars]
-        nv = len(vars)
-        out = {}
-        for e, c in self.terms.items():
-            ne = [0] * nv
-            for i, x in zip(idx, e):
-                ne[i] = x
-            out[tuple(ne)] = c
-        return LaurentPoly(vars, out)
+        images = {v: (1, {w: 1}) for v, w in zip(self.vars, new)}
+        return MonomialMap(self.vars, images, self.vars)(self)
 
     def subst_y(self, value: Ypoly) -> "LaurentPoly":
         """Substitute a y-polynomial for the parameter y."""
@@ -420,10 +405,95 @@ class LaurentPoly:
 
 
 # ---------------------------------------------------------------------------
-# Substitution
+# Substitution: one monomial-map kernel.  A map is compiled once from its
+# input variables, its images and its output variables; applying it is one
+# pass over the terms.  Restriction to orbits, torus specialization, the
+# cocharacter collapse of the limits and variable renaming all run on it.
 # ---------------------------------------------------------------------------
 
 MonomialImage = tuple  # (scalar, {var: exponent})
+
+
+class MonomialMap:
+    """A ring homomorphism sending each input variable to a scalar
+    monomial in the output variables; the parameter y is untouched.
+
+    images maps an input variable to (scalar, exponent map); input
+    variables not mentioned are sent to themselves.  Compiling raises
+    ValueError on a zero scalar, on an image variable that is not an
+    output variable, and on an unmapped input variable that is not one.
+    Each input variable is held as the sparse list of (output index,
+    exponent) of its image; the scalars other than 1 are held apart.
+    """
+
+    __slots__ = ("in_vars", "out_vars", "_scatters", "_scalars")
+
+    def __init__(self, in_vars: Sequence[str], images: Mapping[str, MonomialImage],
+                 out_vars: Sequence[str]):
+        in_vars, out_vars = tuple(in_vars), tuple(out_vars)
+        index = {v: i for i, v in enumerate(out_vars)}
+        scatters = []
+        scalars = []
+        for j, v in enumerate(in_vars):
+            if v in images:
+                scalar, exps = images[v]
+                if scalar == 0:
+                    raise ValueError(f"variable {v} mapped to zero scalar")
+                for name in exps:
+                    if name not in index:
+                        raise ValueError(f"image variable {name} not in output variables")
+                scatters.append(tuple((index[name], e) for name, e in exps.items() if e))
+                if scalar != 1:
+                    scalars.append((j, scalar))
+            else:
+                if v not in index:
+                    raise ValueError(f"unmapped variable {v} not in output variables")
+                scatters.append(((index[v], 1),))
+        self.in_vars = in_vars
+        self.out_vars = out_vars
+        self._scatters = tuple(scatters)
+        self._scalars = tuple(scalars)
+
+    def __call__(self, p: LaurentPoly) -> LaurentPoly:
+        """The image of p, a polynomial in the input variables: each
+        exponent scattered, the scalar powers applied, colliding terms
+        merged and those that cancel dropped.  Raises ValueError where a
+        negative power of a scalar other than +-1 would be required (a
+        division inside Z)."""
+        if p.vars != self.in_vars:
+            raise ValueError(f"variable mismatch: {p.vars} vs {self.in_vars}")
+        nv = len(self.out_vars)
+        scatters, scalars = self._scatters, self._scalars
+        out: dict = {}
+        for e, c in p.terms.items():
+            ne = [0] * nv
+            for scatter, k in zip(scatters, e):
+                if k:
+                    for i, x in scatter:
+                        ne[i] += x * k
+            key = tuple(ne)
+            if scalars:
+                num = 1
+                for j, s in scalars:
+                    k = e[j]
+                    if k > 0:
+                        num *= s ** k
+                    elif k < 0:
+                        if s != -1:
+                            raise ValueError(f"negative power of scalar {s} is not an integer")
+                        num *= (-1) ** -k
+                if num != 1:
+                    c = yp_scale(c, num)
+            prev = out.get(key)
+            if prev is None:
+                out[key] = c
+            else:
+                total = yp_add(prev, c)
+                if total:
+                    out[key] = total
+                else:
+                    del out[key]
+        return LaurentPoly._from_trimmed(self.out_vars, out)
 
 
 def monomial_substitute(p: LaurentPoly,
@@ -436,64 +506,7 @@ def monomial_substitute(p: LaurentPoly,
     Raises ValueError if a negative power of a non-unit scalar would be
     required (a division inside Z), or on a zero scalar.
     """
-    if out_vars is None:
-        out_vars = p.vars
-    out_vars = tuple(out_vars)
-    index = {v: i for i, v in enumerate(out_vars)}
-    nv = len(out_vars)
-
-    scalars = []
-    vectors = []
-    for v in p.vars:
-        if v in images:
-            scalar, exps = images[v]
-            if scalar == 0:
-                raise ValueError(f"variable {v} mapped to zero scalar")
-            vec = [0] * nv
-            for name, e in exps.items():
-                if name not in index:
-                    raise ValueError(f"image variable {name} not in output variables")
-                vec[index[name]] += e
-        else:
-            if v not in index:
-                raise ValueError(f"unmapped variable {v} not in output variables")
-            scalar = 1
-            vec = [0] * nv
-            vec[index[v]] = 1
-        scalars.append(scalar)
-        vectors.append(tuple(vec))
-
-    out: dict = {}
-    for e, c in p.terms.items():
-        ne = [0] * nv
-        num = 1
-        for k, ek in enumerate(e):
-            if ek == 0:
-                continue
-            vec = vectors[k]
-            for i in range(nv):
-                ne[i] += vec[i] * ek
-            s = scalars[k]
-            if s != 1:
-                if ek > 0:
-                    num *= s ** ek
-                elif s == -1:
-                    num *= (-1) ** (-ek)
-                else:
-                    raise ValueError(
-                        f"negative power of scalar {s} is not an integer")
-        key = tuple(ne)
-        cc = yp_scale(c, num)
-        prev = out.get(key)
-        if prev is None:
-            out[key] = cc
-        else:
-            s2 = yp_add(prev, cc)
-            if s2:
-                out[key] = s2
-            else:
-                del out[key]
-    return LaurentPoly(out_vars, out)
+    return MonomialMap(p.vars, images, p.vars if out_vars is None else out_vars)(p)
 
 
 def substitute_ones(p: LaurentPoly) -> Ypoly:
@@ -704,19 +717,11 @@ class RationalExpr:
         return f"RationalExpr(({format_poly(self.num)}) / ({format_poly(self.den)}))"
 
 
-def _collapse(p: LaurentPoly, d: Cocharacter) -> dict:
-    """Substitute tau_i -> xi^{d_i}; returns {xi-degree: Ypoly}."""
-    if len(d.weights) != len(p.vars):
+def _collapse(vars: tuple, d: Cocharacter) -> MonomialMap:
+    """The map tau_i -> xi^{d_i} from vars to the single variable xi."""
+    if len(d.weights) != len(vars):
         raise ValueError("cocharacter length does not match variable list")
-    out: dict = {}
-    for e, c in p.terms.items():
-        k = sum(a * b for a, b in zip(e, d.weights))
-        s = yp_add(out.get(k, YP_ZERO), c)
-        if s:
-            out[k] = s
-        elif k in out:
-            del out[k]
-    return out
+    return MonomialMap(vars, {v: (1, {"xi": w}) for v, w in zip(vars, d.weights)}, ("xi",))
 
 
 def limit_at_infinity(f: RationalExpr, d: Cocharacter) -> Ypoly:
@@ -726,17 +731,18 @@ def limit_at_infinity(f: RationalExpr, d: Cocharacter) -> Ypoly:
     leading coefficients when the degrees agree, and InfiniteLimitError
     when the numerator degree is larger.
     """
-    num = _collapse(f.num, d)
-    den = _collapse(f.den, d)
+    collapse = _collapse(f.vars, d)
+    num = collapse(f.num).terms
+    den = collapse(f.den).terms
     if not den:
         raise ZeroDenominatorError("denominator vanishes under the cocharacter")
     if not num:
         return YP_ZERO
-    dn, dd = max(num), max(den)
+    dn, dd = max(num), max(den)  # exponent vectors (degree,) in xi
     if dn < dd:
         return YP_ZERO
     if dn > dd:
-        raise InfiniteLimitError(f"numerator degree {dn} exceeds denominator degree {dd}")
+        raise InfiniteLimitError(f"numerator degree {dn[0]} exceeds denominator degree {dd[0]}")
     return yp_exact_div(num[dn], den[dd])
 
 

@@ -18,13 +18,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from operator import add, mul, neg, sub
+from functools import cached_property
+from operator import add, neg, sub
 from typing import Mapping, Sequence
 
 from .combi import Composition, IndexTuple, Permutation, enumerate_index_tuples, tree_walk
-from .ring import (LaurentPoly, NonDivisibleError, RationalExpr, YP_ONE, YP_ONE_PLUS_Y, YP_Y,
-                   ZeroDenominatorError, exact_divide, monomial_substitute, poly_to_json,
-                   yp_add, yp_neg, yp_trim)
+from .ring import (LaurentPoly, MonomialMap, NonDivisibleError, RationalExpr, YP_ONE,
+                   YP_ONE_PLUS_Y, YP_Y, ZeroDenominatorError, exact_divide,
+                   monomial_substitute, poly_to_json, yp_add, yp_neg, yp_trim)
 
 # ---------------------------------------------------------------------------
 # Variable panels and torus specializations
@@ -103,13 +104,18 @@ class TorusSpecialization:
     def zero_exp(self) -> tuple:
         return (0,) * len(self.vars)
 
+    @cached_property
+    def _from_standard(self) -> MonomialMap:
+        """tau_i -> its image, from the standard variables t1..tn."""
+        return MonomialMap(tuple(f"t{k}" for k in range(1, self.n + 1)),
+                           {f"t{i}": (1, dict(zip(self.vars, e)))
+                            for i, e in enumerate(self.images, start=1)},
+                           self.vars)
+
     def specialize(self, p: LaurentPoly) -> LaurentPoly:
-        """The image of a polynomial in the standard variables t1..tn."""
-        out: dict = {}
-        for e, c in p.terms.items():
-            key = tuple(sum(map(mul, e, column)) for column in zip(*self.images))
-            out[key] = yp_add(out[key], c) if key in out else c
-        return LaurentPoly(self.vars, out)
+        """The image of a polynomial in the standard variables t1..tn,
+        through the map compiled on first use."""
+        return self._from_standard(p)
 
     def tau_exp(self, i: int) -> tuple:
         return self.images[i - 1]

@@ -27,6 +27,11 @@
   tableau, and `lp_contains` and `lp_is_vertex` built on it: the oracles
   of `mcclass.newton.contains_point` and `is_vertex`, which answer from
   the cached H-representation of the polytope.
+- `monomial_substitute_loop`, a monomial substitution that builds dense
+  image vectors on every call and adds every exponent into every output
+  slot: the oracle of `mcclass.ring.MonomialMap`, the compiled kernel
+  behind `monomial_substitute`, `TorusSpecialization.specialize`,
+  `OrbitProblem.restrict` and the limits.
 """
 
 import functools
@@ -37,7 +42,7 @@ from typing import Mapping, Sequence
 from mcclass.combi import Composition, IndexTuple, Permutation, enumerate_index_tuples
 from mcclass.interp import NonUniqueError, NoSolutionError
 from mcclass.newton import LatticePolytope
-from mcclass.ring import YP_ONE_PLUS_Y, LaurentPoly, exact_divide
+from mcclass.ring import YP_ONE_PLUS_Y, LaurentPoly, exact_divide, yp_add, yp_scale
 from mcclass.weightfn import LocalizedClass, TorusSpecialization, c_mu_at, restriction_direct
 
 
@@ -293,3 +298,68 @@ def lp_is_vertex(P: LatticePolytope, x: Sequence[int]) -> bool:
     x = tuple(x)
     rest = [p for p in P.points if p != x]
     return x in P.points and (not rest or not convex_feasible(rest, x))
+
+
+def monomial_substitute_loop(p: LaurentPoly, images: Mapping,
+                             out_vars: Sequence[str] | None = None) -> LaurentPoly:
+    """Send each variable to a scalar monomial, images mapping a name to
+    (scalar, {var: exponent}) and unmapped variables to themselves; the
+    same ValueErrors as the production kernel, raised from the loop."""
+    if out_vars is None:
+        out_vars = p.vars
+    out_vars = tuple(out_vars)
+    index = {v: i for i, v in enumerate(out_vars)}
+    nv = len(out_vars)
+
+    scalars = []
+    vectors = []
+    for v in p.vars:
+        if v in images:
+            scalar, exps = images[v]
+            if scalar == 0:
+                raise ValueError(f"variable {v} mapped to zero scalar")
+            vec = [0] * nv
+            for name, e in exps.items():
+                if name not in index:
+                    raise ValueError(f"image variable {name} not in output variables")
+                vec[index[name]] += e
+        else:
+            if v not in index:
+                raise ValueError(f"unmapped variable {v} not in output variables")
+            scalar = 1
+            vec = [0] * nv
+            vec[index[v]] = 1
+        scalars.append(scalar)
+        vectors.append(tuple(vec))
+
+    out: dict = {}
+    for e, c in p.terms.items():
+        ne = [0] * nv
+        num = 1
+        for k, ek in enumerate(e):
+            if ek == 0:
+                continue
+            vec = vectors[k]
+            for i in range(nv):
+                ne[i] += vec[i] * ek
+            s = scalars[k]
+            if s != 1:
+                if ek > 0:
+                    num *= s ** ek
+                elif s == -1:
+                    num *= (-1) ** (-ek)
+                else:
+                    raise ValueError(
+                        f"negative power of scalar {s} is not an integer")
+        key = tuple(ne)
+        cc = yp_scale(c, num)
+        prev = out.get(key)
+        if prev is None:
+            out[key] = cc
+        else:
+            s2 = yp_add(prev, cc)
+            if s2:
+                out[key] = s2
+            else:
+                del out[key]
+    return LaurentPoly(out_vars, out)

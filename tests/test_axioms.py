@@ -2,7 +2,8 @@ from collections import Counter
 
 import pytest
 
-from mcclass.axioms import (OrbitLocalData, Weight, check_additivity,
+import mcclass.newton
+from mcclass.axioms import (OrbitLocalData, Weight, _smallness_at, check_additivity,
                             check_divisibility, check_normalization,
                             check_segre_consistency, check_smallness_strict,
                             check_support, orbit_local_data, quadratic_cone_class,
@@ -89,7 +90,7 @@ def test_polytope_answers_match_lp_oracle(monkeypatch):
     oracle = {"contains": lp_contains, "vertex": lp_is_vertex,
               "contained": lambda A, B: all(lp_contains(B, p) for p in A.points)}
     counts = Counter((kind, got) for kind, _, _, got in asked)
-    assert counts == {("contains", True): 1870, ("contains", False): 232,
+    assert counts == {("contains", True): 1870, ("contains", False): 58,
                       ("contained", True): 29, ("contained", False): 29,
                       ("vertex", True): 32}
     for kind, P, x, got in asked:
@@ -123,6 +124,32 @@ def test_smallness_n2_instance():
     assert not small.contains_point((0, 0))
 
 
+def test_smallness_builds_hulls_only_for_the_per_point_polytopes(monkeypatch):
+    # every off-diagonal polytope of the correct n = 4 table lies in J's
+    # bound, and the origin lies outside that bound wherever it lies in
+    # the polytope's bounding box, so the origin test builds no hull: only
+    # J's bound and diagonal polytopes get one (the 12 off-diagonal hulls
+    # built for the origin test alone are gone)
+    mu = Composition((1, 1, 1, 1))
+    spec = TorusSpecialization.standard(4)
+    table = localization_table(mu, modified=True, spec=spec)
+    per_point = set()
+    for J in table:
+        per_point.add(newton_polytope(table[J][J]).points)
+        per_point.add(_smallness_at(J, table[J][J], spec)[0].points)
+    built = []
+    build = mcclass.newton._h_representation
+
+    def counting(points, dim):
+        built.append(points)
+        return build(points, dim)
+
+    monkeypatch.setattr(mcclass.newton, "_h_representation", counting)
+    assert check_smallness_strict(mu, table, spec).ok
+    assert set(built) <= per_point
+    assert len(built) == 41
+
+
 def test_smallness_witnesses_on_corrupted_n3_table():
     # corrupt off-diagonal and diagonal entries of the n = 3 table and pin
     # every failing pair's problems, in the order the check reports them
@@ -143,6 +170,9 @@ def test_smallness_witnesses_on_corrupted_n3_table():
     table[P("123")].table[P("132")] = table[P("123")][P("132")] + one + mono(3, 0, -3)
     table[P("231")].table[P("321")] = table[P("231")][P("321")] + one + mono(0, 3, -3)
     table[P("132")].table[P("123")] = mono(-3, 0, 3)
+    # off-diagonal: the origin alone, inside the diagonal polytope of the
+    # codimension-zero point, whose bound holds the origin
+    table[P("213")].table[P("123")] = one
     # diagonal: the origin stops being a vertex; the bound stops fitting;
     # the diagonal loses the origin and shrinks to the bound itself
     table[P("213")].table[P("213")] = table[P("213")][P("213")] + mono(1, -1, 0)
@@ -158,7 +188,7 @@ def test_smallness_witnesses_on_corrupted_n3_table():
     not_vertex = "origin is not a vertex of the diagonal polytope"
     origin_in = "origin lies in the off-diagonal polytope"
     w0 = "{3},{2},{1}"
-    assert len(report.entries) == 14
+    assert len(report.entries) == 15
     assert [(e.pair, e.witness["problems"]) for e in report.violations] == [
         (("{1},{2},{3}", "{1},{3},{2}"), [escapes_mid, origin_in]),
         (("{1},{2},{3}", "{2},{1},{3}"), [not_vertex]),
@@ -167,6 +197,7 @@ def test_smallness_witnesses_on_corrupted_n3_table():
         (("{1},{3},{2}", "{1},{2},{3}"), [escapes_big]),
         (("{1},{3},{2}", "{3},{1},{2}"), [not_strict, not_vertex]),
         (("{1},{3},{2}", w0), [mid_escapes]),
+        (("{2},{1},{3}", "{1},{2},{3}"), [origin_in]),
         (("{2},{1},{3}", "{3},{1},{2}"), [not_strict, not_vertex]),
         (("{2},{1},{3}", w0), [mid_escapes]),
         (("{2},{3},{1}", w0), [escapes_mid, mid_escapes, origin_in]),

@@ -205,6 +205,9 @@ SEGMENT = ('{"vars": ["t1", "t2"], "terms": [{"exp": [-1, 1], "y": [-1]}, '
      _bundled_orbits(lambda d: d["orbits"][0].update(tangent_c=[{"const": 0}]))),
     (["interpolate", "--target", "omega2", "--data", FILE],
      _bundled_orbits(lambda d: d["orbits"][1].update(codim=3))),
+    (DATA, _bundled_orbits(lambda d: d["orbits"][1].update(name="omega0"))),
+    (DATA, _bundled_orbits(lambda d: d["orbits"][1]["phi"].update(zz="t1"))),
+    (DATA, _bundled_orbits(lambda d: d["orbits"][1]["phi"].update(a2=2))),
     (DATA, None),
     (LIMIT, NO_VARS), (LIMIT, "[1, 2]"), (LIMIT, '{"vars": ['), (LIMIT, None),
     (NEWTON, NO_VARS), (NEWTON, "[1, 2]"), (NEWTON, '{"vars": ['), (NEWTON, None),
@@ -218,6 +221,7 @@ SEGMENT = ('{"vars": ["t1", "t2"], "terms": [{"exp": [-1, 1], "y": [-1]}, '
     (["limit", "--cocharacter", "abc"], None),
 ], ids=["unknown-target", "orbit-without-codim", "no-orbits", "orbits-not-a-list",
         "zero-tangent-class", "codim-not-euler-degree",
+        "duplicate-orbit-name", "phi-key-not-ansatz-variable", "phi-image-not-a-name",
         "data-missing-file",
         "limit-missing-key", "limit-wrong-type", "limit-bad-json", "limit-missing-file",
         "newton-missing-key", "newton-wrong-type", "newton-bad-json",

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from mcclass.interp import (NonUniqueError, NoSolutionError, OrbitProblem,
                             SymmetricAnsatz, solve_csm, solve_fundamental,
                             solve_unique_fractions)
-from mcclass.ring import LaurentPoly, format_poly
-from oracles import solve_unique_bareiss, solve_unique_gauss_jordan
+from mcclass.ring import LaurentPoly, MonomialMap, format_poly
+from oracles import monomial_substitute_loop, solve_unique_bareiss, solve_unique_gauss_jordan
 
 ORACLES = [solve_unique_gauss_jordan, solve_unique_bareiss]
 
@@ -189,6 +189,24 @@ def test_fundamental_omega2_dual_solver_oracle(a2):
     # normalization: restriction at omega2 (the identity map) is the Euler class
     o2 = a2.orbit("omega2")
     assert a2.restrict(a.poly, o2) == o2.euler
+
+
+def test_restrict_matches_loop_oracle(a2):
+    # every basis class the CSM solves use, at every orbit
+    for p in (p for _, p in a2.ansatz.basis(6)):
+        for o in a2.orbits:
+            images = {v: (1, {img: 1}) for v, img in o.phi.items()}
+            assert a2.restrict(p, o) == monomial_substitute_loop(p, images, a2.all_vars)
+
+
+def test_restrict_compiles_nothing_per_call(a2, monkeypatch):
+    # the restriction maps are compiled when the problem is built
+    def refuse(*args):
+        raise AssertionError("a monomial map was compiled after load")
+
+    monkeypatch.setattr(MonomialMap, "__init__", refuse)
+    sol = solve_csm(a2, "omega1")
+    assert sol.restrictions["omega0"].is_zero()
 
 
 def test_fundamental_vanishes_on_open_orbit(a2):

@@ -1,6 +1,8 @@
+import itertools
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -10,11 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mcclass
-from mcclass.ring import (Cocharacter, InfiniteLimitError, LaurentPoly,
+from mcclass.ring import (Cocharacter, InfiniteLimitError, LaurentPoly, MonomialMap,
                           NonDivisibleError, RationalExpr, ZeroDenominatorError,
                           divisible_by_y_binomials, exact_divide, format_poly,
                           limit_at_infinity, monomial_substitute, poly_from_json,
                           poly_to_json, substitute_ones, yp_exact_div, yp_mul)
+from oracles import monomial_substitute_loop
 
 V2 = ("t1", "t2")
 
@@ -71,6 +74,19 @@ def test_substitute_rejects_fractional_scalar_power():
     p = mono(V2, (-1, 0))
     with pytest.raises(ValueError):
         monomial_substitute(p, {"t1": (2, {"t2": 1})})
+
+
+@pytest.mark.parametrize("p, images, out_vars", [
+    (LaurentPoly.variable(V2, "t1"), {"t1": (0, {"t2": 1})}, V2),
+    (mono(V2, (-1, 0)), {"t1": (2, {"t2": 1})}, V2),
+    (one(), {"t1": (1, {"u": 1})}, V2),
+    (one(), {"t1": (1, {"t2": 1})}, ("t1",)),
+], ids=["zero-scalar", "negative-power", "image-not-output", "unmapped-not-output"])
+def test_substitute_errors_match_oracle(p, images, out_vars):
+    with pytest.raises(ValueError) as want:
+        monomial_substitute_loop(p, images, out_vars)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(want.value))}$"):
+        monomial_substitute(p, images, out_vars)
 
 
 # ---------------------------------------------------------------------------
@@ -363,6 +379,91 @@ def test_substitution_is_ring_hom(p, q):
             == monomial_substitute(p, images) + monomial_substitute(q, images))
     assert (monomial_substitute(p * q, images)
             == monomial_substitute(p, images) * monomial_substitute(q, images))
+
+
+# Output variables of the maps below: none (every image a constant), fresh
+# ones, and a fresh one beside the input variable x.
+MAP_OUTPUTS = [(), ("u",), ("u", "w"), ("x", "u")]
+
+
+@st.composite
+def monomial_maps(draw):
+    """(images, out_vars, p): a map of VARS3 with scalars +-1 or larger,
+    and a polynomial with nonnegative exponents in every variable whose
+    scalar is not a unit.  Sometimes y1 gets the image of x and p holds
+    a pair of terms that the map sends to one monomial with opposite
+    coefficients, so that they cancel."""
+    out_vars = draw(st.sampled_from(MAP_OUTPUTS))
+    images = {}
+    for v in VARS3:
+        if v in out_vars and draw(st.booleans()):
+            continue  # sent to itself
+        scalar = draw(st.sampled_from([1, -1, 2, -3]))
+        images[v] = (scalar, {w: draw(st.integers(-2, 2)) for w in out_vars})
+    collide = "x" in images and draw(st.booleans())
+    if collide:
+        images["y1"] = images["x"]
+    p = draw(polys())
+    lows = [0 if v in images and images[v][0] not in (1, -1) else -3 for v in VARS3]
+    terms = {tuple(max(a, lo) for a, lo in zip(e, lows)): c for e, c in p.terms.items()}
+    if collide:
+        e = tuple(draw(st.integers(lo, 3)) for lo in lows[1:])
+        c = draw(st.sampled_from([(1,), (0, -2), (3, 0, 1)]))
+        terms[(e[0] + 1, e[0], e[1])] = c
+        terms[(e[0], e[0] + 1, e[1])] = tuple(-a for a in c)
+    return images, out_vars, LaurentPoly(VARS3, terms)
+
+
+@given(monomial_maps())
+@settings(max_examples=150, deadline=None)
+def test_monomial_map_matches_loop_oracle(case):
+    images, out_vars, p = case
+    want = monomial_substitute_loop(p, images, out_vars)
+    assert MonomialMap(VARS3, images, out_vars)(p) == want
+    assert monomial_substitute(p, images, out_vars) == want
+
+
+def test_monomial_map_cancels_colliding_terms():
+    # x and y1 both go to -u and z to 1, so y*x^2*y1 and -y*x*y1^2*z^5 meet
+    # and cancel; into no variables, every term lands on the constant
+    p = mono(VARS3, (2, 1, 0), (0, 1)) - mono(VARS3, (1, 2, 5), (0, 1))
+    to_u = {"x": (-1, {"u": 1}), "y1": (-1, {"u": 1}), "z": (1, {})}
+    assert MonomialMap(VARS3, to_u, ("u",))(p).is_zero()
+    to_none = {"x": (-1, {}), "y1": (-1, {}), "z": (1, {})}
+    assert MonomialMap(VARS3, to_none, ())(p + one(VARS3)) == one(())
+
+
+def _limit_by_loop_oracle(f, d):
+    """limit_at_infinity with the collapse tau_i -> xi^{d_i} done by the
+    loop oracle."""
+    images = {v: (1, {"xi": w}) for v, w in zip(f.vars, d.weights)}
+    num = {e[0]: c for e, c in monomial_substitute_loop(f.num, images, ("xi",)).terms.items()}
+    den = {e[0]: c for e, c in monomial_substitute_loop(f.den, images, ("xi",)).terms.items()}
+    if not den:
+        raise ZeroDenominatorError("denominator vanishes under the cocharacter")
+    if not num:
+        return ()
+    dn, dd = max(num), max(den)
+    if dn < dd:
+        return ()
+    if dn > dd:
+        raise InfiniteLimitError(f"numerator degree {dn} exceeds denominator degree {dd}")
+    return yp_exact_div(num[dn], den[dd])
+
+
+def _limit_outcome(limit, f, d):
+    try:
+        return ("value", limit(f, d))
+    except (InfiniteLimitError, ZeroDenominatorError, NonDivisibleError) as err:
+        return (type(err).__name__, str(err))
+
+
+def test_cone_limits_match_loop_oracle():
+    f = _cone_ratio()
+    for weights in itertools.product((-1, 0, 1, 2), repeat=3):
+        d = Cocharacter(weights)
+        assert (_limit_outcome(limit_at_infinity, f, d)
+                == _limit_outcome(_limit_by_loop_oracle, f, d)), weights
 
 
 @given(polys(max_terms=3), polys(max_terms=3), polys(max_terms=2))

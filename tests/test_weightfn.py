@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from mcclass.axioms import orbit_local_data
 from mcclass.combi import (Composition, IndexTuple, Permutation, closure_leq,
                            enumerate_index_tuples, length, weak_order_walk)
-from mcclass.ring import (LaurentPoly, NonDivisibleError, RationalExpr, exact_divide,
-                          poly_from_json, poly_to_json)
+from mcclass.ring import (LaurentPoly, MonomialMap, NonDivisibleError, RationalExpr,
+                          exact_divide, poly_from_json, poly_to_json)
 import mcclass.weightfn
 from mcclass.weightfn import (PSI_EQUAL, PSI_GREATER, PSI_LESS, TorusSpecialization,
                               VariablePanel, c_mu_at, c_prime_mu_at, chern_products,
@@ -17,8 +17,8 @@ from mcclass.weightfn import (PSI_EQUAL, PSI_GREATER, PSI_LESS, TorusSpecializat
                               left_row_step, localization_table, psi_factor,
                               restrict_to_fixed_point, restriction_direct, top_cell_row,
                               u_term, weight_function)
-from oracles import (direct_table, modified_restriction_direct, ring_demazure_step,
-                     ring_descent_step, ring_left_row_step)
+from oracles import (direct_table, modified_restriction_direct, monomial_substitute_loop,
+                     ring_demazure_step, ring_descent_step, ring_left_row_step)
 
 MU11 = Composition((1, 1))
 I12 = IndexTuple(MU11, [(1,), (2,)])
@@ -263,6 +263,25 @@ def test_recursion_matches_direct_one_parameter_spot_n5():
 
 TORI = {"standard": TorusSpecialization.standard,
         "one_parameter": TorusSpecialization.one_parameter}
+
+
+@pytest.mark.parametrize("torus", sorted(TORI))
+@pytest.mark.parametrize("n", [3, 4])
+def test_specialize_matches_loop_oracle(n, torus, monkeypatch):
+    # every entry of the plain and the modified standard tables, through
+    # one map compiled on the first call
+    spec = TORI[torus](n)
+    images = {f"t{i}": (1, dict(zip(spec.vars, e))) for i, e in enumerate(spec.images, 1)}
+    spec.specialize(LaurentPoly.zero(TorusSpecialization.standard(n).vars))
+
+    def refuse(*args):
+        raise AssertionError("a monomial map was compiled twice")
+
+    monkeypatch.setattr(MonomialMap, "__init__", refuse)
+    for modified in (True, False):
+        for cls in localization_table(Composition((1,) * n), modified=modified).values():
+            for f in cls.table.values():
+                assert spec.specialize(f) == monomial_substitute_loop(f, images, spec.vars)
 
 
 def compositions(n):
