@@ -25,7 +25,7 @@ def main(outdir="newton_gallery"):
     out.mkdir(parents=True, exist_ok=True)
     spec = TorusSpecialization.standard(3)
     perms = [Permutation(p) for p in itertools.permutations((1, 2, 3))]
-    rows = full_flag_table_recursive(3, spec)
+    rows = full_flag_table_recursive(3)
     written = 0
     for p in perms:
         for q in perms:

@@ -8,9 +8,9 @@ from .combi import (Composition, IndexTuple, Permutation, bruhat_leq, closure_le
 from .ring import (Cocharacter, InfiniteLimitError, LaurentPoly, NonDivisibleError,
                    RationalExpr, RingError, ZeroDenominatorError, exact_divide,
                    limit_at_infinity, monomial_substitute)
-from .weightfn import (LocalizedClass, TorusSpecialization, VariablePanel,
-                       chern_products, localization_table, psi_factor,
-                       restrict_to_fixed_point, u_term, weight_function)
+from .weightfn import (TorusSpecialization, VariablePanel, chern_products,
+                       localization_table, psi_factor, restrict_to_fixed_point, u_term,
+                       weight_function)
 
 __all__ = [
     "Composition", "IndexTuple", "Permutation", "bruhat_leq", "closure_leq",
@@ -18,7 +18,7 @@ __all__ = [
     "Cocharacter", "InfiniteLimitError", "LaurentPoly", "NonDivisibleError",
     "RationalExpr", "RingError", "ZeroDenominatorError", "exact_divide",
     "limit_at_infinity", "monomial_substitute",
-    "LocalizedClass", "TorusSpecialization", "VariablePanel", "chern_products",
+    "TorusSpecialization", "VariablePanel", "chern_products",
     "localization_table", "psi_factor", "restrict_to_fixed_point", "u_term",
     "weight_function",
 ]

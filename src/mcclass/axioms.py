@@ -1,5 +1,11 @@
 """Axiomatic checks on localized classes: normalization, divisibility,
-support, strict polytope smallness, plus the quadratic-cone example.
+support, strict polytope smallness, additivity and Segre consistency,
+plus the quadratic-cone example.
+
+Each check takes the one table it checks, {I: {J: f}} on the standard
+torus t1..tn as localization_table returns it, and reads n from the
+table's points; run_axiom_suite builds the full-flag table and runs all
+six.
 
 Tangent weights of the flag variety at a fixed point J pair an element
 a of an earlier block with an element b of a later block; the weight is
@@ -98,26 +104,20 @@ def orbit_local_data(I: IndexTuple) -> OrbitLocalData:
 # ---------------------------------------------------------------------------
 
 
-def _table_or_build(mu, table, spec):
-    if not isinstance(mu, Composition):
-        mu = Composition(mu)
-    if spec is None:
-        spec = TorusSpecialization.standard(mu.n)
-    if table is None:
-        table = localization_table(mu, modified=True, spec=spec)
-    return mu, table, spec
+def _torus(table: Mapping) -> TorusSpecialization:
+    """The standard torus t1..tn of a table {I: {J: f}}."""
+    return TorusSpecialization.standard(next(iter(table)).mu.n)
 
 
-def check_normalization(mu, table: Mapping | None = None,
-                        spec: TorusSpecialization | None = None) -> Report:
+def check_normalization(table: Mapping) -> Report:
     """Diagonal identity: each class restricts at its own point to
     the normal Euler factor times the cell Chern factor."""
-    mu, table, spec = _table_or_build(mu, table, spec)
+    spec = _torus(table)
     report = Report("normalization")
-    for I, cls in table.items():
+    for I, row in table.items():
         data = orbit_local_data(I)
         expected = data.ek_normal(spec) * data.ck_cell(spec)
-        got = cls[I]
+        got = row[I]
         report.add(ReportEntry(pair=(str(I), str(I)), check="normalization",
                                ok=(got == expected),
                                witness=None if got == expected else
@@ -125,14 +125,12 @@ def check_normalization(mu, table: Mapping | None = None,
     return report
 
 
-def check_support(mu, table: Mapping | None = None,
-                  spec: TorusSpecialization | None = None) -> Report:
+def check_support(table: Mapping) -> Report:
     """Vanishing off the cell closure: the restriction at J is zero
     unless the cell of J lies in the closure of the cell of I."""
-    mu, table, spec = _table_or_build(mu, table, spec)
     report = Report("support")
-    for I, cls in table.items():
-        for J, val in cls.table.items():
+    for I, row in table.items():
+        for J, val in row.items():
             if closure_leq(I, J):
                 continue
             report.add(ReportEntry(pair=(str(I), str(J)), check="support",
@@ -142,20 +140,19 @@ def check_support(mu, table: Mapping | None = None,
     return report
 
 
-def check_divisibility(mu, table: Mapping | None = None,
-                       spec: TorusSpecialization | None = None) -> Report:
+def check_divisibility(table: Mapping) -> Report:
     """Every restriction is divisible by the cell Chern factor of the
     point where it is restricted.
 
     The factor is a product of binomials 1 + y*tau^e, so divisibility is
     decided by root vanishing (divisible_by_y_binomials); long division
     runs only to give a failing entry its remainder."""
-    mu, table, spec = _table_or_build(mu, table, spec)
+    spec = _torus(table)
     exponents = {J: _exponents(_chern_factors(orbit_local_data(J).tangent_cell), spec)
                  for J in table}
     report = Report("divisibility")
-    for I, cls in table.items():
-        for J, val in cls.table.items():
+    for I, row in table.items():
+        for J, val in row.items():
             if val.is_zero():
                 continue
             ok = divisible_by_y_binomials(val, exponents[J])
@@ -175,8 +172,7 @@ def _division_remainder(val: LaurentPoly, divisor: LaurentPoly):
     raise AssertionError("root vanishing and long division disagree")
 
 
-def check_smallness_strict(mu, table: Mapping | None = None,
-                           spec: TorusSpecialization | None = None) -> Report:
+def check_smallness_strict(table: Mapping) -> Report:
     """Strict polytope containment with an origin-vertex certificate.
 
     For every ordered pair I != J with a nonzero restriction:
@@ -193,13 +189,13 @@ def check_smallness_strict(mu, table: Mapping | None = None,
     bound at most once.  An off-diagonal polytope inside a bound that
     misses the origin misses it too, without a hull of its own.
     """
-    mu, table, spec = _table_or_build(mu, table, spec)
+    spec = _torus(table)
     report = Report("smallness")
     origin = spec.zero_exp()
     per_point = {J: _smallness_at(J, table[J][J], spec) for J in table}
     inside = {J: {} for J in table}  # generator point -> in J's bound?
-    for I, cls in table.items():
-        for J, val in cls.table.items():
+    for I, row in table.items():
+        for J, val in row.items():
             if I == J or val.is_zero():
                 continue
             small = newton_polytope(val)
@@ -256,11 +252,10 @@ def _all_inside(bound: LatticePolytope, inside: dict, points) -> bool:
     return True
 
 
-def check_additivity(mu, table: Mapping | None = None,
-                     spec: TorusSpecialization | None = None) -> Report:
+def check_additivity(table: Mapping) -> Report:
     """Sum over all cells of the modified rows equals the ambient
     lambda_y class of the cotangent directions at every point."""
-    mu, table, spec = _table_or_build(mu, table, spec)
+    spec = _torus(table)
     report = Report("additivity")
     points = list(table)
     for J in points:
@@ -277,8 +272,7 @@ def check_additivity(mu, table: Mapping | None = None,
     return report
 
 
-def check_segre_consistency(mu, table: Mapping | None = None,
-                            spec: TorusSpecialization | None = None) -> Report:
+def check_segre_consistency(table: Mapping) -> Report:
     """The two Chern products restrict compatibly with the tangent
     weights: c_mu * prod(1 + y/chi) = c'_mu at every fixed point, which
     makes the plain/modified/Segre normalizations agree.
@@ -287,7 +281,7 @@ def check_segre_consistency(mu, table: Mapping | None = None,
     irreducible and associate only when equal, so the identity holds
     exactly when the two multisets of exponents e agree.  The products
     are multiplied out only for the witness of a failing point."""
-    mu, table, spec = _table_or_build(mu, table, spec)
+    spec = _torus(table)
     report = Report("segre")
     for J in table:
         lhs = c_mu_factors(J) + orbit_local_data(J).ck_full_factors()
@@ -300,25 +294,17 @@ def check_segre_consistency(mu, table: Mapping | None = None,
     return report
 
 
-def run_axiom_suite(n: int, jobs: int = 1,
-                    spec: TorusSpecialization | None = None) -> Report:
+def run_axiom_suite(n: int, jobs: int = 1) -> Report:
     """All checks for the full flag variety on n letters, one report.
 
     The table comes from localization_table's left recursion, walked in
     one process; jobs changes nothing.
     """
-    mu = Composition((1,) * n)
-    if spec is None:
-        spec = TorusSpecialization.standard(n)
-    table = localization_table(mu, modified=True, spec=spec)
+    table = localization_table(Composition((1,) * n))
     combined = Report("axioms")
-    for rep in (check_normalization(mu, table, spec),
-                check_support(mu, table, spec),
-                check_divisibility(mu, table, spec),
-                check_smallness_strict(mu, table, spec),
-                check_additivity(mu, table, spec),
-                check_segre_consistency(mu, table, spec)):
-        combined.extend(rep)
+    for check in (check_normalization, check_support, check_divisibility,
+                  check_smallness_strict, check_additivity, check_segre_consistency):
+        combined.extend(check(table))
     return combined
 
 

@@ -3,8 +3,10 @@
 Subcommands: weight, axioms, expand, conjectures, limit, interpolate,
 newton.  All output is deterministic for fixed inputs and flags; every
 subcommand runs in one process, and --jobs is accepted and changes
-nothing.  Exit code 0 means success/pass, 1 means a report contains
-violations, 2 means a computation fault or bad input.
+nothing.  A restricted table (weight --restrict) is written one class
+at a time, as each class is rendered.  Exit code 0 means success/pass,
+1 means a report contains violations, 2 means a computation fault
+(running out of memory included) or bad input.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from .ring import (Cocharacter, InfiniteLimitError, RationalExpr, RingError,
                    dumps_canonical, format_poly, format_ypoly, limit_at_infinity,
                    poly_from_json, poly_to_json, rational_from_json, rational_to_json)
 from .weightfn import (TorusSpecialization, VariablePanel, c_prime_mu_at, chern_products,
-                       full_flag_table_recursive, localization_table, weight_function)
+                       localization_table, weight_function)
 
 DEFAULT_MAX_N = 6
 
@@ -144,34 +146,16 @@ def cmd_weight(args) -> int:
         targets = [_parse_blocks(args.I, mu)]
     else:
         raise CliError("weight needs --I or --all")
-    spec = TorusSpecialization.standard(mu.n)
-
     if args.restrict:
-        table = localization_table(mu, modified=(args.kind == "modified"), spec=spec,
-                                   cells=targets)
-        if args.kind == "segre":
-            dens = {J: c_prime_mu_at(J, spec) for J in points}
-            classes = [(I, [(J, RationalExpr(table[I][J], dens[J])) for J in points])
-                       for I in targets]
-            if args.format == "json":
-                payload = [{"I": I.to_json(),
-                            "entries": [{"point": J.to_json(), "value": rational_to_json(r)}
-                                        for J, r in entries]}
-                           for I, entries in classes]
-                _emit(dumps_canonical({"mu": list(mu.parts), "kind": args.kind,
-                                       "classes": payload}), args.output)
-            else:
-                _emit(_render_segre_tables(classes), args.output)
-            return 0
+        table = localization_table(mu, modified=(args.kind == "modified"), cells=targets)
+        pieces = _restricted_classes(mu, points, table, args.kind, args.format)
         if args.format == "json":
-            payload = [{"I": I.to_json(), **table[I].to_json()} for I in targets]
-            _emit(dumps_canonical({"mu": list(mu.parts), "kind": args.kind,
-                                   "classes": payload}), args.output)
+            # the classes are separated the way dumps_canonical joins a list
+            head = (f'{{"mu": {dumps_canonical(list(mu.parts))}, '
+                    f'"kind": {dumps_canonical(args.kind)}, "classes": [')
+            _emit(itertools.chain((head,), _separated(pieces, ", "), ("]}",)), args.output)
         else:
-            _emit((("\n" if k else "") + "\n".join(
-                [f"class of cell {I} ({args.kind}):"]
-                + [f"  at {J}: {format_poly(table[I][J])}" for J in points])
-                for k, I in enumerate(targets)), args.output)
+            _emit(_separated(pieces, "\n"), args.output)
         return 0
 
     panel = VariablePanel(mu)
@@ -198,15 +182,43 @@ def cmd_weight(args) -> int:
     return 0
 
 
-def _render_segre_tables(classes) -> str:
-    """Text of [(I, [(J, Segre ratio at J)])]; cells and points print as
-    their block lists."""
-    lines = []
-    for I, entries in classes:
-        lines.append(f"segre class of cell {I.to_json()['blocks']}:")
-        lines.extend(f"  at {J.to_json()['blocks']}: "
-                     f"({format_poly(r.num)}) / ({format_poly(r.den)})" for J, r in entries)
-    return "\n".join(lines)
+def _restricted_classes(mu: Composition, points, table, kind: str, fmt: str):
+    """Each class of a restricted table rendered in fmt, one string per
+    class, as the class is reached.  A Segre entry is f(J) / c'_mu(J) with
+    the monomial content of c'_mu(J) folded into f(J), as RationalExpr
+    folds it; each point's folded c'_mu(J) is rendered once."""
+    render = poly_to_json if fmt == "json" else format_poly
+    if kind == "segre":
+        spec = TorusSpecialization.standard(mu.n)
+        dens = {}
+        for J in points:
+            den = c_prime_mu_at(J, spec)
+            shift = tuple(-m for m in den.min_exponents())
+            dens[J] = shift, render(den.shift(shift))
+        for I, row in table.items():
+            entries = [(J, render(f.shift(dens[J][0])), dens[J][1]) for J, f in row.items()]
+            if fmt == "json":
+                yield dumps_canonical({"I": I.to_json(), "entries": [
+                    {"point": J.to_json(), "value": {"num": num, "den": den}}
+                    for J, num, den in entries]})
+            else:
+                yield "\n".join([f"segre class of cell {I.to_json()['blocks']}:"] + [
+                    f"  at {J.to_json()['blocks']}: ({num}) / ({den})"
+                    for J, num, den in entries])
+    elif fmt == "json":
+        ordered = sorted(points, key=lambda J: J.blocks)
+        for I, row in table.items():
+            yield dumps_canonical({"I": I.to_json(), "mu": list(mu.parts), "entries": [
+                {"point": J.to_json(), "value": render(row[J])} for J in ordered]})
+    else:
+        for I, row in table.items():
+            yield "\n".join([f"class of cell {I} ({kind}):"]
+                            + [f"  at {J}: {render(f)}" for J, f in row.items()])
+
+
+def _separated(pieces, sep: str):
+    """The pieces in order with sep between each two."""
+    return itertools.islice(itertools.chain.from_iterable((sep, p) for p in pieces), 1, None)
 
 
 # ---------------------------------------------------------------------------
@@ -255,9 +267,7 @@ def cmd_expand(args) -> int:
     # cells are separated the way dumps_canonical joins a list
     printed = sorted(((p.length(), p.word), render(e))
                      for p, e in Expander(args.n).walk(cells))
-    sep = ", " if args.format == "json" else "\n\n"
-    body = itertools.chain.from_iterable((sep, text) for _, text in printed)
-    body = itertools.islice(body, 1, None)
+    body = _separated((text for _, text in printed), ", " if args.format == "json" else "\n\n")
     _emit(itertools.chain(("[",), body, ("]",)) if args.format == "json" else body,
           args.output)
     return 0
@@ -305,6 +315,9 @@ def cmd_limit(args) -> int:
             d = Cocharacter(tuple(int(x) for x in text.split(",")))
         except ValueError as err:
             raise CliError(f"bad cocharacter {text!r}: {err}")
+        if len(d.weights) != len(ratio.vars):
+            raise CliError(f"cocharacter {text!r} has {len(d.weights)} entries, "
+                           f"the class has {len(ratio.vars)} variables")
         try:
             value = limit_at_infinity(ratio, d)
             results.append({"cocharacter": list(d.weights),
@@ -392,9 +405,9 @@ def cmd_newton(args) -> int:
         p = _parse_perm(p_text, 3)
         q = _parse_perm(q_text, 3)
         from .axioms import orbit_local_data
-        spec = TorusSpecialization.standard(3)
-        ek = orbit_local_data(q.to_index_tuple()).ek_normal(spec)
-        val = full_flag_table_recursive(3, spec)[p][q]
+        I, J = p.to_index_tuple(), q.to_index_tuple()
+        ek = orbit_local_data(J).ek_normal(TorusSpecialization.standard(3))
+        val = localization_table(Composition((1, 1, 1)), cells=[I])[I][J]
         layers = []
         if not ek.is_zero():
             layers.append(("ek-polygon", project_sum_zero(sorted(ek.support()))))
@@ -528,6 +541,9 @@ def main(argv=None) -> int:
         return 2
     except (RingError, ValueError, OSError) as err:
         print(f"computation fault: {err}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("computation fault: out of memory", file=sys.stderr)
         return 2
 
 

@@ -427,11 +427,11 @@ def check_s_delta_signs(n: int, expander: Expander | None = None) -> Report:
 # ---------------------------------------------------------------------------
 
 
-def _coeff_display(c: LaurentPoly, param: str = "y"):
+def _coeff_display(c: LaurentPoly):
     """(sign, body) with the overall minus pulled out of all-negative
     coefficients, the way the expansions are traditionally printed."""
     negative = not c.is_zero() and all(ck <= 0 for ypol in c.terms.values() for ck in ypol)
-    return ("-" if negative else "+"), format_poly_ygrouped(c, param, negate=negative)
+    return ("-" if negative else "+"), format_poly_ygrouped(c, negate=negative)
 
 
 def format_expansion(e: Expansion, nonequivariant: bool = False) -> str:

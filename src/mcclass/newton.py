@@ -330,7 +330,11 @@ SVG_STYLE = (".ek-polygon { fill: #2b50c8; fill-opacity: 0.30; stroke: #2b50c8; 
              ".axis { stroke: #999999; stroke-width: 1; }")
 
 
-def render_svg(layers: Sequence[tuple], scale: int = 32, margin: int = 24) -> str:
+SVG_SCALE = 32  # pixels per lattice step
+SVG_MARGIN = 24  # pixels around the drawing
+
+
+def render_svg(layers: Sequence[tuple]) -> str:
     """Deterministic SVG: layers are (css_class, list of 2D integer points).
 
     Every layer draws its convex hull as a polygon (or a segment/point)
@@ -341,6 +345,7 @@ def render_svg(layers: Sequence[tuple], scale: int = 32, margin: int = 24) -> st
         raise ValueError("nothing to draw")
     xs = [p[0] for p in all_pts]
     ys = [p[1] for p in all_pts]
+    scale, margin = SVG_SCALE, SVG_MARGIN
     x0, x1 = min(xs + [0]), max(xs + [0])
     y0, y1 = min(ys + [0]), max(ys + [0])
     w = (x1 - x0) * scale + 2 * margin

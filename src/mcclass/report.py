@@ -36,12 +36,12 @@ class Report:
     def ok(self) -> bool:
         return not self.violations
 
-    def to_json(self, full: bool = False) -> dict:
+    def to_json(self) -> dict:
+        """Counts, and the entries of the violations alone."""
         return {"name": self.name,
                 "checked": len(self.entries),
                 "violations": len(self.violations),
-                "entries": [e.to_json() for e in self.entries
-                            if full or not e.ok]}
+                "entries": [e.to_json() for e in self.violations]}
 
     def entries_json(self) -> list:
         """The raw entry list: {pair, check, pass, witness} per check."""

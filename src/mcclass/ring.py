@@ -133,7 +133,7 @@ def yp_subst(a: Ypoly, value: Ypoly) -> Ypoly:
     return out
 
 
-def format_ypoly(a: Ypoly, param: str = "y") -> str:
+def format_ypoly(a: Ypoly) -> str:
     if not a:
         return "0"
     parts = []
@@ -144,7 +144,7 @@ def format_ypoly(a: Ypoly, param: str = "y") -> str:
         if k == 0:
             body = str(abs(c))
         else:
-            ystr = param if k == 1 else f"{param}^{k}"
+            ystr = "y" if k == 1 else f"y^{k}"
             body = ystr if abs(c) == 1 else f"{abs(c)}*{ystr}"
         if not parts:
             parts.append(body if c > 0 else f"-{body}")
@@ -228,10 +228,10 @@ class LaurentPoly:
         return cls(vars, {tuple(exp): c})
 
     @classmethod
-    def variable(cls, vars: Sequence[str], name: str, power: int = 1) -> "LaurentPoly":
+    def variable(cls, vars: Sequence[str], name: str) -> "LaurentPoly":
         i = tuple(vars).index(name)
         e = [0] * len(vars)
-        e[i] = power
+        e[i] = 1
         return cls.monomial(vars, e)
 
     # -- basic structure ----------------------------------------------------
@@ -794,7 +794,7 @@ def _monomial_str(vars, e) -> str:
     return f"{ns or '1'}/{ds}"
 
 
-def format_poly(p: LaurentPoly, param: str = "y") -> str:
+def format_poly(p: LaurentPoly) -> str:
     """Canonical flat rendering: terms in exponent order, y ascending."""
     if p.is_zero():
         return "0"
@@ -810,9 +810,9 @@ def format_poly(p: LaurentPoly, param: str = "y") -> str:
             if mono != "1":
                 factors.append(mono)
             if k == 1:
-                factors.append(param)
+                factors.append("y")
             elif k > 1:
-                factors.append(f"{param}^{k}")
+                factors.append(f"y^{k}")
             body = "*".join(factors) if factors else "1"
             if not parts:
                 parts.append(body if ck > 0 else f"-{body}")
@@ -821,9 +821,9 @@ def format_poly(p: LaurentPoly, param: str = "y") -> str:
     return " ".join(parts)
 
 
-def format_poly_ygrouped(p: LaurentPoly, param: str = "y", negate: bool = False) -> str:
-    """Display form grouped by descending powers of the parameter; of -p
-    when negate is set."""
+def format_poly_ygrouped(p: LaurentPoly, negate: bool = False) -> str:
+    """Display form grouped by descending powers of y; of -p when negate
+    is set."""
     if p.is_zero():
         return "0"
     sign = -1 if negate else 1
@@ -853,7 +853,7 @@ def format_poly_ygrouped(p: LaurentPoly, param: str = "y", negate: bool = False)
             piece = body
             plain = len(monos) == 1
         else:
-            ystr = param if k == 1 else f"{param}^{k}"
+            ystr = "y" if k == 1 else f"y^{k}"
             if len(monos) == 1 and monos[0][1] in (1, -1) and not body.startswith("-"):
                 piece = f"{body}*{ystr}" if body != "1" else ystr
                 plain = True

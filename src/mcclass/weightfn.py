@@ -10,6 +10,8 @@ product).
 localization_table takes one route for every composition: a depth-first
 walk over the cells of G/P by the left Demazure-Lusztig step, seeded with
 the closed-form row of the top cell and dividing along lines of exponents.
+A table is a plain dict {I: {J: f}} on the standard torus t1..tn; a
+caller that wants another TorusSpecialization maps the entries itself.
 restriction_direct evaluates the symmetrization at one fixed point; the
 test suite builds its oracle tables from it.
 """
@@ -25,7 +27,7 @@ from typing import Mapping, Sequence
 from .combi import Composition, IndexTuple, Permutation, enumerate_index_tuples, tree_walk
 from .ring import (LaurentPoly, MonomialMap, NonDivisibleError, RationalExpr, YP_ONE,
                    YP_ONE_PLUS_Y, YP_Y, ZeroDenominatorError, exact_divide,
-                   monomial_substitute, poly_to_json, yp_add, yp_neg, yp_trim)
+                   monomial_substitute, yp_add, yp_neg, yp_trim)
 
 # ---------------------------------------------------------------------------
 # Variable panels and torus specializations
@@ -83,8 +85,8 @@ class TorusSpecialization:
 
     The standard specialization keeps tau_i as independent variables
     t1..tn.  The one-parameter specialization sends tau_i to t^i, which
-    keeps every needed binomial nonzero while collapsing all tables to
-    univariate data; it computes non-equivariant answers exactly.
+    keeps every needed binomial nonzero while collapsing polynomials in
+    t1..tn to univariate data; it computes non-equivariant answers exactly.
     """
 
     n: int
@@ -455,23 +457,6 @@ def restriction_direct(I: IndexTuple, J: IndexTuple,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LocalizedClass:
-    """Fixed-point restrictions of one class: a map point -> polynomial."""
-
-    mu: Composition
-    table: dict
-
-    def __getitem__(self, J: IndexTuple) -> LaurentPoly:
-        return self.table[J]
-
-    def to_json(self) -> dict:
-        points = sorted(self.table, key=lambda J: J.blocks)
-        return {"mu": list(self.mu.parts),
-                "entries": [{"point": p.to_json(), "value": poly_to_json(self.table[p])}
-                            for p in points]}
-
-
 def top_cell(mu: Composition) -> IndexTuple:
     """The point cell: each block holds the largest values left by the earlier ones."""
     return IndexTuple(mu, [range(mu.n - end + 1, mu.n - end + size + 1)
@@ -590,38 +575,33 @@ def _left_parent(I: IndexTuple) -> int:
 
 
 def localization_table(mu: Composition | Sequence[int], modified: bool = True,
-                       spec: TorusSpecialization | None = None, cells=None) -> dict:
-    """Localization tables of the given cells (default: every cell):
-    {I: LocalizedClass}.
+                       cells=None) -> dict:
+    """Localization tables of the given cells (default: every cell) on the
+    standard torus t1..tn: {I: {J: f}}, rows and their points in the order
+    of enumerate_index_tuples, or the rows in the order of cells.
 
     One depth-first walk (tree_walk) of left_row_step from the top cell's
     row down the left parents, holding only the current path.  The step
     commutes with c_mu (c_mu at s_i J, swapped, is c_mu at J), so plain
-    rows start from the top row times c_mu.  The walk runs on the standard
-    torus; for another spec each finished row is mapped."""
+    rows start from the top row times c_mu."""
     if not isinstance(mu, Composition):
         mu = Composition(mu)
-    std = TorusSpecialization.standard(mu.n)
-    spec = spec or std
+    spec = TorusSpecialization.standard(mu.n)
     points = enumerate_index_tuples(mu)
     top = top_cell(mu)
-    seed = top_cell_row(mu, std)
+    seed = top_cell_row(mu, spec)
     if not modified:
-        seed[top] = seed[top] * c_mu_at(top, std)
+        seed[top] = seed[top] * c_mu_at(top, spec)
     edges = ((I, I.swap_values(i), i) for I in points if I != top for i in [_left_parent(I)])
-    out = {}
-    for I, row in tree_walk(top, seed, edges, left_row_step, cells):
-        if spec != std:
-            row = {J: spec.specialize(f) for J, f in row.items()}
-        out[I] = LocalizedClass(mu, row)
-    return {I: out[I] for I in (points if cells is None else cells)}
+    rows = dict(tree_walk(top, seed, edges, left_row_step, cells))
+    return {I: rows[I] for I in (points if cells is None else cells)}
 
 
-def full_flag_table_recursive(n: int, spec: TorusSpecialization | None = None) -> dict:
-    """Modified rows of all Fl(n) cells, keyed by permutation."""
-    table = localization_table(Composition((1,) * n), True, spec)
-    return {I.to_permutation(): {J.to_permutation(): f for J, f in cls.table.items()}
-            for I, cls in table.items()}
+def full_flag_table_recursive(n: int) -> dict:
+    """Modified rows of all Fl(n) cells on the standard torus, keyed by
+    permutation."""
+    return {I.to_permutation(): {J.to_permutation(): f for J, f in row.items()}
+            for I, row in localization_table(Composition((1,) * n)).items()}
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,7 @@ from mcclass.combi import Composition, IndexTuple, Permutation, enumerate_index_
 from mcclass.interp import NonUniqueError, NoSolutionError
 from mcclass.newton import LatticePolytope
 from mcclass.ring import YP_ONE_PLUS_Y, LaurentPoly, exact_divide, yp_add, yp_scale
-from mcclass.weightfn import LocalizedClass, TorusSpecialization, c_mu_at, restriction_direct
+from mcclass.weightfn import TorusSpecialization, c_mu_at, restriction_direct
 
 
 def solve_unique_gauss_jordan(rows, rhs):
@@ -190,7 +190,7 @@ def modified_restriction_direct(I: IndexTuple, J: IndexTuple,
 def direct_table(mu: Composition | Sequence[int], modified: bool = True,
                  spec: TorusSpecialization | None = None) -> dict:
     """Localization tables of every cell by direct symmetrization at
-    every fixed point: {I: LocalizedClass}.
+    every fixed point: {I: {J: f}}.
 
     Cached, so a table is built once per session; callers must not
     mutate it.
@@ -206,8 +206,7 @@ def direct_table(mu: Composition | Sequence[int], modified: bool = True,
 def _direct_table(mu: Composition, modified: bool, spec: TorusSpecialization) -> dict:
     restrict = modified_restriction_direct if modified else restriction_direct
     points = enumerate_index_tuples(mu)
-    return {I: LocalizedClass(mu, {J: restrict(I, J, spec) for J in points})
-            for I in points}
+    return {I: {J: restrict(I, J, spec) for J in points} for I in points}
 
 
 

@@ -47,10 +47,8 @@ def criterion(number, description):
 
 @pytest.fixture(scope="module")
 def n4_table():
-    mu = Composition((1, 1, 1, 1))
-    spec = TorusSpecialization.standard(4)
-    table = direct_table(mu, modified=True, spec=spec)
-    return mu, table, spec
+    return direct_table(Composition((1, 1, 1, 1)), modified=True,
+                        spec=TorusSpecialization.standard(4))
 
 
 def test_criterion_1_fl3_expansion_table():
@@ -122,16 +120,16 @@ def test_criterion_6_axiom_suite(n4_table):
             mu = Composition((1,) * n)
             spec = TorusSpecialization.standard(n)
             table = direct_table(mu, modified=True, spec=spec)
-            for rep in (check_normalization(mu, table, spec),
-                        check_divisibility(mu, table, spec),
-                        check_support(mu, table, spec),
-                        check_smallness_strict(mu, table, spec)):
+            for rep in (check_normalization(table),
+                        check_divisibility(table),
+                        check_support(table),
+                        check_smallness_strict(table)):
                 assert rep.ok, rep.summary()
-        mu, table, spec = n4_table
-        for rep in (check_normalization(mu, table, spec),
-                    check_divisibility(mu, table, spec),
-                    check_support(mu, table, spec),
-                    check_smallness_strict(mu, table, spec)):
+        table = n4_table
+        for rep in (check_normalization(table),
+                    check_divisibility(table),
+                    check_support(table),
+                    check_smallness_strict(table)):
             assert rep.ok, rep.summary()
         assert time.time() - t0 < 180
 
@@ -143,9 +141,8 @@ def test_criterion_7_additivity(n4_table):
             mu = Composition((1,) * n)
             spec = TorusSpecialization.standard(n)
             table = direct_table(mu, modified=True, spec=spec)
-            assert check_additivity(mu, table, spec).ok
-        mu, table, spec = n4_table
-        assert check_additivity(mu, table, spec).ok
+            assert check_additivity(table).ok
+        assert check_additivity(n4_table).ok
 
 
 def test_criterion_8_conjecture_reports():

@@ -11,7 +11,7 @@ from mcclass.axioms import (OrbitLocalData, Weight, _smallness_at, check_additiv
 from mcclass.combi import Composition, IndexTuple, Permutation, enumerate_index_tuples, length
 from mcclass.newton import newton_polytope, is_vertex
 from mcclass.ring import LaurentPoly, exact_divide, format_poly
-from mcclass.weightfn import LocalizedClass, TorusSpecialization, c_mu_at, localization_table
+from mcclass.weightfn import TorusSpecialization, c_mu_at, localization_table
 from oracles import direct_table, lp_contains, lp_is_vertex
 
 
@@ -98,15 +98,13 @@ def test_polytope_answers_match_lp_oracle(monkeypatch):
 
 
 def test_checks_individually_n3():
-    mu = Composition((1, 1, 1))
-    spec = TorusSpecialization.standard(3)
-    table = direct_table(mu, modified=True, spec=spec)
-    assert check_normalization(mu, table, spec).ok
-    assert check_support(mu, table, spec).ok
-    assert check_divisibility(mu, table, spec).ok
-    assert check_smallness_strict(mu, table, spec).ok
-    assert check_additivity(mu, table, spec).ok
-    assert check_segre_consistency(mu, table, spec).ok
+    table = direct_table(Composition((1, 1, 1)), modified=True)
+    assert check_normalization(table).ok
+    assert check_support(table).ok
+    assert check_divisibility(table).ok
+    assert check_smallness_strict(table).ok
+    assert check_additivity(table).ok
+    assert check_segre_consistency(table).ok
 
 
 def test_smallness_n2_instance():
@@ -130,9 +128,8 @@ def test_smallness_builds_hulls_only_for_the_per_point_polytopes(monkeypatch):
     # the polytope's bounding box, so the origin test builds no hull: only
     # J's bound and diagonal polytopes get one (the 12 off-diagonal hulls
     # built for the origin test alone are gone)
-    mu = Composition((1, 1, 1, 1))
     spec = TorusSpecialization.standard(4)
-    table = localization_table(mu, modified=True, spec=spec)
+    table = localization_table(Composition((1, 1, 1, 1)))
     per_point = set()
     for J in table:
         per_point.add(newton_polytope(table[J][J]).points)
@@ -145,7 +142,7 @@ def test_smallness_builds_hulls_only_for_the_per_point_polytopes(monkeypatch):
         return build(points, dim)
 
     monkeypatch.setattr(mcclass.newton, "_h_representation", counting)
-    assert check_smallness_strict(mu, table, spec).ok
+    assert check_smallness_strict(table).ok
     assert set(built) <= per_point
     assert len(built) == 41
 
@@ -155,8 +152,7 @@ def test_smallness_witnesses_on_corrupted_n3_table():
     # every failing pair's problems, in the order the check reports them
     mu = Composition((1, 1, 1))
     spec = TorusSpecialization.standard(3)
-    table = {I: LocalizedClass(mu, dict(cls.table))
-             for I, cls in localization_table(mu, modified=True, spec=spec).items()}
+    table = {I: dict(row) for I, row in localization_table(mu).items()}
 
     def P(word):
         return IndexTuple(mu, [(int(c),) for c in word])
@@ -167,20 +163,20 @@ def test_smallness_witnesses_on_corrupted_n3_table():
     one = LaurentPoly.one(spec.vars)
     # off-diagonal: the origin plus a far monomial; a far monomial at the
     # codimension-zero point
-    table[P("123")].table[P("132")] = table[P("123")][P("132")] + one + mono(3, 0, -3)
-    table[P("231")].table[P("321")] = table[P("231")][P("321")] + one + mono(0, 3, -3)
-    table[P("132")].table[P("123")] = mono(-3, 0, 3)
+    table[P("123")][P("132")] = table[P("123")][P("132")] + one + mono(3, 0, -3)
+    table[P("231")][P("321")] = table[P("231")][P("321")] + one + mono(0, 3, -3)
+    table[P("132")][P("123")] = mono(-3, 0, 3)
     # off-diagonal: the origin alone, inside the diagonal polytope of the
     # codimension-zero point, whose bound holds the origin
-    table[P("213")].table[P("123")] = one
+    table[P("213")][P("123")] = one
     # diagonal: the origin stops being a vertex; the bound stops fitting;
     # the diagonal loses the origin and shrinks to the bound itself
-    table[P("213")].table[P("213")] = table[P("213")][P("213")] + mono(1, -1, 0)
-    table[P("321")].table[P("321")] = one
+    table[P("213")][P("213")] = table[P("213")][P("213")] + mono(1, -1, 0)
+    table[P("321")][P("321")] = one
     d = orbit_local_data(P("312"))
-    table[P("312")].table[P("312")] = (d.ek_normal(spec) - one) * d.ck_cell(spec)
+    table[P("312")][P("312")] = (d.ek_normal(spec) - one) * d.ck_cell(spec)
 
-    report = check_smallness_strict(mu, table, spec)
+    report = check_smallness_strict(table)
     escapes_mid = "restriction polytope escapes the Minkowski bound"
     escapes_big = "restriction polytope escapes the diagonal polytope"
     mid_escapes = "Minkowski bound escapes the diagonal polytope"
@@ -210,8 +206,7 @@ def test_divisibility_witnesses_on_corrupted_n3_table():
     # factor still divides, and pin every failing entry's remainder
     mu = Composition((1, 1, 1))
     spec = TorusSpecialization.standard(3)
-    table = {I: LocalizedClass(mu, dict(cls.table))
-             for I, cls in localization_table(mu, modified=True, spec=spec).items()}
+    table = {I: dict(row) for I, row in localization_table(mu).items()}
 
     def P(word):
         return IndexTuple(mu, [(int(c),) for c in word])
@@ -223,16 +218,16 @@ def test_divisibility_witnesses_on_corrupted_n3_table():
     f = spec.one_plus_y_ratio
     # not divisible: plus 1; plus one of the two cell factors; times a
     # normal factor plus y; a value off the support
-    table[P("123")].table[P("132")] = table[P("123")][P("132")] + one
-    table[P("213")].table[P("213")] = table[P("213")][P("213")] + f(2, 3)
-    table[P("123")].table[P("123")] = table[P("123")][P("123")] * f(2, 3) + mono(0, 0, 0, c=(0, 1))
-    table[P("231")].table[P("312")] = mono(1, -1, 0, c=(1, 1))
+    table[P("123")][P("132")] = table[P("123")][P("132")] + one
+    table[P("213")][P("213")] = table[P("213")][P("213")] + f(2, 3)
+    table[P("123")][P("123")] = table[P("123")][P("123")] * f(2, 3) + mono(0, 0, 0, c=(0, 1))
+    table[P("231")][P("312")] = mono(1, -1, 0, c=(1, 1))
     # still divisible: plus a multiple of the cell factor; anything at the
     # point cell, whose cell factor is 1
-    table[P("132")].table[P("132")] = table[P("132")][P("132")] + f(1, 3) * f(1, 2) * mono(0, 1, 0)
-    table[P("123")].table[P("321")] = table[P("123")][P("321")] + mono(2, -1, 0)
+    table[P("132")][P("132")] = table[P("132")][P("132")] + f(1, 3) * f(1, 2) * mono(0, 1, 0)
+    table[P("123")][P("321")] = table[P("123")][P("321")] + mono(2, -1, 0)
 
-    report = check_divisibility(mu, table, spec)
+    report = check_divisibility(table)
     assert len(report.entries) == 20
     assert [(e.pair, e.witness["remainder"]) for e in report.violations] == [
         (("{1},{2},{3}", "{1},{2},{3}"), "y"),
@@ -254,10 +249,10 @@ def test_segre_witnesses_are_the_expanded_products(monkeypatch, corrupt):
     from mcclass.weightfn import c_prime_mu_factors, chern_factor_product
     mu = Composition((1, 1, 1))
     spec = TorusSpecialization.standard(3)
-    table = localization_table(mu, modified=True, spec=spec)
-    assert check_segre_consistency(mu, table, spec).ok
+    table = localization_table(mu)
+    assert check_segre_consistency(table).ok
     monkeypatch.setattr(axioms, "c_prime_mu_factors", lambda J: corrupt(c_prime_mu_factors(J)))
-    report = check_segre_consistency(mu, table, spec)
+    report = check_segre_consistency(table)
     assert len(report.violations) == len(report.entries) == 6
     for entry, J in zip(report.entries, table):
         assert entry.pair == (None, str(J))
@@ -268,7 +263,7 @@ def test_segre_witnesses_are_the_expanded_products(monkeypatch, corrupt):
 
 
 def test_report_json_shape():
-    report = check_normalization((1, 1))
+    report = check_normalization(localization_table((1, 1)))
     blob = report.to_json()
     assert blob["violations"] == 0
     assert blob["checked"] == 2
@@ -303,9 +298,7 @@ def test_cone_euler_factors():
 def test_axioms_on_n6_two_block_flags(parts):
     # the first n = 6 tables, built by the left recursion, beyond the reach
     # of the direct oracle: the row-local axioms and additivity must hold
-    mu = Composition(parts)
-    spec = TorusSpecialization.standard(6)
-    table = localization_table(mu, modified=True, spec=spec)
+    table = localization_table(Composition(parts))
     for check in (check_normalization, check_support, check_divisibility, check_additivity):
-        report = check(mu, table, spec)
+        report = check(table)
         assert report.ok, [e.to_json() for e in report.violations]

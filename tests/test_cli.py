@@ -7,7 +7,11 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 import pytest
 
+import mcclass.cli
 from mcclass.cli import main
+from mcclass.combi import Composition
+from mcclass.ring import poly_from_json
+from mcclass.weightfn import localization_table
 
 
 def run_cli(*args, capsys=None):
@@ -43,6 +47,34 @@ def test_weight_restricted_table(capsys):
     blob = json.loads(out)
     assert len(blob["classes"]) == 6
     assert all(len(c["entries"]) == 6 for c in blob["classes"])
+
+
+def test_restricted_row_json_round_trip(capsys):
+    # each JSON class reads back as its row of localization_table
+    code, out, _ = run_cli("weight", "--mu", "1,1", "--all", "--restrict",
+                           "--kind", "modified", "--format", "json", capsys=capsys)
+    assert code == 0
+    classes = json.loads(out)["classes"]
+    table = localization_table(Composition((1, 1)))
+    assert len(classes) == len(table)
+    for cls, (I, row) in zip(classes, table.items()):
+        assert cls["I"] == I.to_json() and cls["mu"] == [1, 1]
+        values = {tuple(map(tuple, e["point"]["blocks"])): poly_from_json(e["value"])
+                  for e in cls["entries"]}
+        assert values == {J.blocks: f for J, f in row.items()}
+
+
+def test_out_of_memory_is_a_fault(capsys, monkeypatch):
+    # a MemoryError ends in one line and exit 2, with no traceback
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(mcclass.cli, "localization_table", exhausted)
+    code, out, err = run_cli("weight", "--mu", "1,1,1,1,2", "--all", "--restrict",
+                             "--kind", "modified", capsys=capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "computation fault: out of memory\n"
 
 
 def test_axioms_pass(capsys):
@@ -219,6 +251,7 @@ SEGMENT = ('{"vars": ["t1", "t2"], "terms": [{"exp": [-1, 1], "y": [-1]}, '
     (["weight", "--mu", "1,1,1", "--I", "9,9,9"], None),
     (["expand", "--n", "3", "--p", "1,1,2"], None),
     (["limit", "--cocharacter", "abc"], None),
+    (["limit", "--cocharacter", "1,0"], None),
 ], ids=["unknown-target", "orbit-without-codim", "no-orbits", "orbits-not-a-list",
         "zero-tangent-class", "codim-not-euler-degree",
         "duplicate-orbit-name", "phi-key-not-ansatz-variable", "phi-image-not-a-name",
@@ -227,7 +260,7 @@ SEGMENT = ('{"vars": ["t1", "t2"], "terms": [{"exp": [-1, 1], "y": [-1]}, '
         "newton-missing-key", "newton-wrong-type", "newton-bad-json",
         "newton-missing-file", "newton-zero-class", "contains-zero-denominator",
         "contains-not-a-number", "contains-wrong-dimension", "unknown-check", "bad-mu", "bad-index-tuple",
-        "bad-permutation", "bad-cocharacter"])
+        "bad-permutation", "bad-cocharacter", "cocharacter-wrong-length"])
 def test_interpolate_malformed_input_exit_2(tmp_path, args, content):
     # a full process run, so that a traceback would show on stderr; an
     # input file is written only when there is content for it
@@ -315,6 +348,14 @@ def test_golden_weight_table_json(capsys, golden, mu, kind):
                            "--jobs", "1", capsys=capsys)
     assert code == 0
     golden(f"weight_mu{mu.replace(',', '')}_{kind}.json", out)
+
+
+@pytest.mark.parametrize("kind", ["plain", "modified", "segre"])
+def test_golden_weight_table_text(capsys, golden, kind):
+    code, out, _ = run_cli("weight", "--mu", "2,1", "--all", "--restrict",
+                           "--kind", kind, capsys=capsys)
+    assert code == 0
+    golden(f"weight_mu21_{kind}.txt", out)
 
 
 @pytest.mark.parametrize("kind", ["modified", "plain", "segre"])

@@ -79,7 +79,7 @@ def test_basis_recovered_from_frozen_expansions():
     # pinned coefficients determine the basis table; compare with the
     # Demazure recursion
     spec = TorusSpecialization.standard(3)
-    wrows = full_flag_table_recursive(3, spec)
+    wrows = full_flag_table_recursive(3)
     rows = structure_sheaf_rows(3, spec)
     perms = sorted(wrows, key=lambda w: (w.length(), w.word))
     coeff = {p: {perm(*w): c for w, c in EXPANSIONS_N3[p.word].items()} for p in perms}
@@ -134,7 +134,7 @@ def test_left_recursion_matches_solve(n):
     # the left Demazure-Lusztig recursion against the triangular solve
     # on the localization rows, for every cell
     spec = TorusSpecialization.standard(n)
-    wrows = full_flag_table_recursive(n, spec)
+    wrows = full_flag_table_recursive(n)
     basis_rows = structure_sheaf_rows(n, spec)
     ex = Expander(n)
     assert set(ex.expansions) == set(wrows)
@@ -145,7 +145,8 @@ def test_left_recursion_matches_solve(n):
 def test_one_parameter_expander_matches_one_parameter_solve():
     n = 4
     spec = TorusSpecialization.one_parameter(n)
-    wrows = full_flag_table_recursive(n, spec)
+    wrows = {p: {v: spec.specialize(f) for v, f in row.items()}
+             for p, row in full_flag_table_recursive(n).items()}
     basis_rows = structure_sheaf_rows(n, spec)
     ex = Expander(n, spec)
     for p, e in ex.expansions.items():
@@ -291,7 +292,7 @@ def test_diagram_symmetry(n, count, request):
 @pytest.mark.parametrize("n", [2, 3])
 def test_reconstruction_identity(n):
     spec = TorusSpecialization.standard(n)
-    wrows = full_flag_table_recursive(n, spec)
+    wrows = full_flag_table_recursive(n)
     basis_rows = structure_sheaf_rows(n, spec)
     for p, e in Expander(n).expansions.items():
         for v in wrows[p]:
@@ -310,7 +311,7 @@ def test_triangularity_of_coefficients():
 
 def test_solve_order_independence():
     spec = TorusSpecialization.standard(3)
-    wrows = full_flag_table_recursive(3, spec)
+    wrows = full_flag_table_recursive(3)
     basis_rows = structure_sheaf_rows(3, spec)
     perms = sorted(wrows, key=lambda w: (w.length(), w.word))
     alt_order = sorted(perms, key=lambda w: (w.length(), tuple(reversed(w.word))))

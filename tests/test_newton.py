@@ -226,8 +226,7 @@ def test_diagonal_polytope_matches_subset_sum_oracle(n):
     # the diagonal polytope at J is a Minkowski sum of root segments, so
     # its facets are subset-sum bounds; compare at every lattice point of
     # its bounding box (the Minkowski bound is no such polytope)
-    table = localization_table(Composition((1,) * n), modified=True,
-                               spec=TorusSpecialization.standard(n))
+    table = localization_table(Composition((1,) * n))
     checked = 0
     for J in table:
         P = newton_polytope(table[J][J])
@@ -245,7 +244,7 @@ def test_smallness_polytopes_match_lp_oracle_n5(word):
     # origin as a vertex of the diagonal polytope
     spec = TorusSpecialization.standard(5)
     J = Permutation(word).to_index_tuple()
-    row = localization_table(Composition((1,) * 5), modified=True, spec=spec, cells=[J])[J]
+    row = localization_table(Composition((1,) * 5), cells=[J])[J]
     data = orbit_local_data(J)
     big = newton_polytope(row[J])
     bound = minkowski_sum(newton_polytope(data.ek_normal(spec) - spec.one()),

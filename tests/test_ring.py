@@ -135,22 +135,6 @@ t1, t2 = (LaurentPoly.variable(("t1", "t2"), v) for v in ("t1", "t2"))
 err = fails(lambda: exact_divide(t1, t1 + t2))
 print(format_poly(err.remainder))
 """, "t1"),
-    # the cell factor at the identity point is (1 + y/t)^2 (1 + y/t^2) on
-    # this torus: the diagonal there plus (1 + y/t)(1 + y/t^2) is divisible
-    # by each distinct factor but not by the square
-    "one_parameter_table": ("""
-from mcclass.axioms import check_divisibility
-from mcclass.combi import Composition, Permutation
-from mcclass.weightfn import LocalizedClass, TorusSpecialization, localization_table
-mu = Composition((1, 1, 1))
-spec = TorusSpecialization.one_parameter(3)
-table = localization_table(mu, modified=True, spec=spec)
-I, J = (Permutation(w).to_index_tuple() for w in ((1, 2, 3), (1, 3, 2)))
-table[I] = LocalizedClass(mu, dict(table[I].table))
-table[I].table[J] = table[I][J] + LaurentPoly.one(spec.vars)
-table[I].table[I] = table[I][I] + spec.one_plus_y_ratio(1, 2) * spec.one_plus_y_ratio(1, 3)
-print([e.witness["remainder"] for e in check_divisibility(mu, table, spec).violations])
-""", "['-1/t^4*y^3 - 1/t^3*y^2 - 1/t^2*y^2 - 1/t*y', '1']"),
 }
 
 _CHILD_PRELUDE = """

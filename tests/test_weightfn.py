@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 from mcclass.axioms import orbit_local_data
 from mcclass.combi import (Composition, IndexTuple, Permutation, closure_leq,
                            enumerate_index_tuples, length, weak_order_walk)
-from mcclass.ring import (LaurentPoly, MonomialMap, NonDivisibleError, RationalExpr,
-                          exact_divide, poly_from_json, poly_to_json)
+from mcclass.ring import LaurentPoly, MonomialMap, NonDivisibleError, RationalExpr, exact_divide
 import mcclass.weightfn
 from mcclass.weightfn import (PSI_EQUAL, PSI_GREATER, PSI_LESS, TorusSpecialization,
                               VariablePanel, c_mu_at, c_prime_mu_at, chern_products,
@@ -27,6 +26,11 @@ I21 = IndexTuple(MU11, [(2,), (1,)])
 
 def spec2():
     return TorusSpecialization.standard(2)
+
+
+def specialized(table, spec):
+    """A table on the standard torus with every entry mapped through spec."""
+    return {I: {J: spec.specialize(f) for J, f in row.items()} for I, row in table.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +184,7 @@ def test_localization_table_mu_1():
 def test_additivity_identity(parts):
     mu = Composition(parts)
     spec = TorusSpecialization.standard(mu.n)
-    table = localization_table(mu, modified=True, spec=spec)
+    table = localization_table(mu)
     points = list(table)
     for J in points:
         total = spec.zero()
@@ -191,11 +195,9 @@ def test_additivity_identity(parts):
 
 @pytest.mark.parametrize("parts", [(1, 1), (2, 1), (1, 1, 1), (2, 2), (1, 1, 1, 1)])
 def test_support_triangularity(parts):
-    mu = Composition(parts)
-    spec = TorusSpecialization.standard(mu.n)
-    table = localization_table(mu, modified=True, spec=spec)
+    table = localization_table(Composition(parts))
     for I in table:
-        for J, val in table[I].table.items():
+        for J, val in table[I].items():
             if not closure_leq(I, J):
                 assert val.is_zero(), (I, J)
 
@@ -220,27 +222,26 @@ def test_segre_consistency(parts):
 @pytest.mark.parametrize("modified", [True, False])
 def test_recursion_matches_direct(n, modified):
     mu = Composition((1,) * n)
-    spec = TorusSpecialization.standard(n)
-    direct = direct_table(mu, modified=modified, spec=spec)
-    rec = localization_table(mu, modified=modified, spec=spec)
+    direct = direct_table(mu, modified=modified)
+    rec = localization_table(mu, modified=modified)
     for I in direct:
-        assert direct[I].table == rec[I].table
+        assert direct[I] == rec[I]
 
 
 @pytest.mark.slow
 def test_recursion_matches_direct_n4():
     mu = Composition((1, 1, 1, 1))
-    spec = TorusSpecialization.standard(4)
-    direct = direct_table(mu, modified=True, spec=spec)
-    rec = localization_table(mu, modified=True, spec=spec)
+    direct = direct_table(mu, modified=True)
+    rec = localization_table(mu, modified=True)
     for I in direct:
-        assert direct[I].table == rec[I].table
+        assert direct[I] == rec[I]
 
 
 @functools.cache
 def fl5_one_parameter_rows():
-    """The production one-parameter table at n = 5, built once per session."""
-    return full_flag_table_recursive(5, TorusSpecialization.one_parameter(5))
+    """The production table at n = 5 on the one-parameter torus, built
+    once per session."""
+    return specialized(full_flag_table_recursive(5), TorusSpecialization.one_parameter(5))
 
 
 @pytest.mark.slow
@@ -279,8 +280,8 @@ def test_specialize_matches_loop_oracle(n, torus, monkeypatch):
 
     monkeypatch.setattr(MonomialMap, "__init__", refuse)
     for modified in (True, False):
-        for cls in localization_table(Composition((1,) * n), modified=modified).values():
-            for f in cls.table.values():
+        for row in localization_table(Composition((1,) * n), modified=modified).values():
+            for f in row.values():
                 assert spec.specialize(f) == monomial_substitute_loop(f, images, spec.vars)
 
 
@@ -322,23 +323,21 @@ def test_pushforward_matches_direct(parts, torus):
     spec = TORI[torus](mu.n)
     for modified in (True, False):
         direct = direct_table(mu, modified=modified, spec=spec)
-        table = localization_table(mu, modified=modified, spec=spec)
+        table = specialized(localization_table(mu, modified=modified), spec)
         assert list(table) == list(direct)
         for I in direct:
-            assert list(table[I].table.items()) == list(direct[I].table.items()), \
-                (I, modified)
+            assert list(table[I].items()) == list(direct[I].items()), (I, modified)
 
 
 @pytest.mark.parametrize("parts", [(1, 3), (2, 2), (1, 2, 1), (1, 1, 1, 1)])
 def test_localization_table_of_some_cells(parts):
     # each cell alone, and a pair, gives its row of the whole table
     mu = Composition(parts)
-    spec = TorusSpecialization.one_parameter(mu.n)
     points = enumerate_index_tuples(mu)
     for modified in (True, False):
-        whole = localization_table(mu, modified=modified, spec=spec)
+        whole = localization_table(mu, modified=modified)
         for cells in [[I] for I in points] + [[points[-1], points[0]]]:
-            table = localization_table(mu, modified=modified, spec=spec, cells=cells)
+            table = localization_table(mu, modified=modified, cells=cells)
             assert list(table) == cells
             for I in cells:
                 assert table[I] == whole[I], (I, modified)
@@ -347,15 +346,13 @@ def test_localization_table_of_some_cells(parts):
 def test_recursive_rows_of_some_cells():
     # on the standard torus of Fl(4) only the asked rows are yielded, each
     # equal to its row of the whole table, the top cell among them
-    spec = TorusSpecialization.standard(4)
-    whole = full_flag_table_recursive(4, spec)
+    whole = full_flag_table_recursive(4)
     for cells in ([Permutation((1, 2, 3, 4))], [Permutation((4, 3, 1, 2))],
                   [Permutation((2, 1, 4, 3)), Permutation((3, 4, 1, 2))],
                   [Permutation.longest(4)]):
-        table = localization_table((1, 1, 1, 1), spec=spec,
-                                   cells=[w.to_index_tuple() for w in cells])
-        rows = {I.to_permutation(): {J.to_permutation(): f for J, f in cls.table.items()}
-                for I, cls in table.items()}
+        table = localization_table((1, 1, 1, 1), cells=[w.to_index_tuple() for w in cells])
+        rows = {I.to_permutation(): {J.to_permutation(): f for J, f in row.items()}
+                for I, row in table.items()}
         assert list(rows) == cells
         for w in cells:
             assert rows[w] == whole[w], w
@@ -367,10 +364,10 @@ def test_pushforward_spot_checks_n5(parts):
     # the row of the open cell and the whole diagonal
     mu = Composition(parts)
     spec = TorusSpecialization.one_parameter(5)
-    table = localization_table(mu, modified=True, spec=spec)
+    table = localization_table(mu)
     points = list(table)
     for I, J in [(points[0], J) for J in points] + [(I, I) for I in points[1:]]:
-        assert table[I][J] == modified_restriction_direct(I, J, spec), (I, J)
+        assert spec.specialize(table[I][J]) == modified_restriction_direct(I, J, spec), (I, J)
 
 
 def _step_outcome(step, *args):
@@ -494,7 +491,7 @@ def test_left_row_step_divides_once_per_pair(monkeypatch, parts, pairs):
         calls.append(args)
         return quotient(*args)
 
-    row = next(iter(localization_table(parts).values())).table
+    row = next(iter(localization_table(parts).values()))
     monkeypatch.setattr(mcclass.weightfn, "_line_quotient", counted)
     got = left_row_step(row, 2)
     assert len(calls) == pairs
@@ -513,13 +510,3 @@ def test_descent_step_spot_checks_n5():
     for w, parent, i in walk[:3] + walk[60:62] + walk[-2:]:
         assert ring_descent_step(rows[parent], i, spec) == rows[w], w
 
-
-def test_localized_class_json_round_trip():
-    table = localization_table(MU11, modified=True)
-    cls = table[I12]
-    blob = cls.to_json()
-    assert blob["mu"] == [1, 1]
-    values = {tuple(e["point"]["blocks"][0]): poly_from_json(e["value"])
-              for e in blob["entries"]}
-    assert values[(1,)] == cls[I12]
-    assert values[(2,)] == cls[I21]
