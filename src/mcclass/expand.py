@@ -7,8 +7,15 @@ Expansions are produced by the left Demazure-Lusztig recursion
 step on the coefficients, walked depth-first down the tree of left
 parents from the point class, holding only the current path.  The step
 is division-free and needs no ring product: it is accumulated term by
-term on plain dicts, one output cell at a time.  The conjecture checks
-read each cell's expansion as the walk yields it.  The localization
+term on plain dicts, one output cell at a time, with every
+y-coefficient packed into one integer, its value at y = 2^64
+(`ring.yp_pack`), so that adding y-polynomials is integer addition and
+multiplying by y a shift.  Each cell coefficient carries a bound on the
+sum of its digits' absolute values; a step whose bound reaches 2^63
+raises PackingOverflowError instead of decoding a wrong digit.  Each
+yielded cell is decoded once into canonical LaurentPoly coefficients,
+after the specialization for a non-standard torus.  The conjecture
+checks read each cell's expansion as the walk yields it.  The localization
 rows of the basis (isobaric Demazure recursion) and the
 Bruhat-triangular back-substitution stay here as the independent
 oracle that the test suite pins the recursion against.
@@ -19,14 +26,15 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from operator import add, neg, sub
+from operator import add, mul
 from typing import Mapping, Sequence
 
 from .combi import (Composition, Permutation, bruhat_leq, permutations_by_length, tree_walk,
                     weak_order_walk)
 from .report import Report, ReportEntry
-from .ring import (LaurentPoly, exact_divide, format_poly_ygrouped, poly_to_json,
-                   substitute_ones, yp_subst)
+from .ring import (YP_ONE, YP_PACK_BITS, YP_PACK_LIMIT, LaurentPoly, PackingOverflowError,
+                   exact_divide, format_poly_ygrouped, poly_to_json, substitute_ones, yp_pack,
+                   yp_subst, yp_unpack)
 from .weightfn import TorusSpecialization, demazure_step, top_cell_row
 
 
@@ -101,9 +109,13 @@ def expand_by_solve(p: Permutation, wrow: Mapping[Permutation, LaurentPoly],
 # ---------------------------------------------------------------------------
 
 
-def _cell_terms(c: LaurentPoly | None, partner: LaurentPoly | None, i: int,
-                ascent: bool) -> dict:
-    """Canonical terms of one output cell of `left_step`.
+def _cell_terms(c: tuple | None, partner: tuple | None, i: int, ascent: bool) -> tuple:
+    """Packed terms and digit bound of one output cell of `left_step`.
+
+    c and partner are the packed coefficients (terms, bound) of x and
+    s_i x, or None: terms maps an exponent vector to the nonzero packed
+    value of its y-coefficient (yp_pack), and bound is at least the sum
+    of the absolute values of all its y-digits.
 
     Write a term of an input coefficient as v tau^e, with
     (a, b) = (e_i, e_{i+1}) and rest the other exponents.  d(tau^e) is
@@ -117,60 +129,64 @@ def _cell_terms(c: LaurentPoly | None, partner: LaurentPoly | None, i: int,
     signed sum (for a > b, minus the sum over j = b+1..a-1).  An ascent
     cell x also receives (1 + y beta) s(c_x), whose y beta part cancels
     the last piece, and (1 + y beta) s(c_{s_i x}).  Every piece keeps
-    a + b and rest, so the cell is built by index shifts and tuple sums
-    of y-coefficients, without a ring product or a division.
+    a + b and rest, so the cell is built by index shifts and integer
+    sums: (1 + y) v is v + (v << YP_PACK_BITS) and y v is
+    v << YP_PACK_BITS, without a ring product or a division.
+
+    A term of c_x lands on at most |a - b| + 1 keys with (1 + y) and on
+    one more key, so the output's digits sum in absolute value to at
+    most (2 span + 3) B(c_x) + 2 B(c_{s_i x}), span the largest |a - b|
+    in c_x.  That is the returned bound; PackingOverflowError is raised
+    once it reaches YP_PACK_LIMIT, where the digits (and the test for a
+    zero sum) would no longer be exact.
     """
     p, q = i - 1, i
-    width = 1 + max(max(map(len, poly.terms.values()), default=0)
-                    for poly in (c, partner) if poly is not None)
     acc: dict = {}
     get = acc.get
+    bound = 0
     if c is not None:
-        for e, v in c.terms.items():
+        terms, bound = c
+        span = 0
+        for e, v in terms.items():
             a, b = e[p], e[q]
             head, tail = e[:p], e[q + 1:]
-            vp = v + (0,) * (width - len(v))
-            vs = (0,) + vp[:-1]
+            vy = v << YP_PACK_BITS
             if a <= b:
-                u, js = tuple(map(sub, map(neg, vp), vs)), range(a, b + 1)
+                d, u, js = b - a, -v - vy, range(a, b + 1)
             else:
-                u, js = tuple(map(add, vp, vs)), range(b + 1, a)
+                d, u, js = a - b, v + vy, range(b + 1, a)
+            if d > span:
+                span = d
             for j in js:
                 key = head + (j, a + b - j) + tail
-                old = get(key)
-                acc[key] = u if old is None else tuple(map(add, old, u))
+                acc[key] = get(key, 0) + u
             if ascent:
-                key, u = head + (b, a) + tail, vp
+                key, u = head + (b, a) + tail, v
             else:
-                key, u = head + (b + 1, a - 1) + tail, tuple(map(neg, vs))
-            old = get(key)
-            acc[key] = u if old is None else tuple(map(add, old, u))
+                key, u = head + (b + 1, a - 1) + tail, -vy
+            acc[key] = get(key, 0) + u
+        bound *= 2 * span + 3
     if partner is not None:
-        for e, v in partner.terms.items():
+        terms, partner_bound = partner
+        for e, v in terms.items():
             a, b = e[p], e[q]
             head, tail = e[:p], e[q + 1:]
-            vp = v + (0,) * (width - len(v))
-            for key, u in ((head + (b, a) + tail, vp),
-                           (head + (b + 1, a - 1) + tail, (0,) + vp[:-1])):
-                old = get(key)
-                acc[key] = u if old is None else tuple(map(add, old, u))
-    out = {}
-    for e, u in acc.items():
-        if not u[-1]:
-            k = width - 1
-            while k and not u[k - 1]:
-                k -= 1
-            if not k:
-                continue
-            u = u[:k]
-        out[e] = u
-    return out
+            key = head + (b, a) + tail
+            acc[key] = get(key, 0) + v
+            key = head + (b + 1, a - 1) + tail
+            acc[key] = get(key, 0) + (v << YP_PACK_BITS)
+        bound += 2 * partner_bound
+    if bound >= YP_PACK_LIMIT:
+        raise PackingOverflowError(
+            f"left step {i}: packed y-digits bounded only by {bound}, "
+            f"not below 2^{YP_PACK_BITS - 1}")
+    return {e: u for e, u in acc.items() if u}, bound
 
 
-def left_step(coeffs: Mapping[Permutation, LaurentPoly], i: int,
-              spec: TorusSpecialization) -> dict:
-    """Coefficients of mC[w] from those of mC[s_i w], where s_i w (the
-    values i and i+1 of w swapped) is one longer than w:
+def left_step(coeffs: Mapping[Permutation, tuple], i: int) -> dict:
+    """Packed coefficients (`_cell_terms`) of mC[w] from those of
+    mC[s_i w], where s_i w (the values i and i+1 of w swapped) is one
+    longer than w:
 
         c_x O_x -> (1 + y beta) s(c_x) O_x'
                    + ((1 + y beta) d(c_x) - (1 + y + y beta) c_x) O_x
@@ -180,8 +196,8 @@ def left_step(coeffs: Mapping[Permutation, LaurentPoly], i: int,
     is shorter than x, else x' = x.  So an output cell x with i before
     i+1 gathers from c_x and c_{s_i x}, and one with i+1 before i from
     c_x alone; each cell is built term by term (`_cell_terms`) and
-    finished before the next.  Needs the standard torus; returns the
-    nonzero coefficients.
+    finished before the next.  Coefficients are in the standard torus
+    variables; returns the nonzero ones.
     """
     out: dict = {}
     seen = set()
@@ -193,9 +209,9 @@ def left_step(coeffs: Mapping[Permutation, LaurentPoly], i: int,
                 continue
             seen.add(w)
             partner = coeffs.get(w.swap_values(i)) if ascent else None
-            terms = _cell_terms(coeffs.get(w), partner, i, ascent)
-            if terms:
-                out[w] = LaurentPoly._from_trimmed(spec.vars, terms)
+            cell = _cell_terms(coeffs.get(w), partner, i, ascent)
+            if cell[0]:
+                out[w] = cell
     return out
 
 
@@ -219,9 +235,16 @@ class Expander:
     coefficients on its current path.  jobs is accepted and changes
     nothing: the walk runs in one process.
 
-    The recursion runs on the standard torus.  For another torus
-    specialization each coefficient is mapped through the
-    specialization afterwards; the equivariant expansion is the unique
+    The recursion runs on the standard torus, on packed coefficients:
+    each y-coefficient is one integer, its value at y = 2^YP_PACK_BITS,
+    and each cell coefficient carries a bound on the sum of its digits'
+    absolute values (`_cell_terms`), so decoding is exact and a step
+    whose bound reaches YP_PACK_LIMIT raises PackingOverflowError rather
+    than yield a wrong digit.  A yielded cell is decoded into canonical
+    LaurentPoly coefficients, each distinct packed value once per cell.
+    For another torus specialization the packed values are first summed
+    per image exponent of the specialization's compiled map and only the
+    image terms are decoded; the equivariant expansion is the unique
     solution of a triangular system whose diagonal stays nonzero under
     the specializations used here, so the mapped coefficients are the
     specialized solution exactly.
@@ -241,17 +264,33 @@ class Expander:
         permutation), depth-first down the left-parent edges."""
         w0 = Permutation.longest(self.n)
         std, spec = self._standard, self.spec
+        image = None if spec == std else spec.from_standard.map_terms
         edges = ((w, w.swap_values(i), i) for w in permutations_by_length(self.n)[:-1]
                  for i in (_left_parent(w),))
-        for p, coeffs in tree_walk(w0, {w0: std.one()}, edges,
-                                   lambda c, i: left_step(c, i, std), cells):
-            if spec != std:
-                coeffs = {w: c for w, c in ((w, spec.specialize(c)) for w, c in coeffs.items())
-                          if not c.is_zero()}
+        seed = {w0: ({std.zero_exp(): yp_pack(YP_ONE)}, 1)}
+        for p, packed in tree_walk(w0, seed, edges, left_step, cells):
+            # packed value -> y-polynomial, for this cell only: a memo kept
+            # for the whole walk grows with every distinct value it meets
+            digits: dict = {}
+            coeffs = {}
+            for w, (terms, _) in packed.items():
+                if image is not None:
+                    terms = image(terms, add, mul)
+                    if not terms:
+                        continue
+                decoded = {}
+                for e, v in terms.items():
+                    c = digits.get(v)
+                    if c is None:
+                        c = digits[v] = yp_unpack(v)
+                    decoded[e] = c
+                coeffs[w] = LaurentPoly._from_trimmed(spec.vars, decoded)
             yield p, Expansion(p, coeffs, spec)
 
     def expand(self, p: Permutation) -> Expansion:
         """The expansion of p alone: one chain of left steps from w0."""
+        if p.n != self.n:
+            raise ValueError(f"cell {p} is not a permutation of 1..{self.n}")
         return next(self.walk([p]))[1]
 
     @cached_property

@@ -133,6 +133,48 @@ def yp_subst(a: Ypoly, value: Ypoly) -> Ypoly:
     return out
 
 
+# Packed coefficients: a y-polynomial held as one integer, its value at
+# y = 2^YP_PACK_BITS (Kronecker substitution).  Adding two of them is
+# integer addition and multiplying by y is a shift by YP_PACK_BITS.  The
+# digits read back exactly while each lies in the balanced range
+# [-YP_PACK_LIMIT, YP_PACK_LIMIT); a kernel that works on packed values
+# carries a bound on its digits and raises PackingOverflowError once that
+# bound reaches YP_PACK_LIMIT.
+
+YP_PACK_BITS = 64
+YP_PACK_LIMIT = 1 << (YP_PACK_BITS - 1)
+_YP_PACK_MASK = (1 << YP_PACK_BITS) - 1
+
+
+class PackingOverflowError(RingError):
+    """A packed y-coefficient may hold a digit outside the balanced range,
+    so it could no longer be read back exactly."""
+
+
+def yp_pack(a: Ypoly) -> int:
+    """The value of a at y = 2^YP_PACK_BITS; every coefficient must lie
+    strictly inside (-YP_PACK_LIMIT, YP_PACK_LIMIT)."""
+    x = 0
+    for c in reversed(a):
+        if not -YP_PACK_LIMIT < c < YP_PACK_LIMIT:
+            raise PackingOverflowError(f"y-coefficient {c} does not fit in a packed digit")
+        x = (x << YP_PACK_BITS) + c
+    return x
+
+
+def yp_unpack(x: int) -> Ypoly:
+    """The trimmed y-polynomial whose packed value is x, each digit read
+    in the balanced range; the inverse of yp_pack."""
+    out = []
+    while x:
+        c = x & _YP_PACK_MASK
+        if c >= YP_PACK_LIMIT:
+            c -= 1 << YP_PACK_BITS
+        out.append(c)
+        x = (x - c) >> YP_PACK_BITS
+    return tuple(out)
+
+
 def format_ypoly(a: Ypoly) -> str:
     if not a:
         return "0"
@@ -454,18 +496,18 @@ class MonomialMap:
         self._scatters = tuple(scatters)
         self._scalars = tuple(scalars)
 
-    def __call__(self, p: LaurentPoly) -> LaurentPoly:
-        """The image of p, a polynomial in the input variables: each
-        exponent scattered, the scalar powers applied, colliding terms
-        merged and those that cancel dropped.  Raises ValueError where a
-        negative power of a scalar other than +-1 would be required (a
-        division inside Z)."""
-        if p.vars != self.in_vars:
-            raise ValueError(f"variable mismatch: {p.vars} vs {self.in_vars}")
+    def map_terms(self, terms: Mapping[tuple, object], add, scale) -> dict:
+        """The image {exponent: value} of terms {exponent: value} in the
+        input variables: each exponent scattered, each value scaled by
+        its scalar power (scale(value, num)), colliding values merged by
+        add and sums that are zero (false) dropped.  The values may be
+        y-tuples (yp_add, yp_scale) or packed integers (+, *).  Raises
+        ValueError where a negative power of a scalar other than +-1
+        would be required (a division inside Z)."""
         nv = len(self.out_vars)
         scatters, scalars = self._scatters, self._scalars
         out: dict = {}
-        for e, c in p.terms.items():
+        for e, c in terms.items():
             ne = [0] * nv
             for scatter, k in zip(scatters, e):
                 if k:
@@ -483,17 +525,24 @@ class MonomialMap:
                             raise ValueError(f"negative power of scalar {s} is not an integer")
                         num *= (-1) ** -k
                 if num != 1:
-                    c = yp_scale(c, num)
+                    c = scale(c, num)
             prev = out.get(key)
             if prev is None:
                 out[key] = c
             else:
-                total = yp_add(prev, c)
+                total = add(prev, c)
                 if total:
                     out[key] = total
                 else:
                     del out[key]
-        return LaurentPoly._from_trimmed(self.out_vars, out)
+        return out
+
+    def __call__(self, p: LaurentPoly) -> LaurentPoly:
+        """The image of p, a polynomial in the input variables (see
+        map_terms)."""
+        if p.vars != self.in_vars:
+            raise ValueError(f"variable mismatch: {p.vars} vs {self.in_vars}")
+        return LaurentPoly._from_trimmed(self.out_vars, self.map_terms(p.terms, yp_add, yp_scale))
 
 
 def monomial_substitute(p: LaurentPoly,

@@ -107,7 +107,7 @@ class TorusSpecialization:
         return (0,) * len(self.vars)
 
     @cached_property
-    def _from_standard(self) -> MonomialMap:
+    def from_standard(self) -> MonomialMap:
         """tau_i -> its image, from the standard variables t1..tn."""
         return MonomialMap(tuple(f"t{k}" for k in range(1, self.n + 1)),
                            {f"t{i}": (1, dict(zip(self.vars, e)))
@@ -117,7 +117,7 @@ class TorusSpecialization:
     def specialize(self, p: LaurentPoly) -> LaurentPoly:
         """The image of a polynomial in the standard variables t1..tn,
         through the map compiled on first use."""
-        return self._from_standard(p)
+        return self.from_standard(p)
 
     def tau_exp(self, i: int) -> tuple:
         return self.images[i - 1]

@@ -13,8 +13,9 @@ from mcclass.expand import (CONJECTURE_CHECKS, Expander, NegativeRatioExponentEr
                             format_expansion, is_strictly_log_concave, left_step,
                             ratio_exponents, specialize_nonequivariant,
                             structure_sheaf_rows, substitute_s_delta)
-from mcclass.ring import (LaurentPoly, dumps_canonical, exact_divide, monomial_substitute,
-                          substitute_ones)
+from mcclass.ring import (LaurentPoly, PackingOverflowError, RingError, dumps_canonical,
+                          exact_divide, monomial_substitute, substitute_ones, yp_add, yp_pack,
+                          yp_unpack)
 from mcclass.weightfn import TorusSpecialization, demazure_step, full_flag_table_recursive
 
 
@@ -122,6 +123,11 @@ def test_expand_n3_matches_frozen_table():
             assert got[w] == c, (pw, w)
 
 
+def test_expand_rejects_cell_of_other_size():
+    with pytest.raises(ValueError, match="1,2,3.*1..4"):
+        Expander(4).expand(perm(1, 2, 3))
+
+
 def test_expand_point_cell_trivial():
     ex = Expander(3)
     e = ex.expand(perm(3, 2, 1))
@@ -167,9 +173,9 @@ def left_steps(monkeypatch):
     calls = []
     step = mcclass.expand.left_step
 
-    def counted(coeffs, i, spec):
+    def counted(coeffs, i):
         calls.append(i)
-        return step(coeffs, i, spec)
+        return step(coeffs, i)
 
     monkeypatch.setattr(mcclass.expand, "left_step", counted)
     return calls
@@ -221,19 +227,42 @@ def oracle_left_step(coeffs, i, spec):
 def step_inputs(draw):
     """(coeffs, i, spec): random permutations of n <= 4 carrying random
     Laurent polynomials (negative exponents, several y-degrees, zero
-    polynomials and zero y-entries included) and a random i."""
+    polynomials and zero y-entries included) and a random i; the
+    y-digits are small, or up to 2^40 in absolute value so that packed
+    digits carry into each other."""
     n = draw(st.integers(2, 4))
     spec = TorusSpecialization.standard(n)
     perms = [Permutation(w) for w in itertools.permutations(range(1, n + 1))]
+    digit = draw(st.sampled_from([5, 2 ** 40]))
     coeffs = {}
     for w in draw(st.lists(st.sampled_from(perms), max_size=6, unique=True)):
         terms = {}
         for _ in range(draw(st.integers(0, 4))):
             exp = tuple(draw(st.integers(-3, 3)) for _ in spec.vars)
             ydeg = draw(st.integers(1, 4))
-            terms[exp] = tuple(draw(st.integers(-5, 5)) for _ in range(ydeg))
+            terms[exp] = tuple(draw(st.integers(-digit, digit)) for _ in range(ydeg))
         coeffs[w] = LaurentPoly(spec.vars, terms)
     return coeffs, draw(st.integers(1, n - 1)), spec
+
+
+def _digit_sum(terms):
+    """The sum of the absolute values of all y-digits of packed terms."""
+    return sum(abs(d) for v in terms.values() for d in yp_unpack(v))
+
+
+def pack(coeffs):
+    """Packed coefficients as the walk carries them, each with its exact
+    digit sum as its bound."""
+    out = {}
+    for w, c in coeffs.items():
+        terms = {e: yp_pack(v) for e, v in c.terms.items()}
+        out[w] = (terms, _digit_sum(terms))
+    return out
+
+
+def unpack(packed, spec):
+    return {w: LaurentPoly._from_trimmed(spec.vars, {e: yp_unpack(v) for e, v in terms.items()})
+            for w, (terms, _) in packed.items()}
 
 
 def _assert_canonical(coeffs):
@@ -245,9 +274,26 @@ def _assert_canonical(coeffs):
 @given(step_inputs())
 @settings(max_examples=150, deadline=None)
 def test_left_step_matches_ring_oracle(args):
-    got = left_step(*args)
-    assert got == oracle_left_step(*args)
+    coeffs, i, spec = args
+    packed = left_step(pack(coeffs), i)
+    for terms, bound in packed.values():
+        assert bound >= _digit_sum(terms)
+    got = unpack(packed, spec)
+    assert got == oracle_left_step(coeffs, i, spec)
     _assert_canonical(got)
+
+
+def test_left_step_raises_when_digit_bound_reaches_limit():
+    # the descent cell 21 takes 3 B from c_21 (span 0), the ascent cell
+    # 12 takes 2 B from its partner 21
+    x = perm(2, 1)
+    ok = left_step({x: ({(0, 0): 1}, 2 ** 63 // 3)}, 1)
+    assert ok[x][1] == 3 * (2 ** 63 // 3) < 2 ** 63
+    with pytest.raises(PackingOverflowError) as err:
+        left_step({x: ({(0, 0): 1}, 2 ** 63 // 3 + 1)}, 1)
+    assert isinstance(err.value, RingError)
+    with pytest.raises(PackingOverflowError):
+        left_step({x: ({(0, 0): 1}, 2 ** 63)}, 1)
 
 
 @pytest.fixture(scope="module")
@@ -266,6 +312,25 @@ def test_left_step_spot_checks_n5(expander5):
         got = expander5.expand(w).coeffs
         assert oracle_left_step(parent, i, expander5.spec) == got, word
         _assert_canonical(got)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("word", [(1, 2, 3, 4, 5), (1, 3, 2, 4, 5)])
+def test_one_parameter_cells_n5(word):
+    # the one-parameter walk specializes before it decodes; it must equal
+    # the specialized standard coefficients, and the chi_y genus of the
+    # cell, dimension 10 - l(p), is the sum of the coefficients at tau = 1
+    p = Permutation(word)
+    spec = TorusSpecialization.one_parameter(5)
+    standard = Expander(5).expand(p).coeffs
+    specialized = {w: c for w, c in ((w, spec.specialize(c)) for w, c in standard.items())
+                   if not c.is_zero()}
+    assert Expander(5, spec).expand(p).coeffs == specialized
+    total = ()
+    for c in standard.values():
+        total = yp_add(total, substitute_ones(c))
+    k = 10 - p.length()
+    assert total == (0,) * k + ((-1) ** k,)
 
 
 def _conjugate(w):

@@ -13,10 +13,11 @@ from hypothesis import strategies as st
 
 import mcclass
 from mcclass.ring import (Cocharacter, InfiniteLimitError, LaurentPoly, MonomialMap,
-                          NonDivisibleError, RationalExpr, ZeroDenominatorError,
-                          divisible_by_y_binomials, exact_divide, format_poly,
+                          NonDivisibleError, PackingOverflowError, RationalExpr,
+                          ZeroDenominatorError, divisible_by_y_binomials, exact_divide, format_poly,
                           limit_at_infinity, monomial_substitute, poly_from_json,
-                          poly_to_json, substitute_ones, yp_exact_div, yp_mul)
+                          poly_to_json, substitute_ones, yp_exact_div, yp_mul, yp_pack,
+                          yp_unpack)
 from oracles import monomial_substitute_loop
 
 V2 = ("t1", "t2")
@@ -87,6 +88,28 @@ def test_substitute_errors_match_oracle(p, images, out_vars):
         monomial_substitute_loop(p, images, out_vars)
     with pytest.raises(ValueError, match=f"^{re.escape(str(want.value))}$"):
         monomial_substitute(p, images, out_vars)
+
+
+# ---------------------------------------------------------------------------
+# packed y-coefficients
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("c", [(), (1,), (-1,), (0, 1), (3, 0, -2), (0, 0, 0, -7),
+                               (2 ** 63 - 1,), (-(2 ** 63 - 1),),
+                               (2 ** 63 - 1, -(2 ** 63 - 1), 0, 2 ** 63 - 1),
+                               (-(2 ** 63 - 1), 1, -(2 ** 63 - 1))])
+def test_yp_pack_round_trip(c):
+    x = yp_pack(c)
+    assert yp_unpack(x) == c
+    assert (x == 0) == (c == ())
+    assert yp_unpack(-x) == tuple(-v for v in c)
+
+
+def test_yp_pack_rejects_digit_out_of_range():
+    for c in ((2 ** 63,), (0, -(2 ** 63))):
+        with pytest.raises(PackingOverflowError):
+            yp_pack(c)
 
 
 # ---------------------------------------------------------------------------
