@@ -12,9 +12,19 @@ A system is held sparse: one row per monomial of each polynomial
 identity, a dict {column: int} of its nonzero coefficients, with a
 separate right-hand side and the column count passed as `width`.  Each
 orbit's restriction is compiled once, when the problem is built, into a
-monomial map of the ring kernel.  The CSM solver restricts each basis
-class once per orbit and reads the fundamental class off the
-degree-codim columns of the same basis.
+monomial map of the ring kernel.
+
+The CSM system has the basis classes up to the degree bound B of the
+constraints as unknowns, plus, at each non-target orbit o whose
+tangent class c has degree d > 0, one unknown per monomial of the
+quotient Q in phi_o(P) = c * Q up to degree min(codim(o) - 1, B - d)
+(the quotient window: a solution has deg Q <= B - d).  When c is a
+constant, P/c is always a polynomial, so o adds no quotient unknown,
+only the rows saying that phi_o(P) has no monomial of degree >=
+codim(o), and nothing when B < codim(o).  A basis class is restricted
+only to the orbits that read it: the target, the orbits that add rows
+and the orbits of codimension <= codim(target), from whose
+degree-codim columns of the same basis the fundamental class is read.
 
 All cohomology classes here are ordinary polynomials (Chern-root
 degree one per variable); the shared Laurent kernel is used with
@@ -140,13 +150,27 @@ def _esym(all_vars: Sequence[str], vs: Sequence[str], k: int) -> LaurentPoly:
 # ---------------------------------------------------------------------------
 
 
-def _poly_from_factors(factors, vars) -> LaurentPoly:
-    """Product of affine-linear factors {const, coeffs: {var: c}}."""
+def _integer(value, what: str) -> int:
+    """value, if it is a JSON integer (a bool is not one); otherwise
+    ValueError naming what it is."""
+    if type(value) is not int:
+        raise ValueError(f"{what} {value!r} is not an integer")
+    return value
+
+
+def _poly_from_factors(factors, vars, where: str) -> LaurentPoly:
+    """Product of affine-linear factors {const, coeffs: {var: c}} over
+    vars, with integer const and c; where names the orbit and the key in
+    an error."""
     out = LaurentPoly.one(vars)
     for f in factors:
-        term = LaurentPoly.constant(vars, int(f.get("const", 0)))
+        term = LaurentPoly.constant(vars, _integer(f.get("const", 0), f"{where} const"))
         for v, c in f.get("coeffs", {}).items():
-            term = term + LaurentPoly.variable(vars, v).scale_ypoly((int(c),))
+            if v not in vars:
+                raise ValueError(f"{where} names {v!r}, which is neither an ansatz "
+                                 "variable nor a phi image")
+            c = _integer(c, f"{where} coefficient of {v}")
+            term = term + LaurentPoly.variable(vars, v).scale_ypoly((c,))
         out = out * term
     return out
 
@@ -159,17 +183,28 @@ def _auto_label(vars: Sequence[str]) -> str:
 
 def _groups_from_json(obj: Mapping):
     """Accept either explicit labelled groups or a flat variable list
-    with symmetry blocks; leftovers become singleton groups."""
+    with symmetry blocks; leftovers of vars become singleton groups.
+    A block variable that is not in vars (when vars is given), or one
+    that lies in two blocks, is rejected."""
     if "groups" in obj:
-        return [(g["label"], tuple(g["vars"])) for g in obj["groups"]]
-    vars = list(obj["vars"])
-    blocks = [tuple(b) for b in obj.get("symmetry", [])]
-    covered = {v for b in blocks for v in b}
-    groups = [(_auto_label(b), b) for b in blocks]
+        blocks = [(g["label"], tuple(g["vars"])) for g in obj["groups"]]
+        vars = (list(obj["vars"]) if "vars" in obj
+                else list(dict.fromkeys(v for _, b in blocks for v in b)))
+    else:
+        blocks = [(_auto_label(b), tuple(b)) for b in obj.get("symmetry", [])]
+        vars = list(obj["vars"])
     for v in vars:
-        if v not in covered:
-            groups.append((_auto_label((v,)), (v,)))
-    return groups
+        if vars.count(v) > 1:
+            raise ValueError(f"vars lists {v!r} twice")
+    covered = set()
+    for _, block in blocks:
+        for v in block:
+            if v in covered:
+                raise ValueError(f"variable {v!r} lies in two symmetry blocks")
+            if v not in vars:
+                raise ValueError(f"symmetry variable {v!r} is not in vars")
+            covered.add(v)
+    return blocks + [(_auto_label((v,)), (v,)) for v in vars if v not in covered]
 
 
 def _orbits_from_json(obj: Mapping, ansatz_vars: tuple) -> list:
@@ -221,10 +256,12 @@ class OrbitProblem:
         all_vars = tuple(base + sorted(extra))
         orbits = []
         for o in entries:
-            euler = _poly_from_factors(o.get("euler", []), all_vars)
-            tangent = _poly_from_factors(o.get("tangent_c", []), all_vars)
-            orbits.append(OrbitSpec(o["name"], int(o["codim"]),
-                                    dict(o.get("phi", {})), euler, tangent))
+            name = o["name"]
+            euler = _poly_from_factors(o.get("euler", []), all_vars, f"orbit {name}: euler")
+            tangent = _poly_from_factors(o.get("tangent_c", []), all_vars,
+                                         f"orbit {name}: tangent_c")
+            codim = _integer(o["codim"], f"orbit {name}: codim")
+            orbits.append(OrbitSpec(name, codim, dict(o.get("phi", {})), euler, tangent))
         return cls(ansatz, tuple(orbits), all_vars)
 
     def orbit(self, name: str) -> OrbitSpec:
@@ -381,16 +418,16 @@ def _as_expansion(names, polys, values, vars) -> SymmetricExpansion:
 def _fundamental(problem: OrbitProblem, t: OrbitSpec, names, polys, restricted,
                  solver) -> SymmetricExpansion:
     """The fundamental class of t over the homogeneous basis classes
-    (names, polys) of degree codim(t); restricted[k] holds the classes
-    restricted to problem.orbits[k], for every orbit the constraints
-    read (t and each orbit of codimension <= codim(t))."""
+    (names, polys) of degree codim(t); restricted(k) gives the classes
+    restricted to problem.orbits[k], and is called for every orbit the
+    constraints read (t and each orbit of codimension <= codim(t))."""
     zero = LaurentPoly.zero(problem.all_vars)
     identities = []
     for k, o in enumerate(problem.orbits):
         if o.name == t.name:
-            identities.append((enumerate(restricted[k]), o.euler))
+            identities.append((enumerate(restricted(k)), o.euler))
         elif o.codim <= t.codim:
-            identities.append((enumerate(restricted[k]), zero))
+            identities.append((enumerate(restricted(k)), zero))
     rows, rhs = _system_from_identities(identities)
     values = solver(rows, rhs, width=len(polys))
     return _as_expansion(names, polys, values, problem.ansatz.vars)
@@ -405,10 +442,9 @@ def solve_fundamental(problem: OrbitProblem, target: str,
     basis = problem.ansatz.basis(t.codim, homogeneous=True)
     names = [n for n, _ in basis]
     polys = [p for _, p in basis]
-    restricted = {k: [problem.restrict(p, o) for p in polys]
-                  for k, o in enumerate(problem.orbits)
-                  if o.name == target or o.codim <= t.codim}
-    return _fundamental(problem, t, names, polys, restricted, solver)
+    return _fundamental(problem, t, names, polys,
+                        lambda k: [problem.restrict(p, problem.orbits[k]) for p in polys],
+                        solver)
 
 
 @dataclass(frozen=True)
@@ -441,16 +477,30 @@ def _degree(p: LaurentPoly) -> int:
 def solve_csm(problem: OrbitProblem, target: str,
               solver=solve_unique_fractions) -> CsmSolution:
     """The unique inhomogeneous class restricting to euler*tangent_c at
-    the target and, at every other orbit, divisible by tangent_c with
-    degree strictly below deg(euler*tangent_c).
+    the target and, at every other orbit o, divisible by tangent_c with
+    a quotient of degree below codim(o): phi_o(P) = tangent_c * Q.
 
-    Divisibility is encoded linearly with an auxiliary quotient per
-    orbit; the degree window for the quotient comes from the smallness
-    condition.  The basis classes are restricted once per orbit, and
-    the fundamental class is solved over those of degree codim(target):
-    the basis enumerates its monomials in an order that does not depend
-    on the degree bound, so they are basis(codim, homogeneous=True) in
-    its order, and the bound is at least codim since tangent_c != 0.
+    The basis runs up to the degree bound B of the constraints.  Q is
+    fixed by P, since tangent_c != 0, so each orbit gets only the
+    unknowns a solution can use:
+    - quotient window: with d = deg(tangent_c), any solution has
+      deg Q = deg phi_o(P) - d <= B - d, so Q's monomials run up to
+      min(codim(o) - 1, B - d); below 0 the identity is phi_o(P) == 0;
+    - constant tangent class (d == 0): phi_o(P) / tangent_c is always a
+      polynomial, so there is no quotient unknown, and the only rows
+      say that the monomials of phi_o(P) of degree >= codim(o) vanish.
+      As the basis classes are homogeneous, only those of degree
+      >= codim(o) are restricted, and none when B < codim(o).
+    Dropping unknowns that are forced to zero or fixed by P leaves the
+    solution, the dimension of a solution space and an inconsistency as
+    they were.  A basis class is restricted only to the orbits that read
+    it: the target, the orbits that add rows, and the orbits of
+    codimension <= codim(target), which the fundamental class reads off
+    the classes of degree codim(target): the basis enumerates its
+    monomials in an order that does not depend on the degree bound, so
+    they are basis(codim, homogeneous=True) in its order, and the bound
+    is at least codim since tangent_c != 0.  The returned restrictions
+    are those of the solution, at every orbit.
     """
     t = problem.orbit(target)
     target_value = t.euler * t.tangent_c
@@ -465,24 +515,39 @@ def solve_csm(problem: OrbitProblem, target: str,
     names = [n for n, _ in basis]
     polys = [p for _, p in basis]
     degrees = [_degree(p) for p in polys]
-    restricted = [[problem.restrict(p, o) for p in polys] for o in problem.orbits]
+    restricted = [{} for _ in problem.orbits]
+
+    def columns(k, cols):
+        """(j, polys[j] restricted to orbit k) for j in cols, each
+        restricted once."""
+        memo, o = restricted[k], problem.orbits[k]
+        for j in cols:
+            if j not in memo:
+                memo[j] = problem.restrict(polys[j], o)
+        return [(j, memo[j]) for j in cols]
 
     zero = LaurentPoly.zero(problem.all_vars)
     width = len(polys)
     identities = []
-    for o, values in zip(problem.orbits, restricted):
-        columns = list(enumerate(values))
+    for k, o in enumerate(problem.orbits):
         if o.name == target:
-            identities.append((columns, target_value))
+            identities.append((columns(k, range(len(polys))), target_value))
             continue
-        # phi(P) - tangent_c * Q == 0 with Q an unknown quotient of degree
-        # below codim, in the image variables
+        d = _degree(o.tangent_c)
+        if d == 0:
+            identities.append((columns(k, [j for j, e in enumerate(degrees)
+                                           if e >= o.codim]), zero))
+            continue
+        # phi(P) - tangent_c * Q == 0 with Q an unknown quotient in the
+        # image variables, in the window above
+        cols = columns(k, range(len(polys)))
         neg_tangent = -o.tangent_c
         image_vars = sorted({o.phi.get(v, v) for v in problem.ansatz.vars})
-        for mono in _monomials_up_to(problem.all_vars, image_vars, o.codim - 1):
-            columns.append((width, neg_tangent.shift(mono)))
+        for mono in _monomials_up_to(problem.all_vars, image_vars,
+                                     min(o.codim - 1, bound - d)):
+            cols.append((width, neg_tangent.shift(mono)))
             width += 1
-        identities.append((columns, zero))
+        identities.append((cols, zero))
     rows, rhs = _system_from_identities(identities)
     values = solver(rows, rhs, width=width)[:len(polys)]
     expansion = _as_expansion(names, polys, values, problem.ansatz.vars)
@@ -491,7 +556,7 @@ def solve_csm(problem: OrbitProblem, target: str,
     fund = [j for j, d in enumerate(degrees) if d == t.codim]
     fundamental = _fundamental(problem, t, [names[j] for j in fund],
                                [polys[j] for j in fund],
-                               [[row[j] for j in fund] for row in restricted], solver)
+                               lambda k: [r for _, r in columns(k, fund)], solver)
 
     low = max(_degree(fundamental.poly), 0)
     low_cols = [j for j, v in enumerate(values) if v != 0 and degrees[j] == low]

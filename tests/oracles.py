@@ -32,6 +32,11 @@
   slot: the oracle of `mcclass.ring.MonomialMap`, the compiled kernel
   behind `monomial_substitute`, `TorusSpecialization.specialize`,
   `OrbitProblem.restrict` and the limits.
+- `hom_orbit_data(m, n)`, the rank stratification of Hom(C^m, C^n) as
+  orbit data, and `solve_csm_with_quotients`, the CSM solve with a full
+  quotient unknown for every monomial below codim(o) at every other
+  orbit: the oracle of `mcclass.interp.solve_csm`, which sizes each
+  quotient by the degree bound and drops it for a constant tangent class.
 """
 
 import functools
@@ -40,7 +45,9 @@ from math import gcd, lcm
 from typing import Mapping, Sequence
 
 from mcclass.combi import Composition, IndexTuple, Permutation, enumerate_index_tuples
-from mcclass.interp import NonUniqueError, NoSolutionError
+from mcclass.interp import (CsmSolution, NonUniqueError, NoSolutionError, _as_expansion,
+                            _degree, _monomials_up_to, _system_from_identities,
+                            solve_fundamental, solve_unique_fractions)
 from mcclass.newton import LatticePolytope
 from mcclass.ring import YP_ONE_PLUS_Y, LaurentPoly, exact_divide, yp_add, yp_scale
 from mcclass.weightfn import TorusSpecialization, c_mu_at, restriction_direct
@@ -362,3 +369,71 @@ def monomial_substitute_loop(p: LaurentPoly, images: Mapping,
             else:
                 del out[key]
     return LaurentPoly(out_vars, out)
+
+
+def hom_orbit_data(m: int, n: int) -> dict:
+    """The orbits of GL_m x GL_n on Hom(C^m, C^n), as orbit data for
+    `OrbitProblem.from_json`.  omega_k (k = 0..m) is the set of maps with a
+    k-dimensional kernel: rank r = m - k, codimension k(n - m + k).  At its
+    point, phi sends a_i and b_i to t_i for i <= r; the Euler factors are
+    the weights b_j - a_i with i, j > r; the tangent factors are 1 + w for
+    the other weights w = phi(b_j) - phi(a_i) that are nonzero."""
+    a = [f"a{i}" for i in range(1, m + 1)]
+    b = [f"b{j}" for j in range(1, n + 1)]
+    orbits = []
+    for k in range(m + 1):
+        r = m - k
+        phi = {}
+        for i in range(1, r + 1):
+            phi[f"a{i}"] = phi[f"b{i}"] = f"t{i}"
+        euler, tangent = [], []
+        for i in range(1, m + 1):
+            for j in range(1, n + 1):
+                if i > r and j > r:
+                    euler.append({"const": 0, "coeffs": {f"b{j}": 1, f"a{i}": -1}})
+                elif i != j:
+                    weight = {phi.get(f"b{j}", f"b{j}"): 1, phi.get(f"a{i}", f"a{i}"): -1}
+                    tangent.append({"const": 1, "coeffs": weight})
+        orbits.append({"name": f"omega{k}", "codim": k * (n - m + k), "phi": phi,
+                       "euler": euler, "tangent_c": tangent})
+    return {"vars": a + b, "symmetry": [a, b], "orbits": orbits}
+
+
+def solve_csm_with_quotients(problem, target: str, solver=solve_unique_fractions):
+    """The CSM class of target with a full quotient at every other orbit:
+    phi_o(P) - tangent_c * Q == 0 with one unknown for every monomial of Q
+    in o's image variables up to degree codim(o) - 1, whatever the degree
+    bound and the tangent class, every basis class restricted to every
+    orbit, and the fundamental class solved on its own basis."""
+    t = problem.orbit(target)
+    target_value = t.euler * t.tangent_c
+    bound = _degree(target_value)
+    for o in problem.orbits:
+        if o.name != target:
+            bound = max(bound, o.codim + _degree(o.tangent_c) - 1)
+    basis = problem.ansatz.basis(bound)
+    names = [name for name, _ in basis]
+    polys = [p for _, p in basis]
+    zero = LaurentPoly.zero(problem.all_vars)
+    width = len(polys)
+    identities = []
+    for o in problem.orbits:
+        columns = [(j, problem.restrict(p, o)) for j, p in enumerate(polys)]
+        if o.name == target:
+            identities.append((columns, target_value))
+            continue
+        image_vars = sorted({o.phi.get(v, v) for v in problem.ansatz.vars})
+        for mono in _monomials_up_to(problem.all_vars, image_vars, o.codim - 1):
+            columns.append((width, (-o.tangent_c).shift(mono)))
+            width += 1
+        identities.append((columns, zero))
+    rows, rhs = _system_from_identities(identities)
+    values = solver(rows, rhs, width=width)[:len(polys)]
+    expansion = _as_expansion(names, polys, values, problem.ansatz.vars)
+    fundamental = solve_fundamental(problem, target, solver)
+    low = max(_degree(fundamental.poly), 0)
+    low_cols = [j for j, v in enumerate(values) if v != 0 and _degree(polys[j]) == low]
+    lowest = _as_expansion([names[j] for j in low_cols], [polys[j] for j in low_cols],
+                           [values[j] for j in low_cols], problem.ansatz.vars)
+    restrictions = {o.name: problem.restrict(expansion.poly, o) for o in problem.orbits}
+    return CsmSolution(expansion, restrictions, lowest, fundamental)

@@ -240,6 +240,13 @@ SEGMENT = ('{"vars": ["t1", "t2"], "terms": [{"exp": [-1, 1], "y": [-1]}, '
     (DATA, _bundled_orbits(lambda d: d["orbits"][1].update(name="omega0"))),
     (DATA, _bundled_orbits(lambda d: d["orbits"][1]["phi"].update(zz="t1"))),
     (DATA, _bundled_orbits(lambda d: d["orbits"][1]["phi"].update(a2=2))),
+    (DATA, _bundled_orbits(lambda d: d["orbits"][1].update(codim=2.0))),
+    (DATA, _bundled_orbits(lambda d: d["orbits"][1]["tangent_c"][0]["coeffs"].update(b2=1.5))),
+    (DATA, _bundled_orbits(lambda d: d["orbits"][1]["euler"][0].update(const=True))),
+    (DATA, _bundled_orbits(lambda d: d["orbits"][0]["tangent_c"][0]["coeffs"].update(t1="-1"))),
+    (DATA, _bundled_orbits(lambda d: d["symmetry"][1].append("c1"))),
+    (DATA, _bundled_orbits(lambda d: d["symmetry"][0].append("b1"))),
+    (DATA, _bundled_orbits(lambda d: d["orbits"][2]["euler"][0]["coeffs"].update(t9=1))),
     (DATA, None),
     (LIMIT, NO_VARS), (LIMIT, "[1, 2]"), (LIMIT, '{"vars": ['), (LIMIT, None),
     (NEWTON, NO_VARS), (NEWTON, "[1, 2]"), (NEWTON, '{"vars": ['), (NEWTON, None),
@@ -255,6 +262,9 @@ SEGMENT = ('{"vars": ["t1", "t2"], "terms": [{"exp": [-1, 1], "y": [-1]}, '
 ], ids=["unknown-target", "orbit-without-codim", "no-orbits", "orbits-not-a-list",
         "zero-tangent-class", "codim-not-euler-degree",
         "duplicate-orbit-name", "phi-key-not-ansatz-variable", "phi-image-not-a-name",
+        "codim-not-an-integer", "coefficient-not-an-integer", "const-a-bool",
+        "coefficient-a-string", "symmetry-variable-not-in-vars", "variable-in-two-blocks",
+        "factor-variable-unknown",
         "data-missing-file",
         "limit-missing-key", "limit-wrong-type", "limit-bad-json", "limit-missing-file",
         "newton-missing-key", "newton-wrong-type", "newton-bad-json",

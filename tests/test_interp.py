@@ -1,4 +1,5 @@
 import json
+import re
 from fractions import Fraction
 from importlib.resources import files
 
@@ -10,7 +11,8 @@ from mcclass.interp import (NonUniqueError, NoSolutionError, OrbitProblem,
                             SymmetricAnsatz, solve_csm, solve_fundamental,
                             solve_unique_fractions)
 from mcclass.ring import LaurentPoly, MonomialMap, format_poly
-from oracles import monomial_substitute_loop, solve_unique_bareiss, solve_unique_gauss_jordan
+from oracles import (hom_orbit_data, monomial_substitute_loop, solve_csm_with_quotients,
+                     solve_unique_bareiss, solve_unique_gauss_jordan)
 
 ORACLES = [solve_unique_gauss_jordan, solve_unique_bareiss]
 
@@ -285,3 +287,109 @@ def test_orbit_data_that_cannot_define_the_classes_rejected():
     with pytest.raises(ValueError, match="homogeneous of degree codim = 1"):
         OrbitSpec("bad", 1, {}, a1 + 1, LaurentPoly.one(vars))
     OrbitSpec("good", 1, {}, a1, a1 + 1)
+
+
+# ---------------------------------------------------------------------------
+# rank stratifications of Hom(C^m, C^n)
+# ---------------------------------------------------------------------------
+
+
+def _csm_outcome(solve, problem, target):
+    """Everything a CSM solve returns, or the type and message of its error."""
+    try:
+        sol = solve(problem, target)
+    except (NoSolutionError, NonUniqueError) as err:
+        return type(err), str(err)
+    return (sol.expansion.coeffs, sol.lowest_degree.coeffs, sol.fundamental.coeffs,
+            sol.restrictions)
+
+
+def test_generated_hom_2_3_is_the_bundled_quiver(a2):
+    assert OrbitProblem.from_json(hom_orbit_data(2, 3)) == a2
+
+
+@pytest.mark.parametrize("m, n", [(1, 1), (2, 2), (2, 3), (2, 4), (3, 3)])
+def test_csm_matches_quotient_oracle_on_rank_stratifications(m, n):
+    problem = OrbitProblem.from_json(hom_orbit_data(m, n))
+    for o in problem.orbits:
+        got = _csm_outcome(solve_csm, problem, o.name)
+        assert isinstance(got[0], tuple), got
+        assert got == _csm_outcome(solve_csm_with_quotients, problem, o.name), o.name
+
+
+@pytest.mark.parametrize("m, n, k", [(1, 1, 0), (2, 2, 1), (2, 2, 2), (2, 3, 1), (2, 3, 2)])
+def test_csm_matches_quotient_oracle_with_constant_tangent_class(m, n, k):
+    # omega_k's tangent class becomes the constant 2: no quotient unknown,
+    # and where codim(omega_k) <= the degree bound, rows for the monomials
+    # of degree >= codim; some of these problems have no solution
+    data = hom_orbit_data(m, n)
+    data["orbits"][k]["tangent_c"] = [{"const": 2}]
+    problem = OrbitProblem.from_json(data)
+    for o in problem.orbits:
+        want = _csm_outcome(solve_csm_with_quotients, problem, o.name)
+        assert _csm_outcome(solve_csm, problem, o.name) == want, o.name
+
+
+def test_csm_and_quotient_oracle_agree_on_a_degenerate_problem():
+    # without omega1 nothing pins the classes of degree >= 2 at omega0
+    data = hom_orbit_data(2, 3)
+    del data["orbits"][1]
+    problem = OrbitProblem.from_json(data)
+    for solve in (solve_csm, solve_csm_with_quotients):
+        with pytest.raises(NonUniqueError, match="^solution space has dimension 24$"):
+            solve(problem, "omega0")
+
+
+@pytest.mark.parametrize("m, n", [(2, 2), (2, 4), (3, 3)])
+def test_csm_classes_add_up_to_total_chern_class(m, n):
+    # CSM additivity: the orbits partition Hom(C^m, C^n)
+    problem = OrbitProblem.from_json(hom_orbit_data(m, n))
+    vars = problem.ansatz.vars
+    total = LaurentPoly.zero(vars)
+    for o in problem.orbits:
+        total = total + solve_csm(problem, o.name).expansion.poly
+    want = LaurentPoly.one(vars)
+    for i in range(1, m + 1):
+        for j in range(1, n + 1):
+            weight = LaurentPoly.variable(vars, f"b{j}") - LaurentPoly.variable(vars, f"a{i}")
+            want = want * (weight + 1)
+    assert total == want
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda d: d["orbits"][1].update(codim=1.5), "orbit omega1: codim 1.5 is not an integer"),
+    (lambda d: d["orbits"][1].update(codim=True), "orbit omega1: codim True is not an integer"),
+    (lambda d: d["orbits"][1]["euler"][0]["coeffs"].update(b2=1.5),
+     "orbit omega1: euler coefficient of b2 1.5 is not an integer"),
+    (lambda d: d["orbits"][0]["tangent_c"][0].update(const="2"),
+     "orbit omega0: tangent_c const '2' is not an integer"),
+    (lambda d: d["orbits"][0]["tangent_c"][0].update(const=True),
+     "orbit omega0: tangent_c const True is not an integer"),
+    (lambda d: d["orbits"][1]["tangent_c"][0]["coeffs"].update(zz=1),
+     "orbit omega1: tangent_c names 'zz', which is neither an ansatz variable nor a phi image"),
+    (lambda d: d["symmetry"][1].append("c1"), "symmetry variable 'c1' is not in vars"),
+    (lambda d: d["symmetry"][1].append("a2"), "variable 'a2' lies in two symmetry blocks"),
+    (lambda d: d.update(groups=[{"label": "A", "vars": ["a1", "a2"]},
+                                {"label": "B", "vars": ["b1", "b2", "b4"]}]),
+     "symmetry variable 'b4' is not in vars"),
+    (lambda d: d.pop("vars") and d.update(groups=[{"label": "A", "vars": ["a1", "a2"]},
+                                                  {"label": "B", "vars": ["a2", "b1"]}]),
+     "variable 'a2' lies in two symmetry blocks"),
+    (lambda d: d["vars"].append("a1"), "vars lists 'a1' twice"),
+], ids=["codim-float", "codim-bool", "coefficient-float", "const-string", "const-bool",
+        "unknown-factor-variable", "symmetry-outside-vars", "symmetry-overlap",
+        "group-outside-vars", "group-overlap", "repeated-var"])
+def test_malformed_orbit_data_names_the_fault(edit, message):
+    data = hom_orbit_data(2, 3)
+    edit(data)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        OrbitProblem.from_json(data)
+
+
+def test_groups_with_vars_keep_leftovers_as_singletons():
+    data = hom_orbit_data(2, 3)
+    data["vars"].append("c1")
+    data["groups"] = [{"label": "A", "vars": ["a1", "a2"]},
+                      {"label": "B", "vars": ["b1", "b2", "b3"]}]
+    ansatz = OrbitProblem.from_json(data).ansatz
+    assert ansatz.groups == (("A", ("a1", "a2")), ("B", ("b1", "b2", "b3")), ("C", ("c1",)))
