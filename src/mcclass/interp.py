@@ -175,23 +175,38 @@ def _poly_from_factors(factors, vars, where: str) -> LaurentPoly:
     return out
 
 
-def _auto_label(vars: Sequence[str]) -> str:
+def _auto_label(vars: Sequence[str], taken: set) -> str:
+    """A label not in taken, which it joins: the letters of the first
+    variable upper-cased, or, when that is taken, the whole first
+    variable upper-cased, then with _2, _3, ... appended."""
     head = vars[0]
-    prefix = "".join(ch for ch in head if ch.isalpha())
-    return (prefix or head).upper()
+    label = ("".join(ch for ch in head if ch.isalpha()) or head).upper()
+    if label in taken:
+        label = head.upper()
+    unique, k = label, 2
+    while unique in taken:
+        unique, k = f"{label}_{k}", k + 1
+    taken.add(unique)
+    return unique
 
 
 def _groups_from_json(obj: Mapping):
     """Accept either explicit labelled groups or a flat variable list
     with symmetry blocks; leftovers of vars become singleton groups.
-    A block variable that is not in vars (when vars is given), or one
-    that lies in two blocks, is rejected."""
+    A block variable that is not in vars (when vars is given), one that
+    lies in two blocks, and a label given to two groups are rejected;
+    generated labels avoid every label before them."""
+    taken: set = set()
     if "groups" in obj:
         blocks = [(g["label"], tuple(g["vars"])) for g in obj["groups"]]
+        for label, _ in blocks:
+            if label in taken:
+                raise ValueError(f"group label {label!r} is given twice")
+            taken.add(label)
         vars = (list(obj["vars"]) if "vars" in obj
                 else list(dict.fromkeys(v for _, b in blocks for v in b)))
     else:
-        blocks = [(_auto_label(b), tuple(b)) for b in obj.get("symmetry", [])]
+        blocks = [(_auto_label(b, taken), tuple(b)) for b in obj.get("symmetry", [])]
         vars = list(obj["vars"])
     for v in vars:
         if vars.count(v) > 1:
@@ -204,7 +219,7 @@ def _groups_from_json(obj: Mapping):
             if v not in vars:
                 raise ValueError(f"symmetry variable {v!r} is not in vars")
             covered.add(v)
-    return blocks + [(_auto_label((v,)), (v,)) for v in vars if v not in covered]
+    return blocks + [(_auto_label((v,), taken), (v,)) for v in vars if v not in covered]
 
 
 def _orbits_from_json(obj: Mapping, ansatz_vars: tuple) -> list:

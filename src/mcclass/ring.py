@@ -683,22 +683,38 @@ def divisible_by_y_binomials(p: LaurentPoly, exponents: Mapping[tuple, int]) -> 
     vanish at y = -x^-e.  The binomials are irreducible and pairwise
     non-associate for distinct e, so the product divides p exactly when
     each power does.  No division is carried out.
+
+    The root sends a term c_k y^k x^x to (-1)^k c_k x^(x - k e).  So
+    each term is keyed once by its line base + t e, and on each line
+    the digits are summed at the integer positions t - k (at t when
+    e = 0), one line at a time.
     """
-    width = max(map(len, p.terms.values()), default=0)
     for e, m in exponents.items():
-        steps = [tuple(s * b for b in e) for s in range(width)]
-        for j in range(m):
-            acc: dict = {}
-            get = acc.get
-            for x, c in p.terms.items():
-                for s, ck in enumerate(c[j:]):
-                    if ck:
-                        # the term ck y^(s+j) of p gives C(s+j, j) ck y^s in D^j p
-                        key = tuple(map(sub, x, steps[s]))
-                        v = comb(s + j, j) * ck if j else ck
-                        acc[key] = get(key, 0) + (-v if s & 1 else v)
-            if any(acc.values()):
-                return False
+        p0 = next((k for k, d in enumerate(e) if d), None)
+        step = 0 if p0 is None else 1
+        multiples: dict = {}
+        lines: dict = {}  # line base -> [(t, c)] for its terms c x^(base + t e)
+        for x, c in p.terms.items():
+            t = 0 if p0 is None else x[p0] // e[p0]
+            if t:
+                te = multiples.get(t)
+                if te is None:
+                    te = multiples[t] = tuple(t * b for b in e)
+                x = tuple(map(sub, x, te))
+            lines.setdefault(x, []).append((t, c))
+        for line in lines.values():
+            for j in range(m):
+                acc: dict = {}
+                get = acc.get
+                for t, c in line:
+                    for s, ck in enumerate(c[j:]):
+                        if ck:
+                            # the term ck y^(s+j) of p gives C(s+j, j) ck y^s in D^j p
+                            v = comb(s + j, j) * ck if j else ck
+                            pos = t - step * s
+                            acc[pos] = get(pos, 0) + (-v if s & 1 else v)
+                if any(acc.values()):
+                    return False
     return True
 
 
@@ -843,31 +859,32 @@ def _monomial_str(vars, e) -> str:
     return f"{ns or '1'}/{ds}"
 
 
+def _y_powers(width: int) -> list:
+    """The strings "", "y", "y^2", ..., y^(width - 1)."""
+    return ["", "y"] + [f"y^{k}" for k in range(2, width)]
+
+
+def _signed(pieces: list) -> str:
+    """Pieces "+ body" or "- body" joined, the first written as body or -body."""
+    out = " ".join(pieces)
+    return out[2:] if out[0] == "+" else "-" + out[2:]
+
+
 def format_poly(p: LaurentPoly) -> str:
     """Canonical flat rendering: terms in exponent order, y ascending."""
     if p.is_zero():
         return "0"
-    parts = []
+    ys = _y_powers(max(map(len, p.terms.values())))
+    pieces = []
     for e, c in p.sorted_terms():
         mono = _monomial_str(p.vars, e)
         for k, ck in enumerate(c):
-            if ck == 0:
-                continue
-            factors = []
-            if abs(ck) != 1 or (mono == "1" and k == 0):
-                factors.append(str(abs(ck)))
-            if mono != "1":
-                factors.append(mono)
-            if k == 1:
-                factors.append("y")
-            elif k > 1:
-                factors.append(f"y^{k}")
-            body = "*".join(factors) if factors else "1"
-            if not parts:
-                parts.append(body if ck > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if ck > 0 else f"- {body}")
-    return " ".join(parts)
+            if ck:
+                tail = mono if not k else ys[k] if mono == "1" else f"{mono}*{ys[k]}"
+                a = abs(ck)
+                body = str(a) if tail == "1" else tail if a == 1 else f"{a}*{tail}"
+                pieces.append(f"+ {body}" if ck > 0 else f"- {body}")
+    return _signed(pieces)
 
 
 def format_poly_ygrouped(p: LaurentPoly, negate: bool = False) -> str:
@@ -875,45 +892,29 @@ def format_poly_ygrouped(p: LaurentPoly, negate: bool = False) -> str:
     is set."""
     if p.is_zero():
         return "0"
-    sign = -1 if negate else 1
     by_deg: dict = {}
+    units = set()  # degrees with a coefficient 1
     for e, c in p.sorted_terms():
         mono = _monomial_str(p.vars, e)
         for k, ck in enumerate(c):
             if ck:
-                by_deg.setdefault(k, []).append((mono, sign * ck))
+                if negate:
+                    ck = -ck
+                a = abs(ck)
+                body = str(a) if mono == "1" else mono if a == 1 else f"{a}*{mono}"
+                by_deg.setdefault(k, []).append(f"+ {body}" if ck > 0 else f"- {body}")
+                if ck == 1:
+                    units.add(k)
+    ys = _y_powers(max(by_deg) + 1)
     parts = []
     for k in sorted(by_deg, reverse=True):
-        monos = by_deg[k]
-        body_parts = []
-        for mono, ck in monos:
-            if mono == "1":
-                body = str(abs(ck))
-            elif abs(ck) == 1:
-                body = mono
-            else:
-                body = f"{abs(ck)}*{mono}"
-            if not body_parts:
-                body_parts.append(body if ck > 0 else f"-{body}")
-            else:
-                body_parts.append(f"+ {body}" if ck > 0 else f"- {body}")
-        body = " ".join(body_parts)
-        if k == 0:
-            piece = body
-            plain = len(monos) == 1
+        pieces = by_deg[k]
+        body = _signed(pieces)
+        if not k:
+            parts.append(f"- {body[1:]}" if len(pieces) == 1 and body[0] == "-"
+                         else f"+ {body}")
+        elif len(pieces) == 1 and k in units:
+            parts.append(f"+ {ys[k]}" if body == "1" else f"+ {body}*{ys[k]}")
         else:
-            ystr = "y" if k == 1 else f"y^{k}"
-            if len(monos) == 1 and monos[0][1] in (1, -1) and not body.startswith("-"):
-                piece = f"{body}*{ystr}" if body != "1" else ystr
-                plain = True
-            else:
-                piece = f"({body})*{ystr}"
-                plain = True
-        if not parts:
-            parts.append(piece)
-        else:
-            if piece.startswith("-") and plain:
-                parts.append(f"- {piece[1:]}")
-            else:
-                parts.append(f"+ {piece}")
-    return " ".join(parts)
+            parts.append(f"+ ({body})*{ys[k]}")
+    return _signed(parts)

@@ -12,8 +12,12 @@ walk over the cells of G/P by the left Demazure-Lusztig step, seeded with
 the closed-form row of the top cell and dividing along lines of exponents.
 A table is a plain dict {I: {J: f}} on the standard torus t1..tn; a
 caller that wants another TorusSpecialization maps the entries itself.
-restriction_direct evaluates the symmetrization at one fixed point; the
-test suite builds its oracle tables from it.
+weight_function symmetrizes globally and restriction_direct at one fixed
+point, the route the test suite builds its oracle tables from.  Both read
+the three cases from psi_factor, and both divide by their Vandermonde
+product through _divide_by_differences, one line quotient per difference.
+So every division in the module is the row steps' kernel, a quotient by
+1 - tau^D along lines of exponents.
 """
 
 from __future__ import annotations
@@ -26,8 +30,8 @@ from typing import Mapping, Sequence
 
 from .combi import Composition, IndexTuple, Permutation, enumerate_index_tuples, tree_walk
 from .ring import (LaurentPoly, MonomialMap, NonDivisibleError, RationalExpr, YP_ONE,
-                   YP_ONE_PLUS_Y, YP_Y, ZeroDenominatorError, exact_divide,
-                   monomial_substitute, yp_add, yp_neg, yp_trim)
+                   YP_ONE_PLUS_Y, YP_Y, ZeroDenominatorError, monomial_substitute,
+                   yp_add, yp_neg, yp_trim)
 
 # ---------------------------------------------------------------------------
 # Variable panels and torus specializations
@@ -150,14 +154,8 @@ class TorusSpecialization:
         return LaurentPoly(self.vars, {self.zero_exp(): YP_ONE, e: YP_Y})
 
     def tau_diff(self, i: int, j: int) -> LaurentPoly:
-        """tau_i - tau_j."""
-        out: dict = {}
-        ei, ej = self.tau_exp(i), self.tau_exp(j)
-        out[ei] = YP_ONE
-        if ej == ei:
-            return self.zero()
-        out[ej] = (-1,)
-        return LaurentPoly(self.vars, out)
+        """tau_i - tau_j = tau_i (1 - tau_j/tau_i)."""
+        return self.one_minus_ratio(j, i).shift(self.tau_exp(i))
 
 
 # ---------------------------------------------------------------------------
@@ -246,26 +244,13 @@ def _perm_sign(p: Sequence[int]) -> int:
     return -1 if inv % 2 else 1
 
 
-def _vandermonde(panel: VariablePanel) -> LaurentPoly:
-    """prod over symmetrized groups of prod_{a<b} (alpha_a - alpha_b)."""
-    out = panel.one()
-    sums = panel.mu.partial_sums
-    for j in range(1, panel.mu.num_blocks):
-        for a in range(1, sums[j - 1] + 1):
-            for b in range(a + 1, sums[j - 1] + 1):
-                va = LaurentPoly.variable(panel.vars, panel.var(j, a))
-                vb = LaurentPoly.variable(panel.vars, panel.var(j, b))
-                out = out * (va - vb)
-    return out
-
-
 def weight_function(I: IndexTuple, panel: VariablePanel | None = None) -> LaurentPoly:
     """The symmetrized weight function W_I as a Laurent polynomial.
 
     All symmetrizer terms are placed over the common denominator
-    prod (alpha_a - alpha_b); the summed numerator is then divided
-    exactly.  A division failure is an implementation fault, never a
-    valid outcome.
+    prod (alpha_a - alpha_b); the summed numerator is then divided by
+    each difference along lines.  A division failure is an
+    implementation fault, never a valid outcome.
     """
     if panel is None:
         panel = VariablePanel(I.mu)
@@ -287,7 +272,9 @@ def weight_function(I: IndexTuple, panel: VariablePanel | None = None) -> Lauren
                 mapping[panel.var(j, a + 1)] = panel.var(j, target + 1)
         term = base.rename_vars(mapping)
         total = total + (term if sign > 0 else -term)
-    return exact_divide(total, _vandermonde(panel))
+    unit = {v: tuple(int(u == v) for u in panel.vars) for v in panel.vars}
+    return _divide_by_differences(total, [(unit[a], unit[b]) for group in panel.groups[:-1]
+                                          for a, b in itertools.combinations(group, 2)])
 
 
 def chern_products(mu: Composition | Sequence[int],
@@ -379,52 +366,38 @@ def c_prime_mu_at(J: IndexTuple, spec: TorusSpecialization) -> LaurentPoly:
 # perfbench/job.py do.
 # ---------------------------------------------------------------------------
 
-_K_LESS, _K_EQUAL, _K_GREATER = 0, 1, 2
-
-
-def _psi_kinds(I: IndexTuple):
-    """(j, a, b, kind) for every three-case factor of U_I (0-based j)."""
-    sums = I.mu.partial_sums
-    out = []
-    for j in range(1, I.mu.num_blocks):
-        for a in range(1, sums[j - 1] + 1):
-            lower = I.unions[j - 1][a - 1]
-            for b in range(1, sums[j] + 1):
-                upper = I.unions[j][b - 1]
-                kind = (_K_LESS if upper < lower
-                        else _K_EQUAL if upper == lower else _K_GREATER)
-                out.append((j - 1, a - 1, b - 1, kind))
-    return out
-
-
 def restriction_direct(I: IndexTuple, J: IndexTuple,
                        spec: TorusSpecialization | None = None) -> LaurentPoly:
     """W_I restricted at the fixed point J, by direct symmetrization.
 
     Each symmetrizer term is evaluated after the tau substitution; the
-    signed sum is divided exactly by the substituted Vandermonde
-    product.  Terms with a vanishing 1 - xi factor are pruned early.
+    signed sum is divided by the substituted Vandermonde product, the
+    differences of the tau images inside each of J's blocks, along
+    lines.  Terms with a vanishing 1 - xi factor are pruned early.
     """
     mu = I.mu
     if spec is None:
         spec = TorusSpecialization.standard(mu.n)
-    psi = _psi_kinds(I)
+    sums = mu.partial_sums
+    psi = [(j - 1, a - 1, b - 1, psi_factor(I, j, a, b).kind)
+           for j in range(1, mu.num_blocks)
+           for a in range(1, sums[j - 1] + 1) for b in range(1, sums[j] + 1)]
     tJ = _block_images(J)
     total = spec.zero()
     for sigma in _symmetrizer_group(mu):
         # tau index assigned to panel slot (j, a): groups j < N permuted.
         assign = [[tJ[j][k] for k in sj] for j, sj in enumerate(sigma)]
         assign.append(tJ[-1])
-        if any(kind == _K_LESS and assign[j][a] == assign[j + 1][b]
+        if any(kind == PSI_LESS and assign[j][a] == assign[j + 1][b]
                for j, a, b, kind in psi):
             continue
         term = spec.one()
         shift = spec.zero_exp()
         for j, a, b, kind in psi:
             lower, upper = assign[j][a], assign[j + 1][b]
-            if kind == _K_LESS:
+            if kind == PSI_LESS:
                 term = term * spec.one_minus_ratio(lower, upper)
-            elif kind == _K_GREATER:
+            elif kind == PSI_GREATER:
                 term = term * spec.one_plus_y_ratio(lower, upper)
             else:
                 # (1+y) * xi: the monomial xi joins the shift below
@@ -443,13 +416,9 @@ def restriction_direct(I: IndexTuple, J: IndexTuple,
         for sj in sigma:
             sign *= _perm_sign(sj)
         total = total + (term if sign > 0 else -term)
-
-    den = spec.one()
-    for idx in tJ[:-1]:
-        for a in range(len(idx)):
-            for b in range(a + 1, len(idx)):
-                den = den * spec.tau_diff(idx[a], idx[b])
-    return exact_divide(total, den)
+    return _divide_by_differences(total, [(spec.tau_exp(a), spec.tau_exp(b))
+                                          for idx in tJ[:-1]
+                                          for a, b in itertools.combinations(idx, 2)])
 
 
 # ---------------------------------------------------------------------------
@@ -527,14 +496,28 @@ def _left_quotient(fJ: LaurentPoly, fsJ: LaurentPoly, i: int) -> LaurentPoly:
     return _line_quotient(acc, D, width, fJ.vars)
 
 
+def _divide_by_differences(f: LaurentPoly, pairs) -> LaurentPoly:
+    """f / prod (tau^a - tau^b) over pairs (a, b) of exponent vectors.
+    Each factor is tau^a (1 - tau^(b - a)): a shift by -a, then a
+    quotient along lines in the direction b - a.  NonDivisibleError if
+    the product does not divide f, ZeroDenominatorError if some a = b."""
+    pairs = [(a, tuple(map(sub, b, a))) for a, b in pairs]
+    if any(not any(D) for _, D in pairs):
+        raise ZeroDenominatorError("division by tau^a - tau^b across equal torus images")
+    for a, D in pairs:
+        width = max(map(len, f.terms.values()), default=0)
+        f = _line_quotient({tuple(map(sub, e, a)): c + (0,) * (width - len(c))
+                            for e, c in f.terms.items()}, D, width, f.vars)
+    return f
+
+
 def _line_quotient(acc: dict, D: tuple, width: int, vars: tuple) -> LaurentPoly:
-    """Divide sum_e acc[e] tau^e (y-tuples padded to width) by 1 - tau^D.
-    Along a line m + kD the numerator coefficient at k is q_k - q_(k-1),
-    so q_k is the prefix sum up to k; the division is exact iff every
-    line sums to zero, else NonDivisibleError carries the line sums."""
-    p = next((k for k, d in enumerate(D) if d), None)
-    if p is None:
-        raise ZeroDenominatorError("division by 1 - tau^D across equal torus images")
+    """Divide sum_e acc[e] tau^e (y-tuples padded to width) by 1 - tau^D,
+    D nonzero.  Along a line m + kD the numerator coefficient at k is
+    q_k - q_(k-1), so q_k is the prefix sum up to k; the division is
+    exact iff every line sums to zero, else NonDivisibleError carries the
+    line sums."""
+    p = next(k for k, d in enumerate(D) if d)
     d = D[p]
     multiples: dict = {}
 
@@ -639,7 +622,4 @@ def demazure_step(row: Mapping[Permutation, LaurentPoly], i: int,
 
 def _isobaric(fv: LaurentPoly, fvs: LaurentPoly, D: tuple) -> LaurentPoly:
     """(f(v) - tau^D f(v*s_i)) / (1 - tau^D) of demazure_step."""
-    num = fv - fvs.shift(D)
-    width = max(map(len, num.terms.values()), default=0)
-    return _line_quotient({e: c + (0,) * (width - len(c)) for e, c in num.terms.items()},
-                          D, width, fv.vars)
+    return _divide_by_differences(fv - fvs.shift(D), [((0,) * len(D), D)])

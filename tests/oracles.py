@@ -37,6 +37,10 @@
   quotient unknown for every monomial below codim(o) at every other
   orbit: the oracle of `mcclass.interp.solve_csm`, which sizes each
   quotient by the degree bound and drops it for a constant tangent class.
+- `format_poly_factors` and `format_poly_ygrouped_lists`, renderings that
+  build a factor list and join it for every (term, y-degree) pair, and
+  group (monomial, coefficient) pairs by y-degree before rendering them:
+  the oracles of `mcclass.ring.format_poly` and `format_poly_ygrouped`.
 """
 
 import functools
@@ -49,7 +53,8 @@ from mcclass.interp import (CsmSolution, NonUniqueError, NoSolutionError, _as_ex
                             _degree, _monomials_up_to, _system_from_identities,
                             solve_fundamental, solve_unique_fractions)
 from mcclass.newton import LatticePolytope
-from mcclass.ring import YP_ONE_PLUS_Y, LaurentPoly, exact_divide, yp_add, yp_scale
+from mcclass.ring import (YP_ONE_PLUS_Y, LaurentPoly, _monomial_str, exact_divide, yp_add,
+                          yp_scale)
 from mcclass.weightfn import TorusSpecialization, c_mu_at, restriction_direct
 
 
@@ -437,3 +442,78 @@ def solve_csm_with_quotients(problem, target: str, solver=solve_unique_fractions
                            [values[j] for j in low_cols], problem.ansatz.vars)
     restrictions = {o.name: problem.restrict(expansion.poly, o) for o in problem.orbits}
     return CsmSolution(expansion, restrictions, lowest, fundamental)
+
+
+def format_poly_factors(p: LaurentPoly) -> str:
+    """Flat rendering of p: terms in exponent order, y ascending, each
+    body a joined factor list."""
+    if p.is_zero():
+        return "0"
+    parts = []
+    for e, c in p.sorted_terms():
+        mono = _monomial_str(p.vars, e)
+        for k, ck in enumerate(c):
+            if ck == 0:
+                continue
+            factors = []
+            if abs(ck) != 1 or (mono == "1" and k == 0):
+                factors.append(str(abs(ck)))
+            if mono != "1":
+                factors.append(mono)
+            if k == 1:
+                factors.append("y")
+            elif k > 1:
+                factors.append(f"y^{k}")
+            body = "*".join(factors) if factors else "1"
+            if not parts:
+                parts.append(body if ck > 0 else f"-{body}")
+            else:
+                parts.append(f"+ {body}" if ck > 0 else f"- {body}")
+    return " ".join(parts)
+
+
+def format_poly_ygrouped_lists(p: LaurentPoly, negate: bool = False) -> str:
+    """Rendering of p (of -p when negate is set) grouped by descending
+    powers of y, from (monomial, coefficient) lists per y-degree."""
+    if p.is_zero():
+        return "0"
+    sign = -1 if negate else 1
+    by_deg: dict = {}
+    for e, c in p.sorted_terms():
+        mono = _monomial_str(p.vars, e)
+        for k, ck in enumerate(c):
+            if ck:
+                by_deg.setdefault(k, []).append((mono, sign * ck))
+    parts = []
+    for k in sorted(by_deg, reverse=True):
+        monos = by_deg[k]
+        body_parts = []
+        for mono, ck in monos:
+            if mono == "1":
+                body = str(abs(ck))
+            elif abs(ck) == 1:
+                body = mono
+            else:
+                body = f"{abs(ck)}*{mono}"
+            if not body_parts:
+                body_parts.append(body if ck > 0 else f"-{body}")
+            else:
+                body_parts.append(f"+ {body}" if ck > 0 else f"- {body}")
+        body = " ".join(body_parts)
+        if k == 0:
+            piece = body
+            plain = len(monos) == 1
+        else:
+            ystr = "y" if k == 1 else f"y^{k}"
+            if len(monos) == 1 and monos[0][1] in (1, -1) and not body.startswith("-"):
+                piece = f"{body}*{ystr}" if body != "1" else ystr
+            else:
+                piece = f"({body})*{ystr}"
+            plain = True
+        if not parts:
+            parts.append(piece)
+        elif piece.startswith("-") and plain:
+            parts.append(f"- {piece[1:]}")
+        else:
+            parts.append(f"+ {piece}")
+    return " ".join(parts)

@@ -285,6 +285,18 @@ def test_interpolate_malformed_input_exit_2(tmp_path, args, content):
     assert "Traceback" not in r.stderr
 
 
+def test_interpolate_label_given_twice_is_malformed_orbit_data(tmp_path):
+    path = tmp_path / "input.json"
+    path.write_text(_bundled_orbits(lambda d: d.update(groups=[
+        {"label": "A", "vars": ["a1", "a2"]}, {"label": "A", "vars": ["b1", "b2", "b3"]}])),
+        encoding="utf-8")
+    r = subprocess.run([sys.executable, "-m", "mcclass", "interpolate", "--target", "omega0",
+                        "--data", str(path)], capture_output=True, text=True, cwd=ROOT)
+    assert r.returncode == 2, r.stderr
+    assert r.stderr == (f"error: malformed orbit data {str(path)!r}: "
+                        "group label 'A' is given twice\n")
+
+
 def test_output_file_written(tmp_path, capsys):
     path = tmp_path / "out.json"
     code, out, _ = run_cli("expand", "--n", "2", "--p", "1,2", "--format", "json",

@@ -376,9 +376,12 @@ def test_csm_classes_add_up_to_total_chern_class(m, n):
                                                   {"label": "B", "vars": ["a2", "b1"]}]),
      "variable 'a2' lies in two symmetry blocks"),
     (lambda d: d["vars"].append("a1"), "vars lists 'a1' twice"),
+    (lambda d: d.update(groups=[{"label": "A", "vars": ["a1", "a2"]},
+                                {"label": "A", "vars": ["b1", "b2", "b3"]}]),
+     "group label 'A' is given twice"),
 ], ids=["codim-float", "codim-bool", "coefficient-float", "const-string", "const-bool",
         "unknown-factor-variable", "symmetry-outside-vars", "symmetry-overlap",
-        "group-outside-vars", "group-overlap", "repeated-var"])
+        "group-outside-vars", "group-overlap", "repeated-var", "group-label-twice"])
 def test_malformed_orbit_data_names_the_fault(edit, message):
     data = hom_orbit_data(2, 3)
     edit(data)
@@ -393,3 +396,30 @@ def test_groups_with_vars_keep_leftovers_as_singletons():
                       {"label": "B", "vars": ["b1", "b2", "b3"]}]
     ansatz = OrbitProblem.from_json(data).ansatz
     assert ansatz.groups == (("A", ("a1", "a2")), ("B", ("b1", "b2", "b3")), ("C", ("c1",)))
+
+
+@pytest.mark.parametrize("symmetry, labels", [
+    # leftover singletons whose letters read A or B
+    ([["a1", "a2"]], ["A", "B", "B2", "B3", "A3"]),
+    # two blocks whose first variables both read A
+    ([["a1", "a2"], ["b1", "b2"], ["a3", "b3"]], ["A", "B", "A3"]),
+])
+def test_generated_labels_are_unique(symmetry, labels):
+    data = hom_orbit_data(2, 3)
+    data["vars"].append("a3")
+    data["symmetry"] = symmetry
+    ansatz = OrbitProblem.from_json(data).ansatz
+    assert [label for label, _ in ansatz.groups] == labels
+    names = [name for name, _, _ in ansatz.generators()]
+    assert len(set(names)) == len(names), names
+    basis = [name for name, _ in ansatz.basis(2, homogeneous=True)]
+    assert len(set(basis)) == len(basis), basis
+
+
+def test_generated_labels_avoid_explicit_ones():
+    data = hom_orbit_data(2, 3)
+    data["vars"] += ["a3", "b4"]
+    data["groups"] = [{"label": "A", "vars": ["a1", "a2"]},
+                      {"label": "B", "vars": ["b1", "b2", "b3"]}]
+    ansatz = OrbitProblem.from_json(data).ansatz
+    assert [label for label, _ in ansatz.groups] == ["A", "B", "A3", "B4"]

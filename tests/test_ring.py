@@ -15,10 +15,10 @@ import mcclass
 from mcclass.ring import (Cocharacter, InfiniteLimitError, LaurentPoly, MonomialMap,
                           NonDivisibleError, PackingOverflowError, RationalExpr,
                           ZeroDenominatorError, divisible_by_y_binomials, exact_divide, format_poly,
-                          limit_at_infinity, monomial_substitute, poly_from_json,
-                          poly_to_json, substitute_ones, yp_exact_div, yp_mul, yp_pack,
-                          yp_unpack)
-from oracles import monomial_substitute_loop
+                          format_poly_ygrouped, limit_at_infinity, monomial_substitute,
+                          poly_from_json, poly_to_json, substitute_ones, yp_exact_div, yp_mul,
+                          yp_pack, yp_unpack)
+from oracles import format_poly_factors, format_poly_ygrouped_lists, monomial_substitute_loop
 
 V2 = ("t1", "t2")
 
@@ -355,6 +355,15 @@ def test_root_vanishing_matches_long_division(case):
     assert divisible_by_y_binomials(p, Counter(exps)) == divisible
 
 
+@pytest.mark.parametrize("coeffs, m, divisible", [
+    ((1, 1), 1, True), ((1, 2, 1), 2, True), ((1, 1), 2, False), ((2, 1), 1, False),
+    ((0, 3, 3), 1, True), ((1, 3, 3, 1), 3, True)])
+def test_root_vanishing_for_one_plus_y(coeffs, m, divisible):
+    # e = 0: the binomial is 1 + y and every y-digit of a term meets at one point
+    p = LaurentPoly(("t",), {(1,): coeffs, (-2,): coeffs})
+    assert divisible_by_y_binomials(p, {(0,): m}) is divisible
+
+
 @given(polys())
 @settings(max_examples=60, deadline=None)
 def test_json_roundtrip(p):
@@ -505,3 +514,38 @@ def test_substitute_ones_is_evaluation(p):
     for c in p.terms.values():
         total = yp_add(total, c)
     assert substitute_ones(p) == total
+
+
+# ---------------------------------------------------------------------------
+# rendering
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def rendered_polys(draw):
+    """Polynomials in three, one or no variables, with negative exponents,
+    zero y-digits, unit and larger coefficients, and constant terms."""
+    vars = draw(st.sampled_from([VARS3, ("t",), ()]))
+    digits = st.one_of(st.sampled_from([-1, 0, 1]), st.integers(-12, 12))
+    terms = {}
+    for _ in range(draw(st.integers(0, 5))):
+        exp = tuple(draw(st.integers(-2, 2)) for _ in vars)
+        terms[exp] = tuple(draw(digits) for _ in range(draw(st.integers(1, 4))))
+    return LaurentPoly(vars, terms)
+
+
+@given(rendered_polys(), st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_rendering_matches_joined_factor_oracles(p, negate):
+    assert format_poly(p) == format_poly_factors(p)
+    assert format_poly_ygrouped(p, negate) == format_poly_ygrouped_lists(p, negate)
+
+
+@pytest.mark.parametrize("terms", [{(0, 0): (1,)}, {(0, 0): (-1,)}, {(0, 0): (0, -1)},
+                                   {(0, 0): (3, 0, 1)}, {(1, -1): (0, 0, -1)},
+                                   {(-1, -2): (1, -1), (0, 0): (-7,), (2, 0): (0, 1)}])
+def test_rendering_corner_cases_match_oracles(terms):
+    p = LaurentPoly(V2, terms)
+    for negate in (False, True):
+        assert format_poly_ygrouped(p, negate) == format_poly_ygrouped_lists(p, negate)
+    assert format_poly(p) == format_poly_factors(p)

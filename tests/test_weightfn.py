@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from mcclass.axioms import orbit_local_data
 from mcclass.combi import (Composition, IndexTuple, Permutation, closure_leq,
                            enumerate_index_tuples, length, weak_order_walk)
-from mcclass.ring import LaurentPoly, MonomialMap, NonDivisibleError, RationalExpr, exact_divide
+from mcclass.ring import (LaurentPoly, MonomialMap, NonDivisibleError, RationalExpr,
+                          ZeroDenominatorError, exact_divide)
 import mcclass.weightfn
 from mcclass.weightfn import (PSI_EQUAL, PSI_GREATER, PSI_LESS, TorusSpecialization,
                               VariablePanel, c_mu_at, c_prime_mu_at, chern_products,
@@ -291,6 +292,108 @@ def compositions(n):
     for k in range(1, n + 1):
         for rest in compositions(n - k):
             yield (k,) + rest
+
+
+# ---------------------------------------------------------------------------
+# division by products of differences
+# ---------------------------------------------------------------------------
+
+
+def product_of_differences(vars, pairs) -> LaurentPoly:
+    """prod (x^a - x^b) over pairs (a, b) of exponent vectors, multiplied out."""
+    out = LaurentPoly.one(vars)
+    for a, b in pairs:
+        out = out * (LaurentPoly.monomial(vars, a) - LaurentPoly.monomial(vars, b))
+    return out
+
+
+@pytest.fixture
+def pinned_divisions(monkeypatch):
+    """Every _divide_by_differences call of weightfn checked against
+    exact_divide by the multiplied-out product; returns the number of
+    differences of each call."""
+    divide = mcclass.weightfn._divide_by_differences
+    seen = []
+
+    def pinned(f, pairs):
+        pairs = list(pairs)
+        got = divide(f, pairs)
+        assert got == exact_divide(f, product_of_differences(f.vars, pairs))
+        seen.append(len(pairs))
+        return got
+
+    monkeypatch.setattr(mcclass.weightfn, "_divide_by_differences", pinned)
+    return seen
+
+
+# weight_function of (2,1,1) and (1,1,1,1) takes minutes; these are the
+# other compositions with n <= 4
+GLOBAL_MUS = [mu for n in range(1, 5) for mu in compositions(n)
+              if mu not in ((2, 1, 1), (1, 1, 1, 1))]
+
+
+@pytest.mark.slow
+def test_weight_function_division_matches_exact_divide(pinned_divisions):
+    for mu in GLOBAL_MUS:
+        panel = VariablePanel(mu)
+        for I in enumerate_index_tuples(Composition(mu)):
+            weight_function(I, panel)
+    assert any(pinned_divisions)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("torus", sorted(TORI))
+def test_restriction_direct_division_matches_exact_divide(pinned_divisions, torus):
+    for mu in (mu for n in range(1, 5) for mu in compositions(n)):
+        mu = Composition(mu)
+        spec = TORI[torus](mu.n)
+        points = enumerate_index_tuples(mu)
+        for I in points:
+            for J in points:
+                restriction_direct(I, J, spec)
+    assert any(pinned_divisions)
+
+
+@st.composite
+def divisions(draw):
+    """(f, pairs): f a multiple of the product of differences over pairs,
+    plus sometimes a random polynomial, in three variables or one."""
+    vars = draw(st.sampled_from([("x", "y1", "z"), ("t",)]))
+    exps = st.tuples(*[st.integers(-2, 2)] * len(vars))
+    pairs = draw(st.lists(st.tuples(exps, exps).filter(lambda ab: ab[0] != ab[1]),
+                          max_size=3))
+    terms = draw(st.dictionaries(exps, st.lists(st.integers(-4, 4), min_size=1, max_size=3)
+                                 .map(tuple), max_size=4))
+    f = LaurentPoly(vars, terms) * product_of_differences(vars, pairs)
+    if draw(st.booleans()):
+        f = f + LaurentPoly(vars, {draw(exps): (draw(st.integers(-3, 3)),)})
+    return f, pairs
+
+
+@given(divisions())
+@settings(max_examples=150, deadline=None)
+def test_divide_by_differences_matches_exact_divide(case):
+    f, pairs = case
+    product = product_of_differences(f.vars, pairs)
+    try:
+        want = exact_divide(f, product)
+    except NonDivisibleError:
+        with pytest.raises(NonDivisibleError):
+            mcclass.weightfn._divide_by_differences(f, pairs)
+    else:
+        assert mcclass.weightfn._divide_by_differences(f, pairs) == want
+
+
+@pytest.mark.parametrize("pairs", [[((1, 0), (1, 0))], [((1, 0), (0, 1)), ((0, 1), (0, 1))],
+                                   [((0, 2), (1, 0)), ((2, 0), (2, 0))]])
+@pytest.mark.parametrize("f", [LaurentPoly.zero(("s", "t")), LaurentPoly.one(("s", "t"))])
+def test_divide_by_differences_rejects_equal_images(f, pairs):
+    # exact_divide refuses the zero product before it tries to divide,
+    # so does the line route, whether or not f is divisible by the rest
+    with pytest.raises(ZeroDenominatorError):
+        exact_divide(f, product_of_differences(f.vars, pairs))
+    with pytest.raises(ZeroDenominatorError):
+        mcclass.weightfn._divide_by_differences(f, pairs)
 
 
 @pytest.mark.parametrize("torus", sorted(TORI))
