@@ -2,8 +2,9 @@
 """Emit the 6x6 gallery of planar polytope pictures on three letters.
 
 For every ordered pair (cell p, point q) with a nonzero restriction,
-writes an SVG showing the Euler polytope at q (blue) and the polytope
-of the restricted class (violet), projected to the sum-zero plane.
+writes the picture of `mcclass newton --n 3 --pair p:q`: the Euler
+polytope at q (blue) and the polytope of the restricted class (violet),
+projected to the sum-zero plane.
 
 Usage: python3 scripts/newton_gallery.py [outdir]
 """
@@ -12,35 +13,23 @@ import itertools
 import pathlib
 import sys
 
-sys.path.insert(0, "src")
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
-from mcclass.axioms import orbit_local_data
-from mcclass.combi import Permutation
-from mcclass.newton import project_sum_zero, render_svg
-from mcclass.weightfn import TorusSpecialization, full_flag_table_recursive
+from mcclass.cli import main as mcclass_main
 
 
 def main(outdir="newton_gallery"):
     out = pathlib.Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
-    spec = TorusSpecialization.standard(3)
-    perms = [Permutation(p) for p in itertools.permutations((1, 2, 3))]
-    rows = full_flag_table_recursive(3)
+    words = list(itertools.permutations("123"))
     written = 0
-    for p in perms:
-        for q in perms:
-            val = rows[p][q]
-            ek = orbit_local_data(q.to_index_tuple()).ek_normal(spec)
-            layers = []
-            if not ek.is_zero():
-                layers.append(("ek-polygon", project_sum_zero(sorted(ek.support()))))
-            if not val.is_zero():
-                layers.append(("class-polygon", project_sum_zero(sorted(val.support()))))
-            if not layers:
-                continue
-            name = f"cell_{''.join(map(str, p.word))}_at_{''.join(map(str, q.word))}.svg"
-            (out / name).write_text(render_svg(layers), encoding="utf-8")
-            written += 1
+    for p in words:
+        for q in words:
+            path = out / f"cell_{''.join(p)}_at_{''.join(q)}.svg"
+            # a pair with nothing to draw exits 2 and writes no file
+            code = mcclass_main(["newton", "--n", "3", "--pair",
+                                 f"{','.join(p)}:{','.join(q)}", "--svg", str(path)])
+            written += code == 0
     print(f"wrote {written} pictures to {out}/")
 
 

@@ -7,18 +7,15 @@ torus t1..tn as localization_table returns it, and reads n from the
 table's points; run_axiom_suite builds the full-flag table and runs all
 six.
 
-Tangent weights of the flag variety at a fixed point J pair an element
-a of an earlier block with an element b of a later block; the weight is
-tau_b/tau_a.  The pair is normal to the cell exactly when a > b, which
-makes the normal count equal the cell codimension and makes the
-normalization identity hold; this combinatorial split is pinned by the
-n = 2 and n = 3 oracles in the test suite.
+The checks read the tangent weights at each fixed point from
+weightfn.tangent_weights, split into the cell and the normal pairs, and
+multiply them out as euler_product (normal) and chern_factor_product
+(cell, or all of them).
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from typing import Mapping
 
 from .combi import Composition, IndexTuple, closure_leq
@@ -27,76 +24,14 @@ from .report import Report, ReportEntry
 from .ring import (LaurentPoly, NonDivisibleError, RationalExpr, YP_ONE_PLUS_Y, YP_ZERO,
                    divisible_by_y_binomials, exact_divide, yp_add)
 from .weightfn import (TorusSpecialization, c_mu_factors, c_prime_mu_factors,
-                       chern_factor_product, localization_table)
-
-
-@dataclass(frozen=True)
-class Weight:
-    """The character tau_num / tau_den."""
-
-    num: int
-    den: int
-
-
-@dataclass(frozen=True)
-class OrbitLocalData:
-    """Tangent data of a cell at its own fixed point.
-
-    tangent_cell are the weights along the cell, normal the weights of
-    the normal space inside the ambient flag variety; together they
-    exhaust the tangent space of the ambient at the point.
-    """
-
-    point: IndexTuple
-    tangent_cell: tuple
-    normal: tuple
-
-    def ek_normal(self, spec: TorusSpecialization) -> LaurentPoly:
-        """prod over normal weights chi of (1 - 1/chi)."""
-        out = spec.one()
-        for w in self.normal:
-            out = out * spec.one_minus_ratio(w.den, w.num)
-        return out
-
-    def ck_cell(self, spec: TorusSpecialization) -> LaurentPoly:
-        """prod over cell-tangent weights chi of (1 + y/chi)."""
-        return chern_factor_product(_chern_factors(self.tangent_cell), spec)
-
-    def ck_full(self, spec: TorusSpecialization) -> LaurentPoly:
-        """prod over all ambient tangent weights chi of (1 + y/chi)."""
-        return chern_factor_product(self.ck_full_factors(), spec)
-
-    def ck_full_factors(self) -> list:
-        """Factor pairs (see chern_factor_product) of ck_full."""
-        return _chern_factors(self.tangent_cell + self.normal)
-
-
-def _chern_factors(weights) -> list:
-    """The factor pair of 1 + y/chi for each weight chi."""
-    return [(w.den, w.num) for w in weights]
+                       chern_factor_product, euler_product, localization_table,
+                       tangent_weights)
 
 
 def _exponents(pairs, spec: TorusSpecialization) -> Counter:
     """The multiset of exponents e of the binomials 1 + y*tau^e of the
     factor pairs."""
     return Counter(spec.ratio_exp(i, j) for i, j in pairs)
-
-
-def orbit_local_data(I: IndexTuple) -> OrbitLocalData:
-    """Split the ambient tangent weights at the fixed point of I."""
-    blocks = I.blocks
-    cell = []
-    normal = []
-    for j in range(len(blocks)):
-        for k in range(j + 1, len(blocks)):
-            for a in blocks[j]:
-                for b in blocks[k]:
-                    w = Weight(num=b, den=a)
-                    if a > b:
-                        normal.append(w)
-                    else:
-                        cell.append(w)
-    return OrbitLocalData(I, tuple(cell), tuple(normal))
 
 
 # ---------------------------------------------------------------------------
@@ -115,8 +50,8 @@ def check_normalization(table: Mapping) -> Report:
     spec = _torus(table)
     report = Report("normalization")
     for I, row in table.items():
-        data = orbit_local_data(I)
-        expected = data.ek_normal(spec) * data.ck_cell(spec)
+        cell, normal = tangent_weights(I)
+        expected = euler_product(normal, spec) * chern_factor_product(cell, spec)
         got = row[I]
         report.add(ReportEntry(pair=(str(I), str(I)), check="normalization",
                                ok=(got == expected),
@@ -148,8 +83,8 @@ def check_divisibility(table: Mapping) -> Report:
     decided by root vanishing (divisible_by_y_binomials); long division
     runs only to give a failing entry its remainder."""
     spec = _torus(table)
-    exponents = {J: _exponents(_chern_factors(orbit_local_data(J).tangent_cell), spec)
-                 for J in table}
+    cells = {J: tangent_weights(J)[0] for J in table}
+    exponents = {J: _exponents(cells[J], spec) for J in table}
     report = Report("divisibility")
     for I, row in table.items():
         for J, val in row.items():
@@ -157,7 +92,7 @@ def check_divisibility(table: Mapping) -> Report:
                 continue
             ok = divisible_by_y_binomials(val, exponents[J])
             witness = None if ok else {
-                "remainder": _division_remainder(val, orbit_local_data(J).ck_cell(spec))}
+                "remainder": _division_remainder(val, chern_factor_product(cells[J], spec))}
             report.add(ReportEntry(pair=(str(I), str(J)), check="divisibility",
                                    ok=ok, witness=witness))
     return report
@@ -220,8 +155,8 @@ def _smallness_at(J: IndexTuple, diag: LaurentPoly, spec: TorusSpecialization) -
     """J's share of strict smallness: the polytope bounding every
     off-diagonal polytope at J, the problem reported when one escapes
     it, and the problems of J's own certificates, in report order."""
-    data = orbit_local_data(J)
-    ek_minus_1 = data.ek_normal(spec) - spec.one()
+    cell, normal = tangent_weights(J)
+    ek_minus_1 = euler_product(normal, spec) - spec.one()
     big = newton_polytope(diag)
     problems = []
     if ek_minus_1.is_zero():
@@ -230,7 +165,8 @@ def _smallness_at(J: IndexTuple, diag: LaurentPoly, spec: TorusSpecialization) -
         bound = big
         escape = "restriction polytope escapes the diagonal polytope"
     else:
-        bound = minkowski_sum(newton_polytope(ek_minus_1), newton_polytope(data.ck_cell(spec)))
+        bound = minkowski_sum(newton_polytope(ek_minus_1),
+                              newton_polytope(chern_factor_product(cell, spec)))
         escape = "restriction polytope escapes the Minkowski bound"
         if not polytope_contained(bound, big):
             problems.append("Minkowski bound escapes the diagonal polytope")
@@ -264,7 +200,8 @@ def check_additivity(table: Mapping) -> Report:
             for e, c in table[I][J].terms.items():
                 terms[e] = yp_add(terms.get(e, YP_ZERO), c)
         total = LaurentPoly(spec.vars, terms)
-        expected = orbit_local_data(J).ck_full(spec)
+        cell, normal = tangent_weights(J)
+        expected = chern_factor_product(cell + normal, spec)
         report.add(ReportEntry(pair=(None, str(J)), check="additivity",
                                ok=(total == expected),
                                witness=None if total == expected else
@@ -284,7 +221,8 @@ def check_segre_consistency(table: Mapping) -> Report:
     spec = _torus(table)
     report = Report("segre")
     for J in table:
-        lhs = c_mu_factors(J) + orbit_local_data(J).ck_full_factors()
+        cell, normal = tangent_weights(J)
+        lhs = [*c_mu_factors(J), *cell, *normal]
         rhs = c_prime_mu_factors(J)
         ok = _exponents(lhs, spec) == _exponents(rhs, spec)
         report.add(ReportEntry(pair=(None, str(J)), check="segre", ok=ok,

@@ -24,7 +24,7 @@ from .ring import (Cocharacter, InfiniteLimitError, RationalExpr, RingError,
                    dumps_canonical, format_poly, format_ypoly, limit_at_infinity,
                    poly_from_json, poly_to_json, rational_from_json, rational_to_json)
 from .weightfn import (TorusSpecialization, VariablePanel, c_prime_mu_at, chern_products,
-                       localization_table, weight_function)
+                       euler_product, localization_table, tangent_weights, weight_function)
 
 DEFAULT_MAX_N = 6
 
@@ -83,8 +83,8 @@ def _parse_perm(text: str, n: int | None = None) -> Permutation:
 
 def _load_json_file(path: str, what: str, parse):
     """parse() applied to the JSON in the file at path; an unreadable
-    file, bad JSON, a missing key or a value of the wrong type is bad
-    input."""
+    file, bad JSON, a missing key, a value of the wrong type or one the
+    ring refuses (a zero denominator) is bad input."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
@@ -96,15 +96,20 @@ def _load_json_file(path: str, what: str, parse):
         return parse(obj)
     except KeyError as err:
         raise CliError(f"{what} {path!r} lacks the key {err}")
-    except (AttributeError, TypeError, ValueError) as err:
+    except (AttributeError, TypeError, ValueError, RingError) as err:
         raise CliError(f"malformed {what} {path!r}: {err}")
 
 
 def _emit(text, path: str | None) -> None:
     """Write text, a string or its pieces in order, to path or stdout,
-    ending it with a newline if it does not end with one."""
-    with (open(path, "w", encoding="utf-8") if path is not None
-          else contextlib.nullcontext(sys.stdout)) as fh:
+    ending it with a newline if it does not end with one.  A path that
+    cannot be opened for writing is bad input."""
+    try:
+        out = (open(path, "w", encoding="utf-8") if path is not None
+               else contextlib.nullcontext(sys.stdout))
+    except OSError as err:
+        raise CliError(f"cannot write output {path!r}: {err.strerror}")
+    with out as fh:
         last = ""
         for piece in [text] if isinstance(text, str) else text:
             fh.write(piece)
@@ -404,9 +409,8 @@ def cmd_newton(args) -> int:
             raise CliError('bad --pair; expected like "2,3,1:3,2,1"')
         p = _parse_perm(p_text, 3)
         q = _parse_perm(q_text, 3)
-        from .axioms import orbit_local_data
         I, J = p.to_index_tuple(), q.to_index_tuple()
-        ek = orbit_local_data(J).ek_normal(TorusSpecialization.standard(3))
+        ek = euler_product(tangent_weights(J)[1], TorusSpecialization.standard(3))
         val = localization_table(Composition((1, 1, 1)), cells=[I])[I][J]
         layers = []
         if not ek.is_zero():

@@ -39,7 +39,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Mapping, Sequence
 
-from .ring import LaurentPoly, MonomialMap, format_poly
+from .ring import LaurentPoly, MonomialMap, format_poly, json_integer
 
 
 class NoSolutionError(ValueError):
@@ -150,26 +150,18 @@ def _esym(all_vars: Sequence[str], vs: Sequence[str], k: int) -> LaurentPoly:
 # ---------------------------------------------------------------------------
 
 
-def _integer(value, what: str) -> int:
-    """value, if it is a JSON integer (a bool is not one); otherwise
-    ValueError naming what it is."""
-    if type(value) is not int:
-        raise ValueError(f"{what} {value!r} is not an integer")
-    return value
-
-
 def _poly_from_factors(factors, vars, where: str) -> LaurentPoly:
     """Product of affine-linear factors {const, coeffs: {var: c}} over
     vars, with integer const and c; where names the orbit and the key in
     an error."""
     out = LaurentPoly.one(vars)
     for f in factors:
-        term = LaurentPoly.constant(vars, _integer(f.get("const", 0), f"{where} const"))
+        term = LaurentPoly.constant(vars, json_integer(f.get("const", 0), f"{where} const"))
         for v, c in f.get("coeffs", {}).items():
             if v not in vars:
                 raise ValueError(f"{where} names {v!r}, which is neither an ansatz "
                                  "variable nor a phi image")
-            c = _integer(c, f"{where} coefficient of {v}")
+            c = json_integer(c, f"{where} coefficient of {v}")
             term = term + LaurentPoly.variable(vars, v).scale_ypoly((c,))
         out = out * term
     return out
@@ -275,7 +267,7 @@ class OrbitProblem:
             euler = _poly_from_factors(o.get("euler", []), all_vars, f"orbit {name}: euler")
             tangent = _poly_from_factors(o.get("tangent_c", []), all_vars,
                                          f"orbit {name}: tangent_c")
-            codim = _integer(o["codim"], f"orbit {name}: codim")
+            codim = json_integer(o["codim"], f"orbit {name}: codim")
             orbits.append(OrbitSpec(name, codim, dict(o.get("phi", {})), euler, tangent))
         return cls(ansatz, tuple(orbits), all_vars)
 

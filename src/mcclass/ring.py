@@ -390,13 +390,7 @@ class LaurentPoly:
 
     def __pow__(self, k: int) -> "LaurentPoly":
         if k < 0:
-            if not self.is_monomial():
-                raise ValueError("negative powers only for monomials")
-            ((e, c),) = self.terms.items()
-            if c not in (YP_ONE, (-1,)):
-                raise ValueError("negative powers only for unit monomials")
-            sign = 1 if c == YP_ONE else (-1) ** (k % 2)
-            return LaurentPoly.monomial(self.vars, tuple(x * k for x in e), sign)
+            raise ValueError(f"negative power {k} of a Laurent polynomial")
         out = LaurentPoly.one(self.vars)
         base = self
         while k:
@@ -821,11 +815,30 @@ def poly_to_json(p: LaurentPoly) -> dict:
             "terms": [{"exp": list(e), "y": list(c)} for e, c in p.sorted_terms()]}
 
 
+def json_integer(value, what: str) -> int:
+    """value, if it is a JSON integer (a bool is not one); otherwise
+    ValueError naming what it is."""
+    if type(value) is not int:
+        raise ValueError(f"{what} {value!r} is not an integer")
+    return value
+
+
 def poly_from_json(obj: Mapping) -> LaurentPoly:
-    vars = tuple(obj["vars"])
+    """The polynomial that poly_to_json writes: a list of distinct
+    variable names, and terms whose exponents and y-coefficients are
+    JSON integers, each exponent vector given once.  Anything else is
+    ValueError, never coerced."""
+    vars = obj["vars"]
+    if type(vars) is not list or not all(type(v) is str for v in vars):
+        raise ValueError(f"vars {vars!r} is not a list of names")
+    if len(set(vars)) != len(vars):
+        raise ValueError(f"vars {vars!r} name a variable twice")
     terms = {}
     for t in obj["terms"]:
-        terms[tuple(int(x) for x in t["exp"])] = tuple(int(c) for c in t["y"])
+        e = tuple(json_integer(x, "exponent") for x in t["exp"])
+        if e in terms:
+            raise ValueError(f"exponent vector {list(e)} is given twice")
+        terms[e] = tuple(json_integer(c, "y-coefficient") for c in t["y"])
     return LaurentPoly(vars, terms)
 
 

@@ -18,6 +18,11 @@ the three cases from psi_factor, and both divide by their Vandermonde
 product through _divide_by_differences, one line quotient per difference.
 So every division in the module is the row steps' kernel, a quotient by
 1 - tau^D along lines of exponents.
+
+The tangent weights at a fixed point are stated once, by
+tangent_weights, and multiplied out by euler_product and
+chern_factor_product; the top cell's row, the axiom checks and the
+polygon pictures read them from here.
 """
 
 from __future__ import annotations
@@ -62,10 +67,6 @@ class VariablePanel:
     @property
     def vars(self) -> tuple:
         return tuple(v for g in self.groups for v in g)
-
-    @property
-    def tau(self) -> tuple:
-        return self.groups[-1]
 
     def var(self, j: int, a: int) -> str:
         """Name of the a-th Chern root of the j-th step (both 1-based)."""
@@ -331,11 +332,34 @@ def restrict_to_fixed_point(W: LaurentPoly, J: IndexTuple,
     return monomial_substitute(W, images, out_vars=spec.vars)
 
 
+def tangent_weights(J: IndexTuple) -> tuple:
+    """The tangent weights of G/P at the fixed point of J, split into
+    (cell, normal).  Each is a tuple of pairs (a, b), a in an earlier
+    block of J than b, standing for the weight tau_b/tau_a, in the order
+    of the blocks j < k, then a, then b.  A pair is normal to J's cell
+    exactly when a > b, so the normal count is the cell's codimension."""
+    cell, normal = [], []
+    for j, k in itertools.combinations(range(len(J.blocks)), 2):
+        for a, b in itertools.product(J.blocks[j], J.blocks[k]):
+            (normal if a > b else cell).append((a, b))
+    return tuple(cell), tuple(normal)
+
+
 def chern_factor_product(pairs, spec: TorusSpecialization) -> LaurentPoly:
-    """The product over factor pairs (i, j) of 1 + y*tau_i/tau_j."""
+    """The product over factor pairs (i, j) of 1 + y*tau_i/tau_j; on the
+    pairs of tangent_weights, of 1 + y/chi over the weights chi."""
     out = spec.one()
     for i, j in pairs:
         out = out * spec.one_plus_y_ratio(i, j)
+    return out
+
+
+def euler_product(pairs, spec: TorusSpecialization) -> LaurentPoly:
+    """The product over pairs (a, b) of 1 - tau_a/tau_b; on the pairs of
+    tangent_weights, of 1 - 1/chi over the weights chi."""
+    out = spec.one()
+    for a, b in pairs:
+        out = out * spec.one_minus_ratio(a, b)
     return out
 
 
@@ -435,13 +459,11 @@ def top_cell(mu: Composition) -> IndexTuple:
 def top_cell_row(mu: Composition, spec: TorusSpecialization) -> dict:
     """Modified row of the top cell, keyed by the points of mu in order: by
     support zero but at the cell's own point, and there, by normalization,
-    the product over a in I_j, b in I_k, j < k (a > b) of 1 - tau_a/tau_b."""
+    the Euler product of the normal weights.  The cell is a point: every
+    weight there is normal, so there is no Chern factor."""
     top = top_cell(mu)
     row = {J: spec.zero() for J in enumerate_index_tuples(mu)}
-    row[top] = spec.one()
-    for j, upper in enumerate(top.blocks):
-        for a, b in itertools.product(upper, itertools.chain(*top.blocks[j + 1:])):
-            row[top] = row[top] * spec.one_minus_ratio(a, b)
+    row[top] = euler_product(tangent_weights(top)[1], spec)
     return row
 
 

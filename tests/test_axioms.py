@@ -3,33 +3,29 @@ from collections import Counter
 import pytest
 
 import mcclass.newton
-from mcclass.axioms import (OrbitLocalData, Weight, _smallness_at, check_additivity,
-                            check_divisibility, check_normalization,
-                            check_segre_consistency, check_smallness_strict,
-                            check_support, orbit_local_data, quadratic_cone_class,
+from mcclass.axioms import (_smallness_at, check_additivity, check_divisibility,
+                            check_normalization, check_segre_consistency,
+                            check_smallness_strict, check_support, quadratic_cone_class,
                             quadratic_cone_euler, run_axiom_suite)
 from mcclass.combi import Composition, IndexTuple, Permutation, enumerate_index_tuples, length
 from mcclass.newton import newton_polytope, is_vertex
 from mcclass.ring import LaurentPoly, exact_divide, format_poly
-from mcclass.weightfn import TorusSpecialization, c_mu_at, localization_table
+from mcclass.weightfn import (TorusSpecialization, c_mu_at, chern_factor_product,
+                              euler_product, localization_table, tangent_weights)
 from oracles import direct_table, lp_contains, lp_is_vertex
 
 
-def test_orbit_local_data_n2():
+def test_tangent_weights_n2():
+    # the pair (a, b) is the weight tau_b/tau_a
     open_cell = IndexTuple((1, 1), [(1,), (2,)])
     point_cell = IndexTuple((1, 1), [(2,), (1,)])
-    d_open = orbit_local_data(open_cell)
-    assert d_open.normal == ()
-    assert d_open.tangent_cell == (Weight(num=2, den=1),)
-    d_point = orbit_local_data(point_cell)
-    assert d_point.tangent_cell == ()
-    assert d_point.normal == (Weight(num=1, den=2),)
+    assert tangent_weights(open_cell) == (((1, 2),), ())
+    assert tangent_weights(point_cell) == ((), ((2, 1),))
 
 
-def test_orbit_local_data_n1_empty():
+def test_tangent_weights_n1_empty():
     I = IndexTuple((1,), [(1,)])
-    d = orbit_local_data(I)
-    assert d.tangent_cell == () and d.normal == ()
+    assert tangent_weights(I) == ((), ())
 
 
 @pytest.mark.parametrize("parts", [(1, 1), (2, 1), (1, 1, 1), (2, 2), (1, 2, 1)])
@@ -37,11 +33,11 @@ def test_counts_match_codimension(parts):
     mu = Composition(parts)
     dim = None
     for I in enumerate_index_tuples(mu):
-        d = orbit_local_data(I)
+        cell, normal = tangent_weights(I)
         if dim is None:
-            dim = len(d.tangent_cell) + len(d.normal)
-        assert len(d.tangent_cell) + len(d.normal) == dim
-        assert len(d.normal) == length(I)
+            dim = len(cell) + len(normal)
+        assert len(cell) + len(normal) == dim
+        assert len(normal) == length(I)
 
 
 def test_point_cell_euler_is_nonzero_with_origin_vertex():
@@ -49,8 +45,7 @@ def test_point_cell_euler_is_nonzero_with_origin_vertex():
         mu = Composition((1,) * n)
         spec = TorusSpecialization.standard(n)
         for I in enumerate_index_tuples(mu):
-            d = orbit_local_data(I)
-            ek = d.ek_normal(spec)
+            ek = euler_product(tangent_weights(I)[1], spec)
             assert not ek.is_zero()
             assert is_vertex(newton_polytope(ek), spec.zero_exp())
 
@@ -173,8 +168,9 @@ def test_smallness_witnesses_on_corrupted_n3_table():
     # the diagonal loses the origin and shrinks to the bound itself
     table[P("213")][P("213")] = table[P("213")][P("213")] + mono(1, -1, 0)
     table[P("321")][P("321")] = one
-    d = orbit_local_data(P("312"))
-    table[P("312")][P("312")] = (d.ek_normal(spec) - one) * d.ck_cell(spec)
+    cell, normal = tangent_weights(P("312"))
+    table[P("312")][P("312")] = ((euler_product(normal, spec) - one)
+                                 * chern_factor_product(cell, spec))
 
     report = check_smallness_strict(table)
     escapes_mid = "restriction polytope escapes the Minkowski bound"
@@ -246,7 +242,7 @@ def test_segre_witnesses_are_the_expanded_products(monkeypatch, corrupt):
     # and once so that only the multiplicities do: each point fails, and
     # its witness is the two products multiplied out
     import mcclass.axioms as axioms
-    from mcclass.weightfn import c_prime_mu_factors, chern_factor_product
+    from mcclass.weightfn import c_prime_mu_factors
     mu = Composition((1, 1, 1))
     spec = TorusSpecialization.standard(3)
     table = localization_table(mu)
@@ -256,8 +252,9 @@ def test_segre_witnesses_are_the_expanded_products(monkeypatch, corrupt):
     assert len(report.violations) == len(report.entries) == 6
     for entry, J in zip(report.entries, table):
         assert entry.pair == (None, str(J))
+        cell, normal = tangent_weights(J)
         assert entry.witness == {
-            "lhs": format_poly(c_mu_at(J, spec) * orbit_local_data(J).ck_full(spec)),
+            "lhs": format_poly(c_mu_at(J, spec) * chern_factor_product(cell + normal, spec)),
             "rhs": format_poly(chern_factor_product(corrupt(c_prime_mu_factors(J)), spec)),
         }
 

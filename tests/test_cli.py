@@ -285,6 +285,48 @@ def test_interpolate_malformed_input_exit_2(tmp_path, args, content):
     assert "Traceback" not in r.stderr
 
 
+def _class_file(terms, vars=("t1", "t2")) -> str:
+    return json.dumps({"vars": list(vars), "terms": terms})
+
+
+ZERO_DEN = json.dumps({"num": json.loads(SEGMENT), "den": {"vars": ["t1", "t2"], "terms": []}})
+
+
+@pytest.mark.parametrize("args, content, reason", [
+    (LIMIT, _class_file([{"exp": [1.5, 0], "y": [1]}]), "exponent 1.5 is not an integer"),
+    (NEWTON, _class_file([{"exp": [True, 0], "y": [1]}]), "exponent True is not an integer"),
+    (LIMIT, _class_file([{"exp": ["2", 0], "y": [1]}]), "exponent '2' is not an integer"),
+    (NEWTON, _class_file([{"exp": [1, 0], "y": [1, 0.5]}]),
+     "y-coefficient 0.5 is not an integer"),
+    (LIMIT, _class_file([{"exp": [1, 0], "y": [1]}, {"exp": [1, 0], "y": [2]}]),
+     "exponent vector [1, 0] is given twice"),
+    (NEWTON, _class_file([{"exp": [1, 0], "y": [1]}], vars=("t1", "t1")),
+     "vars ['t1', 't1'] name a variable twice"),
+    (LIMIT, _class_file([{"exp": [1, 0], "y": [1]}], vars=("t1", 2)),
+     "vars ['t1', 2] is not a list of names"),
+    (LIMIT, ZERO_DEN, "rational expression with zero denominator"),
+], ids=["exponent-a-float", "exponent-a-bool", "exponent-a-string", "y-a-float",
+        "exponent-given-twice", "variable-given-twice", "variable-not-a-name",
+        "zero-denominator"])
+def test_malformed_class_file_exit_2(tmp_path, args, content, reason):
+    # a full process run, so that a traceback would show on stderr
+    path = tmp_path / "class.json"
+    path.write_text(content, encoding="utf-8")
+    args = [str(path) if a == FILE else a for a in args]
+    r = subprocess.run([sys.executable, "-m", "mcclass"] + args,
+                       capture_output=True, text=True, cwd=ROOT)
+    assert r.returncode == 2, r.stderr
+    assert r.stderr == f"error: malformed class file {str(path)!r}: {reason}\n"
+
+
+def test_unwritable_output_is_bad_input(tmp_path, capsys):
+    path = tmp_path / "missing" / "out.txt"
+    code, out, err = run_cli("axioms", "--n", "2", "--output", str(path), capsys=capsys)
+    assert code == 2 and out == ""
+    assert err == (f"error: cannot write output {str(path)!r}: "
+                   "No such file or directory\n")
+
+
 def test_interpolate_label_given_twice_is_malformed_orbit_data(tmp_path):
     path = tmp_path / "input.json"
     path.write_text(_bundled_orbits(lambda d: d.update(groups=[
@@ -399,6 +441,16 @@ def test_golden_newton_pair_svg(capsys, golden):
                            "--format", "svg", capsys=capsys)
     assert code == 0
     golden("newton_pair_231_321.svg", out)
+
+
+def test_newton_gallery_writes_every_pair(tmp_path):
+    # the gallery draws each of the 36 pairs through newton --pair
+    r = subprocess.run([sys.executable, str(ROOT / "scripts" / "newton_gallery.py"),
+                        str(tmp_path)], capture_output=True, text=True, cwd=tmp_path)
+    assert r.returncode == 0, r.stderr
+    assert len(list(tmp_path.glob("cell_*_at_*.svg"))) == 36
+    assert ((tmp_path / "cell_231_at_321.svg").read_bytes()
+            == (ROOT / "tests" / "golden" / "newton_pair_231_321.svg").read_bytes())
 
 
 @pytest.mark.parametrize("target", ["omega0", "omega1", "omega2"])

@@ -46,12 +46,12 @@ def test_basis_identity_row_is_one():
 
 
 def test_basis_diagonals_are_euler_products():
-    from mcclass.axioms import orbit_local_data
+    from mcclass.weightfn import euler_product, tangent_weights
     for n in (2, 3):
         spec = TorusSpecialization.standard(n)
         rows = structure_sheaf_rows(n, spec)
         for w, row in rows.items():
-            expected = orbit_local_data(w.to_index_tuple()).ek_normal(spec)
+            expected = euler_product(tangent_weights(w.to_index_tuple())[1], spec)
             assert row[w] == expected
 
 

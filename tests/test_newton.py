@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mcclass.axioms import orbit_local_data, quadratic_cone_euler
+from mcclass.axioms import quadratic_cone_euler
 from mcclass.combi import Composition, Permutation
 from mcclass.newton import (LatticePolytope, ZeroPolynomialError, contains_point,
                             hull_2d, is_vertex, minkowski_sum, newton_polytope,
                             polytope_contained, project_sum_zero, render_svg)
 from mcclass.ring import LaurentPoly
-from mcclass.weightfn import TorusSpecialization, localization_table
+from mcclass.weightfn import (TorusSpecialization, chern_factor_product, euler_product,
+                              localization_table, tangent_weights)
 from oracles import lp_contains, lp_is_vertex
 
 V2 = ("t1", "t2")
@@ -245,10 +246,10 @@ def test_smallness_polytopes_match_lp_oracle_n5(word):
     spec = TorusSpecialization.standard(5)
     J = Permutation(word).to_index_tuple()
     row = localization_table(Composition((1,) * 5), cells=[J])[J]
-    data = orbit_local_data(J)
+    cell, normal = tangent_weights(J)
     big = newton_polytope(row[J])
-    bound = minkowski_sum(newton_polytope(data.ek_normal(spec) - spec.one()),
-                          newton_polytope(data.ck_cell(spec)))
+    bound = minkowski_sum(newton_polytope(euler_product(normal, spec) - spec.one()),
+                          newton_polytope(chern_factor_product(cell, spec)))
     near = [x for x in itertools.product((-1, 0, 1), repeat=5) if sum(x) == 0]
     for P, queries in ((big, bound.points + tuple(near)), (bound, big.points + tuple(near))):
         for x in queries:

@@ -274,6 +274,13 @@ def test_json_round_trip_bit_exact():
     assert json.dumps(poly_to_json(q)) == blob
 
 
+def test_negative_power_is_refused():
+    p = mono(V2, (1, -1))
+    assert p ** 0 == one() and p ** 3 == mono(V2, (3, -3))
+    with pytest.raises(ValueError):
+        p ** -1
+
+
 def test_json_terms_sorted_canonically():
     p = mono(V2, (1, 0)) + mono(V2, (-1, 0)) + one()
     exps = [t["exp"] for t in poly_to_json(p)["terms"]]

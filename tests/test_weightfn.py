@@ -5,18 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mcclass.axioms import orbit_local_data
 from mcclass.combi import (Composition, IndexTuple, Permutation, closure_leq,
                            enumerate_index_tuples, length, weak_order_walk)
 from mcclass.ring import (LaurentPoly, MonomialMap, NonDivisibleError, RationalExpr,
                           ZeroDenominatorError, exact_divide)
 import mcclass.weightfn
 from mcclass.weightfn import (PSI_EQUAL, PSI_GREATER, PSI_LESS, TorusSpecialization,
-                              VariablePanel, c_mu_at, c_prime_mu_at, chern_products,
-                              demazure_step, descent_step, full_flag_table_recursive,
-                              left_row_step, localization_table, psi_factor,
-                              restrict_to_fixed_point, restriction_direct, top_cell_row,
-                              u_term, weight_function)
+                              VariablePanel, c_mu_at, c_prime_mu_at, chern_factor_product,
+                              chern_products, demazure_step, descent_step,
+                              full_flag_table_recursive, left_row_step, localization_table,
+                              psi_factor, restrict_to_fixed_point, restriction_direct,
+                              tangent_weights, top_cell_row, u_term, weight_function)
 from oracles import (direct_table, modified_restriction_direct, monomial_substitute_loop,
                      ring_demazure_step, ring_descent_step, ring_left_row_step)
 
@@ -191,7 +190,8 @@ def test_additivity_identity(parts):
         total = spec.zero()
         for I in points:
             total = total + table[I][J]
-        assert total == orbit_local_data(J).ck_full(spec), J
+        cell, normal = tangent_weights(J)
+        assert total == chern_factor_product(cell + normal, spec), J
 
 
 @pytest.mark.parametrize("parts", [(1, 1), (2, 1), (1, 1, 1), (2, 2), (1, 1, 1, 1)])
@@ -210,7 +210,8 @@ def test_segre_consistency(parts):
     mu = Composition(parts)
     spec = TorusSpecialization.standard(mu.n)
     for J in enumerate_index_tuples(mu):
-        lhs = c_mu_at(J, spec) * orbit_local_data(J).ck_full(spec)
+        cell, normal = tangent_weights(J)
+        lhs = c_mu_at(J, spec) * chern_factor_product(cell + normal, spec)
         assert lhs == c_prime_mu_at(J, spec), J
 
 
@@ -292,6 +293,33 @@ def compositions(n):
     for k in range(1, n + 1):
         for rest in compositions(n - k):
             yield (k,) + rest
+
+
+# ---------------------------------------------------------------------------
+# tangent weights at the fixed points
+# ---------------------------------------------------------------------------
+
+
+def test_tangent_weights_split_by_the_rule_up_to_n5():
+    # every pair (a, b) with a in an earlier block than b, ordered by the
+    # two blocks, then the places of a and b in them; normal exactly when
+    # a > b, as many as the length of the cell
+    cells = 0
+    for n in range(1, 6):
+        for parts in compositions(n):
+            for J in enumerate_index_tuples(Composition(parts)):
+                place = {x: (j, i) for j, block in enumerate(J.blocks)
+                         for i, x in enumerate(block)}
+                pairs = sorted(((a, b) for a in place for b in place
+                                if place[a][0] < place[b][0]),
+                               key=lambda ab: (place[ab[0]][0], place[ab[1]][0],
+                                               place[ab[0]][1], place[ab[1]][1]))
+                cell, normal = tangent_weights(J)
+                assert cell == tuple((a, b) for a, b in pairs if a < b), J
+                assert normal == tuple((a, b) for a, b in pairs if a > b), J
+                assert len(normal) == length(J), J
+                cells += 1
+    assert cells == 633
 
 
 # ---------------------------------------------------------------------------
