@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """Emit the 6x6 gallery of planar polytope pictures on three letters.
 
-For every ordered pair (cell p, point q) with a nonzero restriction,
-writes the picture of `mcclass newton --n 3 --pair p:q`: the Euler
-polytope at q (blue) and the polytope of the restricted class (violet),
-projected to the sum-zero plane.
+For every ordered pair (cell p, point q), writes the picture of
+`mcclass newton --n 3 --pair p:q`: the Euler polytope at q (blue) and,
+where the restriction is nonzero, the polytope of the restricted class
+(violet), projected to the sum-zero plane.
 
 Usage: python3 scripts/newton_gallery.py [outdir]
 """
@@ -26,7 +26,6 @@ def main(outdir="newton_gallery"):
     for p in words:
         for q in words:
             path = out / f"cell_{''.join(p)}_at_{''.join(q)}.svg"
-            # a pair with nothing to draw exits 2 and writes no file
             code = mcclass_main(["newton", "--n", "3", "--pair",
                                  f"{','.join(p)}:{','.join(q)}", "--svg", str(path)])
             written += code == 0

@@ -412,13 +412,10 @@ def cmd_newton(args) -> int:
         I, J = p.to_index_tuple(), q.to_index_tuple()
         ek = euler_product(tangent_weights(J)[1], TorusSpecialization.standard(3))
         val = localization_table(Composition((1, 1, 1)), cells=[I])[I][J]
-        layers = []
-        if not ek.is_zero():
-            layers.append(("ek-polygon", project_sum_zero(sorted(ek.support()))))
+        # ek is a product of binomials 1 - tau_a/tau_b with a != b, never zero
+        layers = [("ek-polygon", project_sum_zero(sorted(ek.support())))]
         if not val.is_zero():
             layers.append(("class-polygon", project_sum_zero(sorted(val.support()))))
-        if not layers:
-            raise CliError("nothing to draw: both polygons are empty")
         svg = render_svg(layers)
         _emit(svg, args.svg or args.output)
         return 0

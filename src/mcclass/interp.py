@@ -14,6 +14,15 @@ separate right-hand side and the column count passed as `width`.  Each
 orbit's restriction is compiled once, when the problem is built, into a
 monomial map of the ring kernel.
 
+The basis is held once, as its coefficient matrix {monomial: {column:
+coefficient}}, and each orbit restricts the whole basis in one pass of
+its monomial map: the row of an image monomial is the sum of the rows
+of the monomials mapped to it, so every distinct basis monomial is
+scattered once per orbit, however many basis classes share it.  The
+rows of an identity are then read off the restricted matrix in sorted
+monomial order.  After the solve, the class, its lowest-degree part and
+the fundamental class are read off the same matrix in one integer pass.
+
 The CSM system has the basis classes up to the degree bound B of the
 constraints as unknowns, plus, at each non-target orbit o whose
 tangent class c has degree d > 0, one unknown per monomial of the
@@ -21,10 +30,8 @@ quotient Q in phi_o(P) = c * Q up to degree min(codim(o) - 1, B - d)
 (the quotient window: a solution has deg Q <= B - d).  When c is a
 constant, P/c is always a polynomial, so o adds no quotient unknown,
 only the rows saying that phi_o(P) has no monomial of degree >=
-codim(o), and nothing when B < codim(o).  A basis class is restricted
-only to the orbits that read it: the target, the orbits that add rows
-and the orbits of codimension <= codim(target), from whose
-degree-codim columns of the same basis the fundamental class is read.
+codim(o), and nothing when B < codim(o).  The fundamental class's rows
+are the degree-codim(target) rows of the same restricted matrices.
 
 All cohomology classes here are ordinary polynomials (Chern-root
 degree one per variable); the shared Laurent kernel is used with
@@ -301,7 +308,10 @@ def solve_unique_fractions(rows, rhs, *, width):
     against the pivot rows kept so far, lowest column first, by the
     cross-multiplication b/g * row - a/g * pivot (g = gcd(a, b)), and
     divided by its content; what is left becomes the pivot of its
-    lowest column.  A back-substitution over Fractions finishes.
+    lowest column.  Back-substitution keeps each value as a reduced
+    integer pair (numerator, positive denominator), over the common
+    denominator of the values it reads, and builds a Fraction only for
+    each value returned.
     """
     if not rows:
         raise NonUniqueError("no equations")
@@ -321,7 +331,8 @@ def solve_unique_fractions(rows, rhs, *, width):
                 break
             g = gcd(row[c], pivot[c])
             a, b = row[c] // g, pivot[c] // g
-            reduced = {k: b * v for k, v in row.items()}
+            # row is this loop's own dict, so b == 1 may reduce it in place
+            reduced = row if b == 1 else {k: b * v for k, v in row.items()}
             for k, v in pivot.items():
                 w = reduced.get(k, 0) - a * v
                 if w:
@@ -332,15 +343,25 @@ def solve_unique_fractions(rows, rhs, *, width):
             row = {k: v // g for k, v in reduced.items()} if g > 1 else reduced
     if len(pivots) < n:
         raise NonUniqueError(f"solution space has dimension {n - len(pivots)}")
-    x = [Fraction(0)] * n
+    nums, dens = [0] * n, [1] * n
     for c in range(n - 1, -1, -1):
         pivot = pivots[c]
-        acc = Fraction(pivot.get(n, 0))
+        num, den = pivot.get(n, 0), 1
         for k, v in pivot.items():
-            if c < k < n:
-                acc -= v * x[k]
-        x[c] = acc / pivot[c]
-    return x
+            if c < k < n and nums[k]:
+                dk = dens[k]
+                if dk == den:
+                    num -= v * nums[k]
+                else:
+                    g = gcd(den, dk)
+                    num = num * (dk // g) - v * nums[k] * (den // g)
+                    den = den // g * dk
+        den *= pivot[c]
+        g = gcd(num, den)
+        if den < 0:
+            g = -g
+        nums[c], dens[c] = num // g, den // g
+    return [Fraction(a, b) for a, b in zip(nums, dens)]
 
 
 # ---------------------------------------------------------------------------
@@ -372,72 +393,101 @@ class SymmetricExpansion:
         return {"coefficients": [{"monomial": n, "coeff": c} for n, c in self.coeffs]}
 
 
-def _system_from_identities(identities):
-    """Sparse rows of the linear system: one equation per monomial of
-    every polynomial identity sum_j x_j * P_j == target.
-
-    identities holds (columns, target) pairs, columns being (j, P_j)
-    pairs in ascending j.  Each row is a dict {j: coefficient of the
-    monomial in P_j} over the P_j that have the monomial, so its
-    columns come in ascending order; the rows of one identity come in
-    sorted monomial order.  Coefficients are read at y^0: every class
-    here has a trivial parameter slot.
-    """
-    rows = []
-    rhs = []
-    for columns, target in identities:
-        by_mono = {}
-        for j, p in columns:
-            for mono, c in p.terms.items():
-                row = by_mono.get(mono)
-                if row is None:
-                    by_mono[mono] = {j: c[0]}
-                else:
-                    row[j] = c[0]
-        for mono in target.terms:
-            by_mono.setdefault(mono, {})
-        for mono in sorted(by_mono):
-            rows.append(by_mono[mono])
-            c = target.terms.get(mono)
-            rhs.append(c[0] if c else 0)
-    return rows, rhs
+def _add_rows(r: dict, s: dict) -> dict:
+    """The sparse row r + s, without its zero entries."""
+    out = r.copy()
+    for j, c in s.items():
+        c += out.get(j, 0)
+        if c:
+            out[j] = c
+        else:
+            del out[j]
+    return out
 
 
-def _as_expansion(names, polys, values, vars) -> SymmetricExpansion:
-    """The class sum_j values[j] * polys[j], written over vars, with its
-    nonzero coefficients; raise NoSolutionError on a non-integral one."""
-    coeffs = []
-    total = None
-    for name, poly, v in zip(names, polys, values):
-        if v == 0:
-            continue
+def _scale_row(r: dict, k: int) -> dict:
+    return {j: k * c for j, c in r.items()}
+
+
+def _basis_matrix(polys) -> dict:
+    """The coefficient matrix {monomial: {j: coefficient in polys[j]}} of
+    the basis classes polys, each row's columns in ascending order.
+    Coefficients are read at y^0: every class here has a trivial
+    parameter slot."""
+    matrix: dict = {}
+    for j, p in enumerate(polys):
+        for e, c in p.terms.items():
+            row = matrix.get(e)
+            if row is None:
+                matrix[e] = {j: c[0]}
+            else:
+                row[j] = c[0]
+    return matrix
+
+
+def _restrict_matrix(problem: OrbitProblem, o: OrbitSpec, matrix: dict) -> dict:
+    """The basis restricted to o, as its coefficient matrix over
+    all_vars: each image monomial's row is the sum of the rows of the
+    monomials mapped to it (its fiber), with zero entries and rows
+    dropped and columns in ascending order, so that it lists exactly the
+    classes whose restriction has the monomial."""
+    out = problem.restriction_maps[o.name].map_terms(matrix, _add_rows, _scale_row)
+    for e, row in out.items():
+        cols = sorted(row)
+        if cols != list(row):
+            out[e] = {j: row[j] for j in cols}
+    return out
+
+
+def _add_identity(rows: list, rhs: list, restricted: dict, target: dict | None = None) -> None:
+    """Append the equations of sum_j x_j * P_j == target at one orbit,
+    restricted being the matrix of the P_j there and target a
+    {monomial: int}: one row per monomial of either, in sorted monomial
+    order."""
+    if target:
+        keys = restricted.keys() | target.keys()
+        for e in sorted(keys):
+            rows.append(restricted.get(e, {}))
+            rhs.append(target.get(e, 0))
+    else:
+        for e in sorted(restricted):
+            rows.append(restricted[e])
+            rhs.append(0)
+
+
+def _int_terms(p: LaurentPoly) -> dict:
+    return {e: c[0] for e, c in p.terms.items()}
+
+
+def _integral(names, values) -> list:
+    """values as ints; raise NoSolutionError at the first non-integral
+    one, in column order."""
+    out = []
+    for name, v in zip(names, values):
         if v.denominator != 1:
             raise NoSolutionError(f"non-integral coefficient {v} on {name}")
-        c = int(v)
-        coeffs.append((name, c))
-        contrib = poly.scale_ypoly((c,))
-        total = contrib if total is None else total + contrib
-    if total is None:
-        return SymmetricExpansion((), LaurentPoly.zero(vars))
-    return SymmetricExpansion(tuple(coeffs), total)
+        out.append(v.numerator)
+    return out
 
 
-def _fundamental(problem: OrbitProblem, t: OrbitSpec, names, polys, restricted,
-                 solver) -> SymmetricExpansion:
-    """The fundamental class of t over the homogeneous basis classes
-    (names, polys) of degree codim(t); restricted(k) gives the classes
-    restricted to problem.orbits[k], and is called for every orbit the
-    constraints read (t and each orbit of codimension <= codim(t))."""
-    zero = LaurentPoly.zero(problem.all_vars)
-    identities = []
-    for k, o in enumerate(problem.orbits):
+def _fundamental_values(problem: OrbitProblem, t: OrbitSpec, names, restricted,
+                        solver) -> list:
+    """The integral coefficients of the fundamental class of t over the
+    homogeneous basis classes of degree codim(t) named by names;
+    restricted maps the name of t and of every orbit of codimension <=
+    codim(t) to the coefficient matrix of those classes there."""
+    rows, rhs = [], []
+    for o in problem.orbits:
         if o.name == t.name:
-            identities.append((enumerate(restricted(k)), o.euler))
+            _add_identity(rows, rhs, restricted[o.name], _int_terms(o.euler))
         elif o.codim <= t.codim:
-            identities.append((enumerate(restricted(k)), zero))
-    rows, rhs = _system_from_identities(identities)
-    values = solver(rows, rhs, width=len(polys))
-    return _as_expansion(names, polys, values, problem.ansatz.vars)
+            _add_identity(rows, rhs, restricted[o.name])
+    return _integral(names, solver(rows, rhs, width=len(names)))
+
+
+def _expansion(names, values, cols, poly_terms: dict, vars) -> SymmetricExpansion:
+    return SymmetricExpansion(tuple((names[j], values[j]) for j in cols if values[j]),
+                              LaurentPoly._from_trimmed(vars, poly_terms))
 
 
 def solve_fundamental(problem: OrbitProblem, target: str,
@@ -448,10 +498,16 @@ def solve_fundamental(problem: OrbitProblem, target: str,
     t = problem.orbit(target)
     basis = problem.ansatz.basis(t.codim, homogeneous=True)
     names = [n for n, _ in basis]
-    polys = [p for _, p in basis]
-    return _fundamental(problem, t, names, polys,
-                        lambda k: [problem.restrict(p, problem.orbits[k]) for p in polys],
-                        solver)
+    matrix = _basis_matrix([p for _, p in basis])
+    restricted = {o.name: _restrict_matrix(problem, o, matrix) for o in problem.orbits
+                  if o.name == target or o.codim <= t.codim}
+    values = _fundamental_values(problem, t, names, restricted, solver)
+    terms = {}
+    for e, row in matrix.items():
+        c = sum(values[j] * v for j, v in row.items())
+        if c:
+            terms[e] = (c,)
+    return _expansion(names, values, range(len(names)), terms, problem.ansatz.vars)
 
 
 @dataclass(frozen=True)
@@ -496,18 +552,27 @@ def solve_csm(problem: OrbitProblem, target: str,
     - constant tangent class (d == 0): phi_o(P) / tangent_c is always a
       polynomial, so there is no quotient unknown, and the only rows
       say that the monomials of phi_o(P) of degree >= codim(o) vanish.
-      As the basis classes are homogeneous, only those of degree
-      >= codim(o) are restricted, and none when B < codim(o).
+      As the basis classes are homogeneous, these rows are those of the
+      basis's monomials of degree >= codim(o), and there are none when
+      B < codim(o).
     Dropping unknowns that are forced to zero or fixed by P leaves the
     solution, the dimension of a solution space and an inconsistency as
-    they were.  A basis class is restricted only to the orbits that read
-    it: the target, the orbits that add rows, and the orbits of
-    codimension <= codim(target), which the fundamental class reads off
-    the classes of degree codim(target): the basis enumerates its
-    monomials in an order that does not depend on the degree bound, so
-    they are basis(codim, homogeneous=True) in its order, and the bound
-    is at least codim since tangent_c != 0.  The returned restrictions
-    are those of the solution, at every orbit.
+    they were.
+
+    The basis is held once, as its coefficient matrix, and each orbit
+    restricts it in one pass (see _restrict_matrix).  The fundamental
+    class's rows are the degree-codim(target) rows of the same restricted
+    matrices, at the target and at every orbit of codimension <=
+    codim(target): those rows hold exactly the basis classes of degree
+    codim(target), which are basis(codim, homogeneous=True) in its order,
+    since the basis enumerates its monomials in an order that does not
+    depend on the degree bound, and the bound is at least codim since
+    tangent_c != 0.  The expansion, its lowest-degree part and the
+    fundamental class are then read off the matrix in one integer pass;
+    the fundamental class is nonzero and homogeneous of degree
+    codim(target), so the lowest-degree part compared with it is the
+    part of that degree.  The returned restrictions are those of the
+    solution, at every orbit.
     """
     t = problem.orbit(target)
     target_value = t.euler * t.tangent_c
@@ -520,55 +585,67 @@ def solve_csm(problem: OrbitProblem, target: str,
 
     basis = problem.ansatz.basis(bound)
     names = [n for n, _ in basis]
-    polys = [p for _, p in basis]
-    degrees = [_degree(p) for p in polys]
-    restricted = [{} for _ in problem.orbits]
-
-    def columns(k, cols):
-        """(j, polys[j] restricted to orbit k) for j in cols, each
-        restricted once."""
-        memo, o = restricted[k], problem.orbits[k]
-        for j in cols:
-            if j not in memo:
-                memo[j] = problem.restrict(polys[j], o)
-        return [(j, memo[j]) for j in cols]
-
-    zero = LaurentPoly.zero(problem.all_vars)
-    width = len(polys)
-    identities = []
-    for k, o in enumerate(problem.orbits):
-        if o.name == target:
-            identities.append((columns(k, range(len(polys))), target_value))
-            continue
+    matrix = _basis_matrix([p for _, p in basis])
+    fund = [j for j, (_, p) in enumerate(basis) if _degree(p) == t.codim]
+    index = {j: i for i, j in enumerate(fund)}
+    width = len(names)
+    rows, rhs = [], []
+    fund_restricted = {}
+    for o in problem.orbits:
         d = _degree(o.tangent_c)
-        if d == 0:
-            identities.append((columns(k, [j for j, e in enumerate(degrees)
-                                           if e >= o.codim]), zero))
+        if o.name != target and d == 0:
+            restricted = _restrict_matrix(problem, o, {e: row for e, row in matrix.items()
+                                                       if sum(e) >= o.codim})
+        else:
+            restricted = _restrict_matrix(problem, o, matrix)
+        if o.name == target or o.codim <= t.codim:
+            fund_restricted[o.name] = {e: {index[j]: c for j, c in row.items()}
+                                       for e, row in restricted.items()
+                                       if sum(e) == t.codim}
+        if o.name == target:
+            _add_identity(rows, rhs, restricted, _int_terms(target_value))
             continue
-        # phi(P) - tangent_c * Q == 0 with Q an unknown quotient in the
-        # image variables, in the window above
-        cols = columns(k, range(len(polys)))
-        neg_tangent = -o.tangent_c
-        image_vars = sorted({o.phi.get(v, v) for v in problem.ansatz.vars})
-        for mono in _monomials_up_to(problem.all_vars, image_vars,
-                                     min(o.codim - 1, bound - d)):
-            cols.append((width, neg_tangent.shift(mono)))
-            width += 1
-        identities.append((cols, zero))
-    rows, rhs = _system_from_identities(identities)
-    values = solver(rows, rhs, width=width)[:len(polys)]
-    expansion = _as_expansion(names, polys, values, problem.ansatz.vars)
+        if d > 0:
+            # phi(P) - tangent_c * Q == 0 with Q an unknown quotient in
+            # the image variables, in the window above
+            quotient: dict = {}
+            neg_tangent = [(e, -c[0]) for e, c in o.tangent_c.terms.items()]
+            image_vars = sorted({o.phi.get(v, v) for v in problem.ansatz.vars})
+            for mono in _monomials_up_to(problem.all_vars, image_vars,
+                                         min(o.codim - 1, bound - d)):
+                for e, c in neg_tangent:
+                    key = tuple(a + b for a, b in zip(e, mono))
+                    row = quotient.get(key)
+                    if row is None:
+                        quotient[key] = {width: c}
+                    else:
+                        row[width] = c
+                width += 1
+            for e, q in quotient.items():
+                row = restricted.get(e)
+                restricted[e] = row | q if row else q
+        _add_identity(rows, rhs, restricted)
+    values = _integral(names, solver(rows, rhs, width=width)[:len(names)])
+    fund_values = _fundamental_values(problem, t, [names[j] for j in fund],
+                                      fund_restricted, solver)
+
+    csm_terms, low_terms, fund_terms = {}, {}, {}
+    for e, row in matrix.items():
+        c = sum(values[j] * v for j, v in row.items())
+        if c:
+            csm_terms[e] = (c,)
+        if sum(e) == t.codim:
+            if c:
+                low_terms[e] = (c,)
+            c = sum(fund_values[index[j]] * v for j, v in row.items())
+            if c:
+                fund_terms[e] = (c,)
+    vars = problem.ansatz.vars
+    expansion = _expansion(names, values, range(len(names)), csm_terms, vars)
     restrictions = {o.name: problem.restrict(expansion.poly, o) for o in problem.orbits}
-
-    fund = [j for j, d in enumerate(degrees) if d == t.codim]
-    fundamental = _fundamental(problem, t, [names[j] for j in fund],
-                               [polys[j] for j in fund],
-                               lambda k: [r for _, r in columns(k, fund)], solver)
-
-    low = max(_degree(fundamental.poly), 0)
-    low_cols = [j for j, v in enumerate(values) if v != 0 and degrees[j] == low]
-    lowest = _as_expansion([names[j] for j in low_cols], [polys[j] for j in low_cols],
-                           [values[j] for j in low_cols], problem.ansatz.vars)
+    lowest = _expansion(names, values, fund, low_terms, vars)
+    fundamental = _expansion([names[j] for j in fund], fund_values, range(len(fund)),
+                             fund_terms, vars)
     return CsmSolution(expansion, restrictions, lowest, fundamental)
 
 

@@ -495,7 +495,10 @@ class MonomialMap:
         input variables: each exponent scattered, each value scaled by
         its scalar power (scale(value, num)), colliding values merged by
         add and sums that are zero (false) dropped.  The values may be
-        y-tuples (yp_add, yp_scale) or packed integers (+, *).  Raises
+        y-tuples (yp_add, yp_scale), packed integers (+, *) or the
+        sparse rows {column: int} of a coefficient matrix (a row sum
+        that returns a new dict, since add must not change its
+        arguments, which may be the input's own values).  Raises
         ValueError where a negative power of a scalar other than +-1
         would be required (a division inside Z)."""
         nv = len(self.out_vars)

@@ -37,6 +37,15 @@
   quotient unknown for every monomial below codim(o) at every other
   orbit: the oracle of `mcclass.interp.solve_csm`, which sizes each
   quotient by the degree bound and drops it for a constant tangent class.
+  Both it and `solve_fundamental_per_class`, the oracle of
+  `mcclass.interp.solve_fundamental`, restrict every basis class to every
+  orbit on its own and read the equations off the restricted classes
+  monomial by monomial (`_system_from_identities`), where production
+  restricts the basis's coefficient matrix in one pass per orbit.
+- `giambelli_thom_porteous(m, n, k)`, the fundamental class of the
+  closure of omega_k in Hom(C^m, C^n) as the k x k determinant
+  det(c_{n-m+k+j-i}(B - A)): the oracle of both interpolation routes to
+  it on the rank stratifications.
 - `format_poly_factors` and `format_poly_ygrouped_lists`, renderings that
   build a factor list and join it for every (term, y-degree) pair, and
   group (monomial, coefficient) pairs by y-degree before rendering them:
@@ -44,14 +53,14 @@
 """
 
 import functools
+import itertools
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Mapping, Sequence
 
 from mcclass.combi import Composition, IndexTuple, Permutation, enumerate_index_tuples
-from mcclass.interp import (CsmSolution, NonUniqueError, NoSolutionError, _as_expansion,
-                            _degree, _monomials_up_to, _system_from_identities,
-                            solve_fundamental, solve_unique_fractions)
+from mcclass.interp import (CsmSolution, NonUniqueError, NoSolutionError, SymmetricExpansion,
+                            _degree, _monomials_up_to, solve_unique_fractions)
 from mcclass.newton import LatticePolytope
 from mcclass.ring import (YP_ONE_PLUS_Y, LaurentPoly, _monomial_str, exact_divide, yp_add,
                           yp_scale)
@@ -404,12 +413,124 @@ def hom_orbit_data(m: int, n: int) -> dict:
     return {"vars": a + b, "symmetry": [a, b], "orbits": orbits}
 
 
+def _system_from_identities(identities):
+    """Sparse rows of the linear system: one equation per monomial of
+    every polynomial identity sum_j x_j * P_j == target.
+
+    identities holds (columns, target) pairs, columns being (j, P_j)
+    pairs in ascending j.  Each row is a dict {j: coefficient of the
+    monomial in P_j} over the P_j that have the monomial, so its
+    columns come in ascending order; the rows of one identity come in
+    sorted monomial order.  Coefficients are read at y^0: every class
+    here has a trivial parameter slot.
+    """
+    rows = []
+    rhs = []
+    for columns, target in identities:
+        by_mono = {}
+        for j, p in columns:
+            for mono, c in p.terms.items():
+                row = by_mono.get(mono)
+                if row is None:
+                    by_mono[mono] = {j: c[0]}
+                else:
+                    row[j] = c[0]
+        for mono in target.terms:
+            by_mono.setdefault(mono, {})
+        for mono in sorted(by_mono):
+            rows.append(by_mono[mono])
+            c = target.terms.get(mono)
+            rhs.append(c[0] if c else 0)
+    return rows, rhs
+
+
+def _as_expansion(names, polys, values, vars) -> SymmetricExpansion:
+    """The class sum_j values[j] * polys[j], written over vars, with its
+    nonzero coefficients; raise NoSolutionError on a non-integral one."""
+    coeffs = []
+    total = None
+    for name, poly, v in zip(names, polys, values):
+        if v == 0:
+            continue
+        if v.denominator != 1:
+            raise NoSolutionError(f"non-integral coefficient {v} on {name}")
+        c = int(v)
+        coeffs.append((name, c))
+        contrib = poly.scale_ypoly((c,))
+        total = contrib if total is None else total + contrib
+    if total is None:
+        return SymmetricExpansion((), LaurentPoly.zero(vars))
+    return SymmetricExpansion(tuple(coeffs), total)
+
+
+def solve_fundamental_per_class(problem, target: str, solver=solve_unique_fractions):
+    """The fundamental class of target with every basis class of degree
+    codim(target) restricted on its own to the target and to every orbit
+    of codimension <= codim(target), and the equations read off those
+    restricted classes monomial by monomial."""
+    t = problem.orbit(target)
+    basis = problem.ansatz.basis(t.codim, homogeneous=True)
+    names = [name for name, _ in basis]
+    polys = [p for _, p in basis]
+    zero = LaurentPoly.zero(problem.all_vars)
+    identities = []
+    for o in problem.orbits:
+        columns = [(j, problem.restrict(p, o)) for j, p in enumerate(polys)]
+        if o.name == t.name:
+            identities.append((columns, o.euler))
+        elif o.codim <= t.codim:
+            identities.append((columns, zero))
+    rows, rhs = _system_from_identities(identities)
+    values = solver(rows, rhs, width=len(polys))
+    return _as_expansion(names, polys, values, problem.ansatz.vars)
+
+
+def giambelli_thom_porteous(m: int, n: int, k: int) -> LaurentPoly:
+    """The fundamental class of the closure of omega_k in Hom(C^m, C^n)
+    (the maps with a k-dimensional kernel), over the variables a1..am,
+    b1..bn of `hom_orbit_data`: the k x k determinant
+    det(c_{n-m+k+j-i}(B - A)), with c(B - A) = prod(1 + b_j) / prod(1 + a_i),
+    so that c_d(B - A) = sum_q (-1)^q e_{d-q}(b) h_q(a)."""
+    a = [f"a{i}" for i in range(1, m + 1)]
+    b = [f"b{j}" for j in range(1, n + 1)]
+    vars = tuple(a + b)
+    zero = LaurentPoly.zero(vars)
+
+    def monomial_sum(choices):
+        out = zero
+        for chosen in choices:
+            term = LaurentPoly.one(vars)
+            for v in chosen:
+                term = term * LaurentPoly.variable(vars, v)
+            out = out + term
+        return out
+
+    def c(d):
+        out = zero
+        for q in range(d + 1):
+            term = (monomial_sum(itertools.combinations(b, d - q))
+                    * monomial_sum(itertools.combinations_with_replacement(a, q)))
+            out = out - term if q % 2 else out + term
+        return out
+
+    entries = [[c(n - m + k + j - i) for j in range(k)] for i in range(k)]
+    det = zero
+    for perm in itertools.permutations(range(k)):
+        term = LaurentPoly.one(vars)
+        for i, j in enumerate(perm):
+            term = term * entries[i][j]
+        inversions = sum(1 for x, y in itertools.combinations(perm, 2) if x > y)
+        det = det - term if inversions % 2 else det + term
+    return det
+
+
 def solve_csm_with_quotients(problem, target: str, solver=solve_unique_fractions):
     """The CSM class of target with a full quotient at every other orbit:
     phi_o(P) - tangent_c * Q == 0 with one unknown for every monomial of Q
     in o's image variables up to degree codim(o) - 1, whatever the degree
     bound and the tangent class, every basis class restricted to every
-    orbit, and the fundamental class solved on its own basis."""
+    orbit, and the fundamental class solved on its own basis by
+    `solve_fundamental_per_class`."""
     t = problem.orbit(target)
     target_value = t.euler * t.tangent_c
     bound = _degree(target_value)
@@ -435,7 +556,7 @@ def solve_csm_with_quotients(problem, target: str, solver=solve_unique_fractions
     rows, rhs = _system_from_identities(identities)
     values = solver(rows, rhs, width=width)[:len(polys)]
     expansion = _as_expansion(names, polys, values, problem.ansatz.vars)
-    fundamental = solve_fundamental(problem, target, solver)
+    fundamental = solve_fundamental_per_class(problem, target, solver)
     low = max(_degree(fundamental.poly), 0)
     low_cols = [j for j, v in enumerate(values) if v != 0 and _degree(polys[j]) == low]
     lowest = _as_expansion([names[j] for j in low_cols], [polys[j] for j in low_cols],

@@ -1,4 +1,5 @@
 import json
+import pathlib
 import re
 from fractions import Fraction
 from importlib.resources import files
@@ -11,7 +12,8 @@ from mcclass.interp import (NonUniqueError, NoSolutionError, OrbitProblem,
                             SymmetricAnsatz, solve_csm, solve_fundamental,
                             solve_unique_fractions)
 from mcclass.ring import LaurentPoly, MonomialMap, format_poly
-from oracles import (hom_orbit_data, monomial_substitute_loop, solve_csm_with_quotients,
+from oracles import (giambelli_thom_porteous, hom_orbit_data, monomial_substitute_loop,
+                     solve_csm_with_quotients, solve_fundamental_per_class,
                      solve_unique_bareiss, solve_unique_gauss_jordan)
 
 ORACLES = [solve_unique_gauss_jordan, solve_unique_bareiss]
@@ -83,6 +85,35 @@ def test_solver_error_contract():
     assert solve_unique_fractions([{1: 2, 0: 1}, {1: 1}], [4, 1], width=2) == [2, 1]
     with pytest.raises(NonUniqueError, match="^solution space has dimension 1$"):
         solve_unique_fractions([{0: 1}], [1], width=2)
+
+
+@pytest.mark.parametrize("rows, rhs, want", [
+    # both pivots negative: -2 on column 0, then -3 on column 1
+    ([[-2, 1], [1, 1]], [3, -1], [Fraction(-4, 3), Fraction(1, 3)]),
+    # x0 reads x1 = -1/2 (through the pivot -2) and x2 = -1/6, over the
+    # common denominator 6 of 2 and 6
+    ([[1, 1, 1], [0, -2, 0], [0, 0, 6]], [0, 1, -1],
+     [Fraction(2, 3), Fraction(-1, 2), Fraction(-1, 6)]),
+], ids=["negative-pivots", "mixed-denominators"])
+def test_back_substitution_over_integer_pairs(rows, rhs, want):
+    got = solve_dense(rows, rhs)
+    assert got == want
+    assert all(type(x) is Fraction for x in got)
+    for oracle in ORACLES:
+        assert oracle(rows, rhs) == want, oracle.__name__
+
+
+@pytest.mark.parametrize("rows, inconsistent, consistent", [
+    # a zero row under a system of full rank
+    ([[1, 0], [0, 1], [0, 0]], [1, 2, 3], [1, 2, 0]),
+    # the last row is -2 times the first
+    ([[2, -1], [0, 1], [-4, 2]], [1, 1, -1], [1, 1, -2]),
+], ids=["zero-row", "multiple-of-a-row"])
+def test_right_hand_side_alone_makes_the_system_inconsistent(rows, inconsistent, consistent):
+    for solve in [solve_dense] + ORACLES:
+        with pytest.raises(NoSolutionError, match="^inconsistent linear system$"):
+            solve(rows, inconsistent)
+        assert solve(rows, consistent) == solve_dense(rows, consistent)
 
 
 def _outcome(solver, rows, rhs):
@@ -304,17 +335,33 @@ def _csm_outcome(solve, problem, target):
             sol.restrictions)
 
 
+def _assert_fundamental_matches_per_class_oracle(problem, target):
+    """solve_fundamental and its per-class oracle give the same class, or
+    the same error."""
+    outcomes = []
+    for solve in (solve_fundamental, solve_fundamental_per_class):
+        try:
+            sol = solve(problem, target)
+        except (NoSolutionError, NonUniqueError) as err:
+            outcomes.append((type(err), str(err)))
+        else:
+            outcomes.append((sol.coeffs, sol.poly))
+    assert outcomes[0] == outcomes[1], target
+
+
 def test_generated_hom_2_3_is_the_bundled_quiver(a2):
     assert OrbitProblem.from_json(hom_orbit_data(2, 3)) == a2
 
 
 @pytest.mark.parametrize("m, n", [(1, 1), (2, 2), (2, 3), (2, 4), (3, 3)])
 def test_csm_matches_quotient_oracle_on_rank_stratifications(m, n):
+    # and the fundamental classes match the per-class oracle
     problem = OrbitProblem.from_json(hom_orbit_data(m, n))
     for o in problem.orbits:
         got = _csm_outcome(solve_csm, problem, o.name)
         assert isinstance(got[0], tuple), got
         assert got == _csm_outcome(solve_csm_with_quotients, problem, o.name), o.name
+        _assert_fundamental_matches_per_class_oracle(problem, o.name)
 
 
 @pytest.mark.parametrize("m, n, k", [(1, 1, 0), (2, 2, 1), (2, 2, 2), (2, 3, 1), (2, 3, 2)])
@@ -328,6 +375,7 @@ def test_csm_matches_quotient_oracle_with_constant_tangent_class(m, n, k):
     for o in problem.orbits:
         want = _csm_outcome(solve_csm_with_quotients, problem, o.name)
         assert _csm_outcome(solve_csm, problem, o.name) == want, o.name
+        _assert_fundamental_matches_per_class_oracle(problem, o.name)
 
 
 def test_csm_and_quotient_oracle_agree_on_a_degenerate_problem():
@@ -338,6 +386,55 @@ def test_csm_and_quotient_oracle_agree_on_a_degenerate_problem():
     for solve in (solve_csm, solve_csm_with_quotients):
         with pytest.raises(NonUniqueError, match="^solution space has dimension 24$"):
             solve(problem, "omega0")
+    for o in problem.orbits:
+        _assert_fundamental_matches_per_class_oracle(problem, o.name)
+
+
+def _collapsing_orbit(codim, euler):
+    """Orbit data on a1, a2 with one orbit p where both variables go to t."""
+    return OrbitProblem.from_json({
+        "vars": ["a1", "a2"], "symmetry": [["a1", "a2"]],
+        "orbits": [{"name": "p", "codim": codim, "phi": {"a1": "t", "a2": "t"},
+                    "euler": euler, "tangent_c": [{"const": 1}]}]})
+
+
+@pytest.mark.parametrize("codim, euler, error, message", [
+    # A1 restricts to 2t, so the class restricting to t is A1/2
+    (1, [{"coeffs": {"t": 1}}], NoSolutionError, "non-integral coefficient 1/2 on A1"),
+    # no symmetric class restricts to a1, which is not a class in t
+    (1, [{"coeffs": {"a1": 1}}], NoSolutionError, "inconsistent linear system"),
+    # A1^2 and A2 restrict to 4t^2 and t^2
+    (2, [{"coeffs": {"t": 1}}, {"coeffs": {"t": 1}}], NonUniqueError,
+     "solution space has dimension 1"),
+], ids=["non-integral", "inconsistent", "non-unique"])
+def test_solver_verdicts_match_per_class_oracles(codim, euler, error, message):
+    problem = _collapsing_orbit(codim, euler)
+    for solve in (solve_fundamental, solve_fundamental_per_class,
+                  solve_csm, solve_csm_with_quotients):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            solve(problem, "p")
+
+
+@pytest.mark.parametrize("m, n", [(m, n) for m in range(1, 4) for n in range(m, 7 - m)])
+def test_fundamental_classes_are_giambelli_thom_porteous(m, n):
+    problem = OrbitProblem.from_json(hom_orbit_data(m, n))
+    for k, o in enumerate(problem.orbits):
+        want = giambelli_thom_porteous(m, n, k)
+        assert solve_fundamental(problem, o.name).poly == want, o.name
+        assert solve_csm(problem, o.name).fundamental.poly == want, o.name
+
+
+def test_giambelli_thom_porteous_sign_matches_the_golden(a2):
+    # omega1 of Hom(C^2, C^3): c_2(B - A) = B2 - A1*B1 + A1^2 - A2
+    golden = pathlib.Path(__file__).parent / "golden" / "interpolate_csm_omega1.json"
+    blob = json.loads(golden.read_text(encoding="utf-8"))
+    basis = dict(a2.ansatz.basis(2, homogeneous=True))
+    coeffs = {c["monomial"]: c["coeff"] for c in blob["fundamental_class"]["coefficients"]}
+    assert coeffs == {"B2": 1, "A1*B1": -1, "A1^2": 1, "A2": -1}
+    total = LaurentPoly.zero(a2.ansatz.vars)
+    for name, c in coeffs.items():
+        total = total + basis[name].scale_ypoly((c,))
+    assert total == giambelli_thom_porteous(2, 3, 1)
 
 
 @pytest.mark.parametrize("m, n", [(2, 2), (2, 4), (3, 3)])
