@@ -38,6 +38,11 @@ COMMANDS = [
     "expand --n 4 --all",
     "expand --n 4 --all --nonequivariant --format json",
     "conjectures --n 4 --format json",
+    # the packed row walk (the plain (1,1,1,2) table re-measures its digits)
+    # and the packed expansion walk at n = 5
+    "weight --mu 1,1,1,2 --all --restrict --kind plain",
+    "weight --mu 1,1,1,1,1 --all --restrict --kind modified --format json",
+    "expand --n 5 --p 1,2,3,4,5",
     # the bundled interpolation outputs
     *(f"interpolate --target {target} --mode {mode}{fmt}"
       for target in ("omega0", "omega1", "omega2") for mode in ("fundamental", "csm")

@@ -157,8 +157,12 @@ class Permutation:
         return Permutation(tuple(i + 1 if x == i else i if x == i + 1 else x
                                  for x in self.word))
 
+    @cached_property
+    def blocks(self) -> tuple:
+        return tuple((w,) for w in self.word)
+
     def to_index_tuple(self) -> IndexTuple:
-        return IndexTuple(Composition((1,) * self.n), tuple((w,) for w in self.word))
+        return IndexTuple(Composition((1,) * self.n), self.blocks)
 
     def length(self) -> int:
         return len(inversions(self))
@@ -233,6 +237,23 @@ def tree_walk(root, seed, edges, step, cells=None) -> Iterator[tuple]:
     return visit(root, seed)
 
 
+def left_ascent(x, i: int) -> bool:
+    """Value i lies in an earlier block of x (an index tuple or a
+    permutation of 1..n, i < n) than i+1, i.e. s_i x is one longer."""
+    return next(i + 1 not in b for b in x.blocks if i in b or i + 1 in b)
+
+
+def left_parent(x) -> int:
+    """The smallest left ascent i of x, which is not the top cell."""
+    return next(i for i in range(1, sum(map(len, x.blocks))) if left_ascent(x, i))
+
+
+def left_parent_edges(cells, top) -> Iterator[tuple]:
+    """The tree_walk edges (x, s_i x, i), i = left_parent(x), for every x
+    in cells but top, in the order of cells."""
+    return ((x, x.swap_values(i), i) for x in cells if x != top for i in [left_parent(x)])
+
+
 def enumerate_index_tuples(mu: Composition) -> list:
     """All index tuples for mu, ordered lexicographically by sorted blocks."""
     if not isinstance(mu, Composition):
@@ -252,17 +273,23 @@ def enumerate_index_tuples(mu: Composition) -> list:
     return tuples
 
 
+def tangent_weights(J: IndexTuple) -> tuple:
+    """The tangent weights of G/P at the fixed point of J, split into
+    (cell, normal).  Each is a tuple of pairs (a, b), a in an earlier
+    block of J than b, standing for the weight tau_b/tau_a, in the order
+    of the blocks j < k, then a, then b.  A pair is normal to J's cell
+    exactly when a > b, so the normal count is the cell's codimension."""
+    cell, normal = [], []
+    for j, k in itertools.combinations(range(len(J.blocks)), 2):
+        for a, b in itertools.product(J.blocks[j], J.blocks[k]):
+            (normal if a > b else cell).append((a, b))
+    return tuple(cell), tuple(normal)
+
+
 def length(I: IndexTuple) -> int:
-    """l(I) = #{(a, b): a > b, a in I_j, b in I_k, j < k}; the codimension."""
-    count = 0
-    blocks = I.blocks
-    for j in range(len(blocks)):
-        for k in range(j + 1, len(blocks)):
-            for a in blocks[j]:
-                for b in blocks[k]:
-                    if a > b:
-                        count += 1
-    return count
+    """l(I) = #{(a, b): a > b, a in I_j, b in I_k, j < k}; the codimension,
+    the number of normal tangent weights."""
+    return len(tangent_weights(I)[1])
 
 
 def closure_leq(I: IndexTuple, J: IndexTuple) -> bool:

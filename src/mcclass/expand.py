@@ -7,14 +7,8 @@ Expansions are produced by the left Demazure-Lusztig recursion
 step on the coefficients, walked depth-first down the tree of left
 parents from the point class, holding only the current path.  The step
 is division-free and needs no ring product: it is accumulated term by
-term on plain dicts, one output cell at a time, with every
-y-coefficient packed into one integer, its value at y = 2^64
-(`ring.yp_pack`), so that adding y-polynomials is integer addition and
-multiplying by y a shift.  Each cell coefficient carries a bound on the
-sum of its digits' absolute values; a step whose bound reaches 2^63
-raises PackingOverflowError instead of decoding a wrong digit.  Each
-yielded cell is decoded once into canonical LaurentPoly coefficients,
-after the specialization for a non-standard torus.  The conjecture
+term, one output cell at a time, on the packed coefficients of `ring`
+under its digit guard, as the localization rows are.  The conjecture
 checks read each cell's expansion as the walk yields it.  The localization
 rows of the basis (isobaric Demazure recursion) and the
 Bruhat-triangular back-substitution stay here as the independent
@@ -29,12 +23,11 @@ from functools import cached_property
 from operator import add, mul
 from typing import Mapping, Sequence
 
-from .combi import (Composition, Permutation, bruhat_leq, permutations_by_length, tree_walk,
-                    weak_order_walk)
+from .combi import (Composition, Permutation, bruhat_leq, left_ascent, left_parent_edges,
+                    permutations_by_length, tree_walk, weak_order_walk)
 from .report import Report, ReportEntry
-from .ring import (YP_ONE, YP_PACK_BITS, YP_PACK_LIMIT, LaurentPoly, PackingOverflowError,
-                   exact_divide, format_poly_ygrouped, poly_to_json, substitute_ones, yp_pack,
-                   yp_subst, yp_unpack)
+from .ring import (YP_PACK_BITS, LaurentPoly, digit_guard, exact_divide, format_poly_ygrouped,
+                   pack_poly, poly_to_json, substitute_ones, unpack_polys, yp_subst)
 from .weightfn import TorusSpecialization, demazure_step, top_cell_row
 
 
@@ -110,12 +103,8 @@ def expand_by_solve(p: Permutation, wrow: Mapping[Permutation, LaurentPoly],
 
 
 def _cell_terms(c: tuple | None, partner: tuple | None, i: int, ascent: bool) -> tuple:
-    """Packed terms and digit bound of one output cell of `left_step`.
-
-    c and partner are the packed coefficients (terms, bound) of x and
-    s_i x, or None: terms maps an exponent vector to the nonzero packed
-    value of its y-coefficient (yp_pack), and bound is at least the sum
-    of the absolute values of all its y-digits.
+    """One output cell of `left_step` as a packed polynomial, from the
+    packed coefficients c and partner of x and s_i x (or None).
 
     Write a term of an input coefficient as v tau^e, with
     (a, b) = (e_i, e_{i+1}) and rest the other exponents.  d(tau^e) is
@@ -136,9 +125,7 @@ def _cell_terms(c: tuple | None, partner: tuple | None, i: int, ascent: bool) ->
     A term of c_x lands on at most |a - b| + 1 keys with (1 + y) and on
     one more key, so the output's digits sum in absolute value to at
     most (2 span + 3) B(c_x) + 2 B(c_{s_i x}), span the largest |a - b|
-    in c_x.  That is the returned bound; PackingOverflowError is raised
-    once it reaches YP_PACK_LIMIT, where the digits (and the test for a
-    zero sum) would no longer be exact.
+    in c_x.  That is the returned bound, which ring.digit_guard checks.
     """
     p, q = i - 1, i
     acc: dict = {}
@@ -176,15 +163,11 @@ def _cell_terms(c: tuple | None, partner: tuple | None, i: int, ascent: bool) ->
             key = head + (b + 1, a - 1) + tail
             acc[key] = get(key, 0) + (v << YP_PACK_BITS)
         bound += 2 * partner_bound
-    if bound >= YP_PACK_LIMIT:
-        raise PackingOverflowError(
-            f"left step {i}: packed y-digits bounded only by {bound}, "
-            f"not below 2^{YP_PACK_BITS - 1}")
     return {e: u for e, u in acc.items() if u}, bound
 
 
 def left_step(coeffs: Mapping[Permutation, tuple], i: int) -> dict:
-    """Packed coefficients (`_cell_terms`) of mC[w] from those of
+    """Packed coefficients (ring.pack_poly) of mC[w] from those of
     mC[s_i w], where s_i w (the values i and i+1 of w swapped) is one
     longer than w:
 
@@ -195,34 +178,24 @@ def left_step(coeffs: Mapping[Permutation, tuple], i: int) -> dict:
     d(c) = tau_i (c - s c)/(tau_i - tau_{i+1}), and x' = s_i x when that
     is shorter than x, else x' = x.  So an output cell x with i before
     i+1 gathers from c_x and c_{s_i x}, and one with i+1 before i from
-    c_x alone; each cell is built term by term (`_cell_terms`) and
-    finished before the next.  Coefficients are in the standard torus
-    variables; returns the nonzero ones.
+    c_x alone; each cell is built term by term (`_cell_terms`, under
+    ring.digit_guard) and finished before the next.  Returns the nonzero
+    coefficients, in the standard torus variables.
     """
     out: dict = {}
     seen = set()
     for x in coeffs:
-        cells = (((x, True),) if _is_ascent(x, i)
+        cells = (((x, True),) if left_ascent(x, i)
                  else ((x.swap_values(i), True), (x, False)))
         for w, ascent in cells:
             if w in seen:
                 continue
             seen.add(w)
             partner = coeffs.get(w.swap_values(i)) if ascent else None
-            cell = _cell_terms(coeffs.get(w), partner, i, ascent)
+            cell = digit_guard(_cell_terms, (coeffs.get(w), partner), i, ascent)
             if cell[0]:
                 out[w] = cell
     return out
-
-
-def _is_ascent(w: Permutation, i: int) -> bool:
-    """Value i comes before i+1 in w, i.e. l(s_i w) = l(w) + 1."""
-    return w.word.index(i) < w.word.index(i + 1)
-
-
-def _left_parent(w: Permutation) -> int:
-    """The smallest i with l(s_i w) = l(w) + 1."""
-    return next(i for i in range(1, w.n) if _is_ascent(w, i))
 
 
 class Expander:
@@ -235,16 +208,11 @@ class Expander:
     coefficients on its current path.  jobs is accepted and changes
     nothing: the walk runs in one process.
 
-    The recursion runs on the standard torus, on packed coefficients:
-    each y-coefficient is one integer, its value at y = 2^YP_PACK_BITS,
-    and each cell coefficient carries a bound on the sum of its digits'
-    absolute values (`_cell_terms`), so decoding is exact and a step
-    whose bound reaches YP_PACK_LIMIT raises PackingOverflowError rather
-    than yield a wrong digit.  A yielded cell is decoded into canonical
-    LaurentPoly coefficients, each distinct packed value once per cell.
-    For another torus specialization the packed values are first summed
-    per image exponent of the specialization's compiled map and only the
-    image terms are decoded; the equivariant expansion is the unique
+    The recursion runs on the standard torus, on packed coefficients
+    (ring.pack_poly), and a yielded cell is decoded once.  For another
+    torus specialization the packed values are first summed per image
+    exponent of the specialization's compiled map and only the image
+    terms are decoded; the equivariant expansion is the unique
     solution of a triangular system whose diagonal stays nonzero under
     the specializations used here, so the mapped coefficients are the
     specialized solution exactly.
@@ -265,27 +233,13 @@ class Expander:
         w0 = Permutation.longest(self.n)
         std, spec = self._standard, self.spec
         image = None if spec == std else spec.from_standard.map_terms
-        edges = ((w, w.swap_values(i), i) for w in permutations_by_length(self.n)[:-1]
-                 for i in (_left_parent(w),))
-        seed = {w0: ({std.zero_exp(): yp_pack(YP_ONE)}, 1)}
+        edges = left_parent_edges(permutations_by_length(self.n), w0)
+        seed = {w0: pack_poly(std.one())}
         for p, packed in tree_walk(w0, seed, edges, left_step, cells):
-            # packed value -> y-polynomial, for this cell only: a memo kept
-            # for the whole walk grows with every distinct value it meets
-            digits: dict = {}
-            coeffs = {}
-            for w, (terms, _) in packed.items():
-                if image is not None:
-                    terms = image(terms, add, mul)
-                    if not terms:
-                        continue
-                decoded = {}
-                for e, v in terms.items():
-                    c = digits.get(v)
-                    if c is None:
-                        c = digits[v] = yp_unpack(v)
-                    decoded[e] = c
-                coeffs[w] = LaurentPoly._from_trimmed(spec.vars, decoded)
-            yield p, Expansion(p, coeffs, spec)
+            terms = {w: t for w, (t, _) in packed.items()}
+            if image is not None:
+                terms = {w: m for w, t in terms.items() for m in [image(t, add, mul)] if m}
+            yield p, Expansion(p, unpack_polys(terms, spec.vars), spec)
 
     def expand(self, p: Permutation) -> Expansion:
         """The expansion of p alone: one chain of left steps from w0."""

@@ -11,14 +11,24 @@ pure, so they are safe to evaluate in parallel across independent
 inputs.  The public constructor re-trims and copies its terms; kernels
 that already produce canonical terms wrap them with the trusted
 `LaurentPoly._from_trimmed` instead.
+
+Packed coefficients.  Both walks of the left Demazure-Lusztig step, on
+localization rows (weightfn) and on basis coefficients (expand), hold a
+y-coefficient as one integer, its value at y = 2^YP_PACK_BITS (yp_pack):
+adding is integer addition and multiplying by y a shift.  A packed
+polynomial is (terms, bound), terms mapping exponent vectors to nonzero
+packed values and bound at least the sum of the absolute values of all
+its y-digits.  Below YP_PACK_LIMIT every digit reads back exactly and a
+value is zero only when its y-polynomial is; digit_guard keeps it there.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
-from operator import sub
+from operator import add, sub
 from typing import Mapping, Sequence
 
 # ---------------------------------------------------------------------------
@@ -132,14 +142,6 @@ def yp_subst(a: Ypoly, value: Ypoly) -> Ypoly:
         out = yp_add(yp_mul(out, value), (c,) if c else YP_ZERO)
     return out
 
-
-# Packed coefficients: a y-polynomial held as one integer, its value at
-# y = 2^YP_PACK_BITS (Kronecker substitution).  Adding two of them is
-# integer addition and multiplying by y is a shift by YP_PACK_BITS.  The
-# digits read back exactly while each lies in the balanced range
-# [-YP_PACK_LIMIT, YP_PACK_LIMIT); a kernel that works on packed values
-# carries a bound on its digits and raises PackingOverflowError once that
-# bound reaches YP_PACK_LIMIT.
 
 YP_PACK_BITS = 64
 YP_PACK_LIMIT = 1 << (YP_PACK_BITS - 1)
@@ -682,24 +684,13 @@ def divisible_by_y_binomials(p: LaurentPoly, exponents: Mapping[tuple, int]) -> 
     each power does.  No division is carried out.
 
     The root sends a term c_k y^k x^x to (-1)^k c_k x^(x - k e).  So
-    each term is keyed once by its line base + t e, and on each line
-    the digits are summed at the integer positions t - k (at t when
+    each term is keyed once by its line base + t e (_lines), and on each
+    line the digits are summed at the integer positions t - k (at t when
     e = 0), one line at a time.
     """
     for e, m in exponents.items():
-        p0 = next((k for k, d in enumerate(e) if d), None)
-        step = 0 if p0 is None else 1
-        multiples: dict = {}
-        lines: dict = {}  # line base -> [(t, c)] for its terms c x^(base + t e)
-        for x, c in p.terms.items():
-            t = 0 if p0 is None else x[p0] // e[p0]
-            if t:
-                te = multiples.get(t)
-                if te is None:
-                    te = multiples[t] = tuple(t * b for b in e)
-                x = tuple(map(sub, x, te))
-            lines.setdefault(x, []).append((t, c))
-        for line in lines.values():
+        step = 1 if any(e) else 0
+        for line in _lines(p.terms, e)[0].values():
             for j in range(m):
                 acc: dict = {}
                 get = acc.get
@@ -713,6 +704,91 @@ def divisible_by_y_binomials(p: LaurentPoly, exponents: Mapping[tuple, int]) -> 
                 if any(acc.values()):
                     return False
     return True
+
+
+def _lines(terms: Mapping, D: tuple) -> tuple:
+    """(lines, multiple): the terms c tau^e grouped by the lines of
+    direction D, lines = {base: [(k, c)]} with e = base + k D (k = 0 when
+    D = 0), and multiple(k) = k D, memoized."""
+    p = next((j for j, d in enumerate(D) if d), None)
+    multiples: dict = {}
+
+    def multiple(k):
+        m = multiples.get(k)
+        if m is None:
+            m = multiples[k] = tuple(k * x for x in D)
+        return m
+
+    lines: dict = {}
+    for e, c in terms.items():
+        k = 0 if p is None else e[p] // D[p]
+        lines.setdefault(tuple(map(sub, e, multiple(k))) if k else e, []).append((k, c))
+    return lines, multiple
+
+
+# ---------------------------------------------------------------------------
+# Packed polynomials (terms, bound); see the module docstring
+# ---------------------------------------------------------------------------
+
+
+def pack_poly(p: LaurentPoly) -> tuple:
+    """p as a packed polynomial, its bound the exact digit sum."""
+    return ({e: yp_pack(c) for e, c in p.terms.items()},
+            sum(abs(d) for c in p.terms.values() for d in c))
+
+
+def unpack_polys(packed: Mapping, vars: tuple) -> dict:
+    """{key: canonical LaurentPoly in vars} from {key: packed terms} with
+    digits in the balanced range, each distinct value decoded once per
+    call: a memo kept longer grows with every value it meets."""
+    unpack = lru_cache(maxsize=None)(yp_unpack)
+    return {key: LaurentPoly._from_trimmed(vars, {e: unpack(v) for e, v in terms.items()})
+            for key, terms in packed.items()}
+
+
+def digit_guard(step, packed: tuple, *args) -> tuple:
+    """step(*packed, *args), a kernel that sums the packed polynomials (or
+    None) in packed into one, bounded from their bounds.  If that reaches
+    YP_PACK_LIMIT, the inputs' digit sums are measured (exactly, as their
+    bounds are below it) and the step redone from them; PackingOverflowError
+    if the limit is reached again."""
+    out = step(*packed, *args)
+    if out[1] >= YP_PACK_LIMIT:
+        packed = tuple(x and (x[0], sum(abs(d) for v in x[0].values() for d in yp_unpack(v)))
+                       for x in packed)
+        out = step(*packed, *args)
+        if out[1] >= YP_PACK_LIMIT:
+            raise PackingOverflowError(f"packed y-digits bounded only by {out[1]}")
+    return out
+
+
+def line_quotient(packed: tuple, D: tuple, vars: tuple) -> tuple:
+    """The packed quotient of (terms, bound) = sum_e terms[e] tau^e by
+    1 - tau^D, D nonzero.  Along a line m + kD the numerator coefficient
+    at k is q_k - q_(k-1), so q_k is the prefix sum up to k; the division
+    is exact iff every line sums to zero, one integer compare per line,
+    else NonDivisibleError carries the line sums, decoded in vars.  The
+    longest line's span times the numerator's bound bounds the quotient."""
+    terms, bound = packed
+    lines, multiple = _lines(terms, D)
+    out: dict = {}
+    stray: dict = {}
+    longest = 0
+    for base, points in lines.items():
+        points.sort()
+        run, last = 0, points[0][0]
+        for k, u in points:
+            if run:
+                for j in range(last, k):
+                    out[tuple(map(add, base, multiple(j)))] = run
+            run, last = run + u, k
+        if run:
+            stray[tuple(map(add, base, multiple(last)))] = run
+        longest = max(longest, last - points[0][0] + 1)
+    if stray:
+        raise NonDivisibleError("numerator not divisible by 1 - tau^D",
+                                remainder=unpack_polys({0: stray}, vars)[0])
+    return out, longest * bound
 
 
 # ---------------------------------------------------------------------------

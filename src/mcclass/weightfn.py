@@ -8,21 +8,21 @@ of flag-variety Schubert cells (modified, after division by a Chern
 product).
 
 localization_table takes one route for every composition: a depth-first
-walk over the cells of G/P by the left Demazure-Lusztig step, seeded with
-the closed-form row of the top cell and dividing along lines of exponents.
+walk over the cells of G/P by the left Demazure-Lusztig step on ring's
+packed coefficients, seeded with the closed-form row of the top cell.
 A table is a plain dict {I: {J: f}} on the standard torus t1..tn; a
 caller that wants another TorusSpecialization maps the entries itself.
 weight_function symmetrizes globally and restriction_direct at one fixed
 point, the route the test suite builds its oracle tables from.  Both read
 the three cases from psi_factor, and both divide by their Vandermonde
 product through _divide_by_differences, one line quotient per difference.
-So every division in the module is the row steps' kernel, a quotient by
+So every division in the module is ring.line_quotient, a quotient by
 1 - tau^D along lines of exponents.
 
 The tangent weights at a fixed point are stated once, by
-tangent_weights, and multiplied out by euler_product and
-chern_factor_product; the top cell's row, the axiom checks and the
-polygon pictures read them from here.
+combi.tangent_weights (imported here), and multiplied out by
+euler_product and chern_factor_product; the top cell's row, the axiom
+checks and the polygon pictures read them from here.
 """
 
 from __future__ import annotations
@@ -30,13 +30,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from operator import add, neg, sub
+from operator import sub
 from typing import Mapping, Sequence
 
-from .combi import Composition, IndexTuple, Permutation, enumerate_index_tuples, tree_walk
-from .ring import (LaurentPoly, MonomialMap, NonDivisibleError, RationalExpr, YP_ONE,
-                   YP_ONE_PLUS_Y, YP_Y, ZeroDenominatorError, monomial_substitute,
-                   yp_add, yp_neg, yp_trim)
+from .combi import (Composition, IndexTuple, Permutation, enumerate_index_tuples,
+                    left_parent_edges, tangent_weights, tree_walk)
+from .ring import (YP_ONE, YP_ONE_PLUS_Y, YP_PACK_BITS, YP_Y, LaurentPoly, MonomialMap,
+                   RationalExpr, ZeroDenominatorError, digit_guard, line_quotient,
+                   monomial_substitute, pack_poly, unpack_polys)
 
 # ---------------------------------------------------------------------------
 # Variable panels and torus specializations
@@ -332,19 +333,6 @@ def restrict_to_fixed_point(W: LaurentPoly, J: IndexTuple,
     return monomial_substitute(W, images, out_vars=spec.vars)
 
 
-def tangent_weights(J: IndexTuple) -> tuple:
-    """The tangent weights of G/P at the fixed point of J, split into
-    (cell, normal).  Each is a tuple of pairs (a, b), a in an earlier
-    block of J than b, standing for the weight tau_b/tau_a, in the order
-    of the blocks j < k, then a, then b.  A pair is normal to J's cell
-    exactly when a > b, so the normal count is the cell's codimension."""
-    cell, normal = [], []
-    for j, k in itertools.combinations(range(len(J.blocks)), 2):
-        for a, b in itertools.product(J.blocks[j], J.blocks[k]):
-            (normal if a > b else cell).append((a, b))
-    return tuple(cell), tuple(normal)
-
-
 def chern_factor_product(pairs, spec: TorusSpecialization) -> LaurentPoly:
     """The product over factor pairs (i, j) of 1 + y*tau_i/tau_j; on the
     pairs of tangent_weights, of 1 + y/chi over the weights chi."""
@@ -467,116 +455,68 @@ def top_cell_row(mu: Composition, spec: TorusSpecialization) -> dict:
     return row
 
 
-def left_row_step(row: Mapping[IndexTuple, LaurentPoly], i: int) -> dict:
+def left_row_step(row: Mapping[IndexTuple, tuple], i: int) -> dict:
     """The row f' of s_i I (values i, i+1 swapped) from the row f of I,
     when s_i I is one shorter than I, on plain and modified rows alike:
         f'(J) = ((1 + y*tau^D) s(f(s_i J)) - (1 + y) f(J)) / (1 - tau^D)
     with D = e_i - e_{i+1} and s exchanging tau_i and tau_{i+1}: the left
     Demazure-Lusztig operator (Aluffi-Mihalcea-Schuermann-Su) on fixed
-    points.  The numerator is built by exponent shifts and divided along
-    lines; f'(s_i J) = s(f'(J)) + s(f(J)) - f(s_i J), so each pair J,
-    s_i J divides once.  Needs the standard torus."""
+    points, on packed rows (ring.pack_poly) on the standard torus, each
+    entry built under ring.digit_guard.  The numerator is built by
+    exponent shifts and divided along lines (ring.line_quotient);
+    f'(s_i J) = s(f'(J)) + s(f(J)) - f(s_i J), so each pair divides once."""
     out = dict.fromkeys(row)
+    vars = TorusSpecialization.standard(next(iter(row)).mu.n).vars
     for J, fJ in row.items():
         if out[J] is None:
             sJ = J.swap_values(i)
             fsJ = row[sJ]
-            out[J] = q = _left_quotient(fJ, fsJ, i)
+            out[J] = q = digit_guard(_left_quotient, (fJ, fsJ), i, vars)
             if sJ != J:
-                out[sJ] = _left_partner(q, fJ, fsJ, i)
+                out[sJ] = digit_guard(_left_partner, (q, fJ, fsJ), i)
     return out
 
 
-def _left_partner(q: LaurentPoly, fJ: LaurentPoly, fsJ: LaurentPoly, i: int) -> LaurentPoly:
+def _left_partner(q: tuple, fJ: tuple, fsJ: tuple, i: int) -> tuple:
     """f'(s_i J) = s(q + f(J)) - f(s_i J) of left_row_step, q = f'(J)."""
     p = i - 1
-    acc = {e: yp_neg(c) for e, c in fsJ.terms.items()}
-    for f in (q, fJ):
-        for e, c in f.terms.items():
+    acc = {e: -v for e, v in fsJ[0].items()}
+    get = acc.get
+    for terms, _ in (q, fJ):
+        for e, v in terms.items():
             key = e[:p] + (e[i], e[p]) + e[i + 1:]
-            old = acc.get(key)
-            acc[key] = c if old is None else yp_add(old, c)
-    return LaurentPoly._from_trimmed(fsJ.vars, {e: c for e, c in acc.items() if c})
+            acc[key] = get(key, 0) + v
+    return {e: v for e, v in acc.items() if v}, q[1] + fJ[1] + fsJ[1]
 
 
-def _left_quotient(fJ: LaurentPoly, fsJ: LaurentPoly, i: int) -> LaurentPoly:
+def _left_quotient(fJ: tuple, fsJ: tuple, i: int, vars: tuple) -> tuple:
     """((1 + y*tau^D) s(f(s_i J)) - (1 + y) f(J)) / (1 - tau^D) of left_row_step."""
     p = i - 1
-    D = tuple(1 if k == p else -1 if k == i else 0 for k in range(len(fJ.vars)))
-    width = 1 + max(map(len, itertools.chain(fJ.terms.values(), fsJ.terms.values())),
-                    default=0)
-    acc = {}
-    for e, c in fJ.terms.items():
-        cp = c + (0,) * (width - len(c))
-        acc[e] = tuple(map(neg, map(add, cp, (0,) + cp[:-1])))
-    for e, c in fsJ.terms.items():
-        cp = c + (0,) * (width - len(c))
+    acc = {e: -v - (v << YP_PACK_BITS) for e, v in fJ[0].items()}
+    get = acc.get
+    for e, v in fsJ[0].items():
         head, tail = e[:p], e[i + 1:]
-        for key, u in ((head + (e[i], e[p]) + tail, cp),
-                       (head + (e[i] + 1, e[p] - 1) + tail, (0,) + cp[:-1])):
-            acc[key] = tuple(map(add, acc[key], u)) if key in acc else u
-    return _line_quotient(acc, D, width, fJ.vars)
+        key = head + (e[i], e[p]) + tail
+        acc[key] = get(key, 0) + v
+        key = head + (e[i] + 1, e[p] - 1) + tail
+        acc[key] = get(key, 0) + (v << YP_PACK_BITS)
+    D = tuple(1 if k == p else -1 if k == i else 0 for k in range(len(vars)))
+    return line_quotient((acc, 2 * (fJ[1] + fsJ[1])), D, vars)
 
 
 def _divide_by_differences(f: LaurentPoly, pairs) -> LaurentPoly:
     """f / prod (tau^a - tau^b) over pairs (a, b) of exponent vectors.
-    Each factor is tau^a (1 - tau^(b - a)): a shift by -a, then a
-    quotient along lines in the direction b - a.  NonDivisibleError if
-    the product does not divide f, ZeroDenominatorError if some a = b."""
+    Each factor is tau^a (1 - tau^(b - a)): a shift by -a, then a packed
+    ring.line_quotient in the direction b - a.  NonDivisibleError if the
+    product does not divide f, ZeroDenominatorError if some a = b."""
     pairs = [(a, tuple(map(sub, b, a))) for a, b in pairs]
     if any(not any(D) for _, D in pairs):
         raise ZeroDenominatorError("division by tau^a - tau^b across equal torus images")
+    terms, bound = pack_poly(f)
     for a, D in pairs:
-        width = max(map(len, f.terms.values()), default=0)
-        f = _line_quotient({tuple(map(sub, e, a)): c + (0,) * (width - len(c))
-                            for e, c in f.terms.items()}, D, width, f.vars)
-    return f
-
-
-def _line_quotient(acc: dict, D: tuple, width: int, vars: tuple) -> LaurentPoly:
-    """Divide sum_e acc[e] tau^e (y-tuples padded to width) by 1 - tau^D,
-    D nonzero.  Along a line m + kD the numerator coefficient at k is
-    q_k - q_(k-1), so q_k is the prefix sum up to k; the division is
-    exact iff every line sums to zero, else NonDivisibleError carries the
-    line sums."""
-    p = next(k for k, d in enumerate(D) if d)
-    d = D[p]
-    multiples: dict = {}
-
-    def multiple(k):
-        m = multiples.get(k)
-        if m is None:
-            m = multiples[k] = tuple(k * x for x in D)
-        return m
-
-    lines: dict = {}
-    for e, u in acc.items():
-        k = e[p] // d
-        lines.setdefault(tuple(map(sub, e, multiple(k))), []).append((k, u))
-    terms: dict = {}
-    stray: dict = {}
-    zero = (0,) * width
-    for base, points in lines.items():
-        points.sort()
-        run, last = zero, points[0][0]
-        for k, u in points:
-            if run != zero:
-                q = yp_trim(run)
-                for j in range(last, k):
-                    terms[tuple(map(add, base, multiple(j)))] = q
-            run, last = tuple(map(add, run, u)), k
-        if run != zero:
-            stray[tuple(map(add, base, multiple(last)))] = run
-    if stray:
-        raise NonDivisibleError("numerator not divisible by 1 - tau^D",
-                                remainder=LaurentPoly(vars, stray))
-    return LaurentPoly._from_trimmed(vars, terms)
-
-
-def _left_parent(I: IndexTuple) -> int:
-    """The smallest i in an earlier block than i+1: s_i I is one longer."""
-    block = {x: j for j, b in enumerate(I.blocks) for x in b}
-    return next(i for i in range(1, I.mu.n) if block[i] < block[i + 1])
+        shifted = {tuple(map(sub, e, a)): v for e, v in terms.items()}
+        terms, bound = digit_guard(line_quotient, ((shifted, bound),), D, f.vars)
+    return unpack_polys({0: terms}, f.vars)[0]
 
 
 def localization_table(mu: Composition | Sequence[int], modified: bool = True,
@@ -585,10 +525,11 @@ def localization_table(mu: Composition | Sequence[int], modified: bool = True,
     standard torus t1..tn: {I: {J: f}}, rows and their points in the order
     of enumerate_index_tuples, or the rows in the order of cells.
 
-    One depth-first walk (tree_walk) of left_row_step from the top cell's
-    row down the left parents, holding only the current path.  The step
-    commutes with c_mu (c_mu at s_i J, swapped, is c_mu at J), so plain
-    rows start from the top row times c_mu."""
+    One depth-first walk (tree_walk) of left_row_step down the left
+    parents from the top cell's row, packed once, holding only the
+    current path and decoding each row once.  The step commutes with
+    c_mu (c_mu at s_i J, swapped, is c_mu at J), so plain rows start
+    from the top row times c_mu."""
     if not isinstance(mu, Composition):
         mu = Composition(mu)
     spec = TorusSpecialization.standard(mu.n)
@@ -597,8 +538,10 @@ def localization_table(mu: Composition | Sequence[int], modified: bool = True,
     seed = top_cell_row(mu, spec)
     if not modified:
         seed[top] = seed[top] * c_mu_at(top, spec)
-    edges = ((I, I.swap_values(i), i) for I in points if I != top for i in [_left_parent(I)])
-    rows = dict(tree_walk(top, seed, edges, left_row_step, cells))
+    seed = {J: pack_poly(f) for J, f in seed.items()}
+    rows = {I: unpack_polys({J: terms for J, (terms, _) in row.items()}, spec.vars)
+            for I, row in tree_walk(top, seed, left_parent_edges(points, top),
+                                    left_row_step, cells)}
     return {I: rows[I] for I in (points if cells is None else cells)}
 
 

@@ -11,7 +11,8 @@
 - `ring_left_row_step`, the left Demazure-Lusztig step on the rows of a
   flag variety G/P written with ring products and exact division: the
   oracle of `mcclass.weightfn.left_row_step`, the step of
-  `localization_table` for every composition.
+  `localization_table` for every composition.  `digit_sum` measures
+  the digits of packed terms, which every digit bound must cover.
 - `ring_descent_step` and `ring_demazure_step`, the right steps on
   full-flag rows written the same way.  `ring_descent_step` is the
   exchange formula, an independent form of the Demazure-Lusztig
@@ -63,7 +64,7 @@ from mcclass.interp import (CsmSolution, NonUniqueError, NoSolutionError, Symmet
                             _degree, _monomials_up_to, solve_unique_fractions)
 from mcclass.newton import LatticePolytope
 from mcclass.ring import (YP_ONE_PLUS_Y, LaurentPoly, _monomial_str, exact_divide, yp_add,
-                          yp_scale)
+                          yp_scale, yp_unpack)
 from mcclass.weightfn import TorusSpecialization, c_mu_at, restriction_direct
 
 
@@ -146,6 +147,11 @@ def solve_unique_bareiss(rows, rhs):
             acc -= Fraction(aug[i][j]) * x[j]
         x[c] = acc / aug[i][c]
     return x
+
+
+def digit_sum(terms: Mapping) -> int:
+    """The sum of the absolute values of all y-digits of packed terms."""
+    return sum(abs(d) for v in terms.values() for d in yp_unpack(v))
 
 
 def ring_left_row_step(row: Mapping[IndexTuple, LaurentPoly], i: int) -> dict:

@@ -5,10 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from frozen_expansions import EXPANSIONS_N3, NONEQ_OPEN_N4
-from mcclass.combi import Composition, Permutation, bruhat_leq
+from mcclass.combi import Composition, Permutation, bruhat_leq, left_parent
+import mcclass.cli
 import mcclass.expand
 from mcclass.expand import (CONJECTURE_CHECKS, Expander, NegativeRatioExponentError,
-                            _left_parent, check_conjectures, check_log_concavity,
+                            check_conjectures, check_log_concavity,
                             check_s_delta_signs, check_sign_conjecture, expand_by_solve,
                             format_expansion, is_strictly_log_concave, left_step,
                             ratio_exponents, specialize_nonequivariant,
@@ -17,6 +18,7 @@ from mcclass.ring import (LaurentPoly, PackingOverflowError, RingError, dumps_ca
                           exact_divide, monomial_substitute, substitute_ones, yp_add, yp_pack,
                           yp_unpack)
 from mcclass.weightfn import TorusSpecialization, demazure_step, full_flag_table_recursive
+from oracles import digit_sum
 
 
 def perm(*w):
@@ -245,18 +247,13 @@ def step_inputs(draw):
     return coeffs, draw(st.integers(1, n - 1)), spec
 
 
-def _digit_sum(terms):
-    """The sum of the absolute values of all y-digits of packed terms."""
-    return sum(abs(d) for v in terms.values() for d in yp_unpack(v))
-
-
 def pack(coeffs):
     """Packed coefficients as the walk carries them, each with its exact
     digit sum as its bound."""
     out = {}
     for w, c in coeffs.items():
         terms = {e: yp_pack(v) for e, v in c.terms.items()}
-        out[w] = (terms, _digit_sum(terms))
+        out[w] = (terms, digit_sum(terms))
     return out
 
 
@@ -277,23 +274,49 @@ def test_left_step_matches_ring_oracle(args):
     coeffs, i, spec = args
     packed = left_step(pack(coeffs), i)
     for terms, bound in packed.values():
-        assert bound >= _digit_sum(terms)
+        assert bound >= digit_sum(terms)
     got = unpack(packed, spec)
     assert got == oracle_left_step(coeffs, i, spec)
     _assert_canonical(got)
 
 
 def test_left_step_raises_when_digit_bound_reaches_limit():
-    # the descent cell 21 takes 3 B from c_21 (span 0), the ascent cell
-    # 12 takes 2 B from its partner 21
+    # c_21 = d: the descent cell 21 gets -(1 + y) d - y d t1/t2, whose
+    # digits sum to 3 d, the bound 3 B (span 0); the ascent cell 12 gets
+    # 2 B from its partner 21.  So the measured digits overflow exactly
+    # when 3 d reaches 2^63
+    spec = TorusSpecialization.standard(2)
     x = perm(2, 1)
-    ok = left_step({x: ({(0, 0): 1}, 2 ** 63 // 3)}, 1)
-    assert ok[x][1] == 3 * (2 ** 63 // 3) < 2 ** 63
+    d = 2 ** 63 // 3
+    coeffs = {x: LaurentPoly.constant(spec.vars, d)}
+    ok = left_step(pack(coeffs), 1)
+    assert ok[x][1] == digit_sum(ok[x][0]) == 3 * d < 2 ** 63
+    assert unpack(ok, spec) == oracle_left_step(coeffs, 1, spec)
     with pytest.raises(PackingOverflowError) as err:
-        left_step({x: ({(0, 0): 1}, 2 ** 63 // 3 + 1)}, 1)
+        left_step(pack({x: LaurentPoly.constant(spec.vars, d + 1)}), 1)
     assert isinstance(err.value, RingError)
+
+
+def test_left_step_remeasures_a_bound_at_the_limit():
+    # a carried bound just below 2^63 over small digits: the step's bound
+    # reaches the limit, the input is measured and the step redone
+    spec = TorusSpecialization.standard(3)
+    coeffs = {perm(3, 1, 2): LaurentPoly(spec.vars, {(0, 1, -1): (1, -2), (2, 0, 0): (0, 3)}),
+              perm(3, 2, 1): LaurentPoly(spec.vars, {(1, 0, 0): (-1,)})}
+    loose = {w: (terms, 2 ** 63 - 1) for w, (terms, _) in pack(coeffs).items()}
+    got = left_step(loose, 2)
+    assert got == left_step(pack(coeffs), 2)
+    assert unpack(got, spec) == oracle_left_step(coeffs, 2, spec)
+
+
+def test_left_step_raises_through_the_cli(monkeypatch, capsys):
+    # the point class with digit 2^62: the first step's measured digits overflow
+    monkeypatch.setattr(mcclass.expand, "pack_poly",
+                        lambda p: pack({None: p.scale_ypoly((2 ** 62,))})[None])
     with pytest.raises(PackingOverflowError):
-        left_step({x: ({(0, 0): 1}, 2 ** 63)}, 1)
+        Expander(3).expand(perm(1, 2, 3))
+    assert mcclass.cli.main(["expand", "--n", "3", "--p", "1,2,3"]) == 2
+    assert capsys.readouterr().err.startswith("computation fault: packed y-digits")
 
 
 @pytest.fixture(scope="module")
@@ -307,7 +330,7 @@ def test_left_step_spot_checks_n5(expander5):
     # length 3, and its parent carries 912 terms
     for word in [(1, 3, 4, 5, 2), (5, 1, 2, 3, 4), (2, 5, 4, 3, 1), (5, 4, 3, 1, 2)]:
         w = Permutation(word)
-        i = _left_parent(w)
+        i = left_parent(w)
         parent = expander5.expand(w.swap_values(i)).coeffs
         got = expander5.expand(w).coeffs
         assert oracle_left_step(parent, i, expander5.spec) == got, word

@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 
 from mcclass.combi import (Composition, IndexTuple, Permutation, closure_leq,
                            enumerate_index_tuples, length, weak_order_walk)
-from mcclass.ring import (LaurentPoly, MonomialMap, NonDivisibleError, RationalExpr,
-                          ZeroDenominatorError, exact_divide)
+from mcclass.ring import (LaurentPoly, MonomialMap, NonDivisibleError, PackingOverflowError,
+                          RationalExpr, ZeroDenominatorError, exact_divide, pack_poly,
+                          unpack_polys)
+import mcclass.cli
 import mcclass.weightfn
 from mcclass.weightfn import (PSI_EQUAL, PSI_GREATER, PSI_LESS, TorusSpecialization,
                               VariablePanel, c_mu_at, c_prime_mu_at, chern_factor_product,
@@ -16,8 +18,9 @@ from mcclass.weightfn import (PSI_EQUAL, PSI_GREATER, PSI_LESS, TorusSpecializat
                               full_flag_table_recursive, left_row_step, localization_table,
                               psi_factor, restrict_to_fixed_point, restriction_direct,
                               tangent_weights, top_cell_row, u_term, weight_function)
-from oracles import (direct_table, modified_restriction_direct, monomial_substitute_loop,
-                     ring_demazure_step, ring_descent_step, ring_left_row_step)
+from oracles import (digit_sum, direct_table, modified_restriction_direct,
+                     monomial_substitute_loop, ring_demazure_step, ring_descent_step,
+                     ring_left_row_step)
 
 MU11 = Composition((1, 1))
 I12 = IndexTuple(MU11, [(1,), (2,)])
@@ -563,13 +566,13 @@ def test_descent_step_divides_once_per_pair(monkeypatch):
     # T_i = (1 + y*beta) pi_i - 1 divides once per pair v, v*s_i: n!/2 = 12
     # line quotients at n = 4, where one division per point would make 24
     calls = []
-    quotient = mcclass.weightfn._line_quotient
+    quotient = mcclass.weightfn.line_quotient
 
     def counted(*args):
         calls.append(args)
         return quotient(*args)
 
-    monkeypatch.setattr(mcclass.weightfn, "_line_quotient", counted)
+    monkeypatch.setattr(mcclass.weightfn, "line_quotient", counted)
     spec = TorusSpecialization.standard(4)
     row = {J.to_permutation(): f for J, f in top_cell_row(Composition((1, 1, 1, 1)), spec).items()}
     got = descent_step(row, 2, spec)
@@ -582,7 +585,9 @@ def left_inputs(draw):
     """A row over the points of a random composition with n <= 4 on the
     standard torus, for a random step i.  f(s_i J) - f(J) is a multiple of
     t_i - t_(i+1) at every J, which makes the left step exact, unless one
-    entry is perturbed."""
+    entry is perturbed.  The row is then multiplied by 1 or by a
+    y-polynomial with a digit of 2^40, so that packed digits carry into
+    each other; the step is Z[y]-linear."""
     n = draw(st.integers(2, 4))
     mu = Composition(draw(st.sampled_from(list(compositions(n)))))
     spec = TorusSpecialization.standard(n)
@@ -601,14 +606,25 @@ def left_inputs(draw):
     if draw(st.booleans()):
         J = draw(st.sampled_from(points))
         row[J] = row[J] + poly(2)
-    return {J: row[J] for J in points}, i
+    scale = draw(st.sampled_from([(1,), (2 ** 40, -3)]))
+    return {J: row[J].scale_ypoly(scale) for J in points}, i
+
+
+def packed_row_step(row, i):
+    """left_row_step on the packed row, unpacked; every bound it returns
+    is at least the digit sum it bounds."""
+    got = left_row_step({J: pack_poly(f) for J, f in row.items()}, i)
+    for terms, bound in got.values():
+        assert bound >= digit_sum(terms)
+    vars = next(iter(row.values())).vars
+    return unpack_polys({J: terms for J, (terms, _) in got.items()}, vars)
 
 
 @given(left_inputs())
 @settings(max_examples=150, deadline=None)
 def test_left_row_step_matches_ring_oracle(inputs):
     row, i = inputs
-    assert _step_outcome(left_row_step, row, i) == _step_outcome(ring_left_row_step, row, i)
+    assert _step_outcome(packed_row_step, row, i) == _step_outcome(ring_left_row_step, row, i)
 
 
 @pytest.mark.parametrize("parts, pairs", [((1, 1, 1, 1), 12), ((1, 2, 1), 7)])
@@ -616,18 +632,43 @@ def test_left_row_step_divides_once_per_pair(monkeypatch, parts, pairs):
     # one line quotient per pair J, s_2 J; on (1,2,1) the two points with
     # 2 and 3 in the middle block are pairs of one
     calls = []
-    quotient = mcclass.weightfn._line_quotient
+    quotient = mcclass.weightfn.line_quotient
 
     def counted(*args):
         calls.append(args)
         return quotient(*args)
 
     row = next(iter(localization_table(parts).values()))
-    monkeypatch.setattr(mcclass.weightfn, "_line_quotient", counted)
-    got = left_row_step(row, 2)
+    monkeypatch.setattr(mcclass.weightfn, "line_quotient", counted)
+    got = packed_row_step(row, 2)
     assert len(calls) == pairs
     assert got == ring_left_row_step(row, 2)
     assert list(got) == list(row)
+
+
+def test_left_row_step_remeasures_a_bound_at_the_limit():
+    # the top row of (1,2,1) with every bound just below 2^63: each step's
+    # bound reaches the limit, its inputs are measured and it is redone
+    row = next(iter(localization_table((1, 2, 1)).values()))
+    packed = {J: pack_poly(f) for J, f in row.items()}
+    loose = {J: (terms, 2 ** 63 - 1) for J, (terms, _) in packed.items()}
+    got = left_row_step(loose, 2)
+    assert ({J: terms for J, (terms, _) in got.items()}
+            == {J: terms for J, (terms, _) in left_row_step(packed, 2).items()})
+    for terms, bound in got.values():
+        assert digit_sum(terms) <= bound < 2 ** 63
+
+
+def test_left_row_step_raises_when_measured_digits_overflow(monkeypatch, capsys):
+    # the top cell's row times 2^62: the first step's measured digits overflow
+    top_row = mcclass.weightfn.top_cell_row
+    monkeypatch.setattr(mcclass.weightfn, "top_cell_row",
+                        lambda mu, spec: {J: f.scale_ypoly((2 ** 62,))
+                                          for J, f in top_row(mu, spec).items()})
+    with pytest.raises(PackingOverflowError):
+        localization_table((1, 2))
+    assert mcclass.cli.main(["weight", "--mu", "1,2", "--all", "--restrict"]) == 2
+    assert capsys.readouterr().err.startswith("computation fault: packed y-digits")
 
 
 @pytest.mark.slow
