@@ -14,14 +14,15 @@ separate right-hand side and the column count passed as `width`.  Each
 orbit's restriction is compiled once, when the problem is built, into a
 monomial map of the ring kernel.
 
-The basis is held once, as its coefficient matrix {monomial: {column:
-coefficient}}, and each orbit restricts the whole basis in one pass of
-its monomial map: the row of an image monomial is the sum of the rows
-of the monomials mapped to it, so every distinct basis monomial is
-scattered once per orbit, however many basis classes share it.  The
-rows of an identity are then read off the restricted matrix in sorted
-monomial order.  After the solve, the class, its lowest-degree part and
-the fundamental class are read off the same matrix in one integer pass.
+The basis is built once, directly as its coefficient matrix
+{monomial: {column: coefficient}}, and each orbit restricts the whole
+basis in one pass of its monomial map: the row of an image monomial is
+the sum of the rows of the monomials mapped to it, so every distinct
+basis monomial is scattered once per orbit, however many basis classes
+share it.  The rows of an identity are then read off the restricted
+matrix in sorted monomial order.  After the solve, the class, its
+lowest-degree part and the fundamental class are read off the same
+matrix as integer terms.
 
 The CSM system has the basis classes up to the degree bound B of the
 constraints as unknowns, plus, at each non-target orbit o whose
@@ -33,9 +34,15 @@ only the rows saying that phi_o(P) has no monomial of degree >=
 codim(o), and nothing when B < codim(o).  The fundamental class's rows
 are the degree-codim(target) rows of the same restricted matrices.
 
-All cohomology classes here are ordinary polynomials (Chern-root
-degree one per variable); the shared Laurent kernel is used with
-nonnegative exponents and a trivial parameter slot.
+All cohomology classes here are ordinary integer polynomials
+(Chern-root degree one per variable, no parameter y), so every
+polynomial computation runs on integer terms {exponent: int}: the
+generators, the basis classes (multiplied out once, into the
+coefficient matrix), the orbit classes read from JSON, the target
+value and the restrictions of the solution.  LaurentPoly appears only
+at the API boundary: OrbitSpec.euler and tangent_c,
+SymmetricExpansion.poly, CsmSolution.restrictions and
+OrbitProblem.restrict, each wrapped once from integer terms.
 """
 
 from __future__ import annotations
@@ -44,6 +51,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
+from operator import add, mul
 from typing import Mapping, Sequence
 
 from .ring import LaurentPoly, MonomialMap, format_poly, json_integer
@@ -104,52 +112,88 @@ class SymmetricAnsatz:
         return cls(groups, vars)
 
     def generators(self):
-        """(name, degree, polynomial) for every elementary symmetric
-        generator, in group order then degree order."""
+        """(name, degree, terms) for every elementary symmetric generator,
+        in group order then degree order; terms is the generator's
+        {exponent: 1} over vars."""
+        index = {v: i for i, v in enumerate(self.vars)}
         out = []
         for label, vs in self.groups:
             for k in range(1, len(vs) + 1):
-                out.append((f"{label}{k}", k, _esym(self.vars, vs, k)))
+                terms = {}
+                for comb in itertools.combinations(vs, k):
+                    e = [0] * len(self.vars)
+                    for v in comb:
+                        e[index[v]] = 1
+                    terms[tuple(e)] = 1
+                out.append((f"{label}{k}", k, terms))
         return out
 
     def basis(self, degree: int, homogeneous: bool = False):
-        """Monomials in the generators with weighted degree <= degree
-        (== degree when homogeneous), as (name, polynomial) pairs in a
-        deterministic order."""
+        """The monomials in the generators with weighted degree <= degree
+        (== degree when homogeneous), in an order that does not depend on
+        degree, as (names, degrees, matrix): their names, their weighted
+        degrees, and the coefficient matrix {monomial: {column:
+        coefficient}} of the classes they multiply out to, each row's
+        columns in ascending order.  Each class is one integer product of
+        its prefix's class (shared along the enumeration) with a
+        generator."""
         gens = self.generators()
-        out = []
+        names, degrees, matrix = [], [], {}
 
-        def rec(idx: int, deg_left: int, name_parts, poly: LaurentPoly):
+        def rec(idx: int, deg_left: int, name_parts, terms: dict):
             if idx == len(gens):
                 deg = degree - deg_left
                 if homogeneous and deg != degree:
                     return
-                out.append(("*".join(name_parts) if name_parts else "1", poly))
+                j = len(names)
+                names.append("*".join(name_parts) if name_parts else "1")
+                degrees.append(deg)
+                for e, c in terms.items():
+                    row = matrix.get(e)
+                    if row is None:
+                        matrix[e] = {j: c}
+                    else:
+                        row[j] = c
                 return
-            gname, gdeg, gpoly = gens[idx]
+            gname, gdeg, gterms = gens[idx]
             power = 0
-            acc = poly
+            acc = terms
             while power * gdeg <= deg_left:
                 parts = name_parts + ([f"{gname}^{power}" if power > 1 else gname]
                                       if power else [])
                 rec(idx + 1, deg_left - power * gdeg, parts, acc)
                 power += 1
                 if power * gdeg <= deg_left:
-                    acc = acc * gpoly
-            return
+                    acc = _mul(acc, gterms)
 
-        rec(0, degree, [], LaurentPoly.one(self.vars))
-        return out
+        rec(0, degree, [], {(0,) * len(self.vars): 1})
+        return names, degrees, matrix
 
 
-def _esym(all_vars: Sequence[str], vs: Sequence[str], k: int) -> LaurentPoly:
-    out = LaurentPoly.zero(all_vars)
-    for comb in itertools.combinations(vs, k):
-        e = [0] * len(all_vars)
-        for v in comb:
-            e[all_vars.index(v)] = 1
-        out = out + LaurentPoly.monomial(all_vars, e)
+def _mul(p: dict, q: dict) -> dict:
+    """The product of the integer polynomials p and q, {exponent: int}
+    without zero values."""
+    out: dict = {}
+    for e, c in p.items():
+        for f, d in q.items():
+            k = tuple(map(add, e, f))
+            v = out.get(k, 0) + c * d
+            if v:
+                out[k] = v
+            else:
+                del out[k]
     return out
+
+
+def _poly(vars: tuple, terms: dict) -> LaurentPoly:
+    """The integer polynomial terms as a LaurentPoly over vars, with a
+    trivial y-slot."""
+    return LaurentPoly._from_trimmed(vars, {e: (c,) for e, c in terms.items()})
+
+
+def _int_terms(p: LaurentPoly) -> dict:
+    """The terms of p, a class with a trivial y-slot, as {exponent: int}."""
+    return {e: c[0] for e, c in p.terms.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -159,19 +203,41 @@ def _esym(all_vars: Sequence[str], vs: Sequence[str], k: int) -> LaurentPoly:
 
 def _poly_from_factors(factors, vars, where: str) -> LaurentPoly:
     """Product of affine-linear factors {const, coeffs: {var: c}} over
-    vars, with integer const and c; where names the orbit and the key in
-    an error."""
-    out = LaurentPoly.one(vars)
+    vars, with integer const and c, multiplied out on integer terms and
+    wrapped once; where names the orbit and the key in an error."""
+    _json_list(factors, where)
+    index = {v: i for i, v in enumerate(vars)}
+    one = (0,) * len(vars)
+    out = {one: 1}
     for f in factors:
-        term = LaurentPoly.constant(vars, json_integer(f.get("const", 0), f"{where} const"))
+        const = json_integer(f.get("const", 0), f"{where} const")
+        term = {one: const} if const else {}
         for v, c in f.get("coeffs", {}).items():
-            if v not in vars:
+            if v not in index:
                 raise ValueError(f"{where} names {v!r}, which is neither an ansatz "
                                  "variable nor a phi image")
             c = json_integer(c, f"{where} coefficient of {v}")
-            term = term + LaurentPoly.variable(vars, v).scale_ypoly((c,))
-        out = out * term
-    return out
+            if c:
+                e = [0] * len(vars)
+                e[index[v]] = 1
+                term[tuple(e)] = c
+        out = _mul(out, term)
+    return _poly(vars, out)
+
+
+def _json_list(value, what: str) -> list:
+    """value, if it is a JSON list; otherwise ValueError naming what it is."""
+    if type(value) is not list:
+        raise ValueError(f"{what} {value!r} is not a list")
+    return value
+
+
+def _json_names(value, what: str) -> list:
+    """value, if it is a JSON list of strings; otherwise ValueError naming
+    what it is."""
+    if type(value) is not list or not all(type(v) is str for v in value):
+        raise ValueError(f"{what} {value!r} is not a list of names")
+    return value
 
 
 def _auto_label(vars: Sequence[str], taken: set) -> str:
@@ -192,21 +258,30 @@ def _auto_label(vars: Sequence[str], taken: set) -> str:
 def _groups_from_json(obj: Mapping):
     """Accept either explicit labelled groups or a flat variable list
     with symmetry blocks; leftovers of vars become singleton groups.
-    A block variable that is not in vars (when vars is given), one that
-    lies in two blocks, and a label given to two groups are rejected;
-    generated labels avoid every label before them."""
+    Lists of names must be JSON lists of strings.  An empty symmetry
+    block, a block variable that is not in vars (when vars is given),
+    one that lies in two blocks, and a label given to two groups are
+    rejected; generated labels avoid every label before them."""
     taken: set = set()
     if "groups" in obj:
-        blocks = [(g["label"], tuple(g["vars"])) for g in obj["groups"]]
-        for label, _ in blocks:
+        blocks = []
+        for g in _json_list(obj["groups"], "groups"):
+            label = g["label"]
+            if type(label) is not str:
+                raise ValueError(f"group label {label!r} is not a string")
             if label in taken:
                 raise ValueError(f"group label {label!r} is given twice")
             taken.add(label)
-        vars = (list(obj["vars"]) if "vars" in obj
+            blocks.append((label, tuple(_json_names(g["vars"], f"group {label}: vars"))))
+        vars = (_json_names(obj["vars"], "vars") if "vars" in obj
                 else list(dict.fromkeys(v for _, b in blocks for v in b)))
     else:
-        blocks = [(_auto_label(b, taken), tuple(b)) for b in obj.get("symmetry", [])]
-        vars = list(obj["vars"])
+        blocks = []
+        for b in _json_list(obj.get("symmetry", []), "symmetry"):
+            if not _json_names(b, "symmetry block"):
+                raise ValueError("symmetry block [] is empty")
+            blocks.append((_auto_label(b, taken), tuple(b)))
+        vars = _json_names(obj["vars"], "vars")
     for v in vars:
         if vars.count(v) > 1:
             raise ValueError(f"vars lists {v!r} twice")
@@ -222,13 +297,15 @@ def _groups_from_json(obj: Mapping):
 
 
 def _orbits_from_json(obj: Mapping, ansatz_vars: tuple) -> list:
-    """The orbit entries, after rejecting a repeated orbit name, a phi
-    key that is not an ansatz variable and a phi image that is not a
-    variable name."""
-    orbits = list(obj["orbits"])
+    """The orbit entries, after rejecting orbits that are not a list, a
+    name that is not a string, a repeated orbit name, a phi key that is
+    not an ansatz variable and a phi image that is not a variable name."""
+    orbits = _json_list(obj["orbits"], "orbits")
     names = set()
     for o in orbits:
         name = o["name"]
+        if type(name) is not str:
+            raise ValueError(f"orbit name {name!r} is not a string")
         if name in names:
             raise ValueError(f"duplicate orbit name {name!r}")
         names.add(name)
@@ -409,22 +486,6 @@ def _scale_row(r: dict, k: int) -> dict:
     return {j: k * c for j, c in r.items()}
 
 
-def _basis_matrix(polys) -> dict:
-    """The coefficient matrix {monomial: {j: coefficient in polys[j]}} of
-    the basis classes polys, each row's columns in ascending order.
-    Coefficients are read at y^0: every class here has a trivial
-    parameter slot."""
-    matrix: dict = {}
-    for j, p in enumerate(polys):
-        for e, c in p.terms.items():
-            row = matrix.get(e)
-            if row is None:
-                matrix[e] = {j: c[0]}
-            else:
-                row[j] = c[0]
-    return matrix
-
-
 def _restrict_matrix(problem: OrbitProblem, o: OrbitSpec, matrix: dict) -> dict:
     """The basis restricted to o, as its coefficient matrix over
     all_vars: each image monomial's row is the sum of the rows of the
@@ -455,10 +516,6 @@ def _add_identity(rows: list, rhs: list, restricted: dict, target: dict | None =
             rhs.append(0)
 
 
-def _int_terms(p: LaurentPoly) -> dict:
-    return {e: c[0] for e, c in p.terms.items()}
-
-
 def _integral(names, values) -> list:
     """values as ints; raise NoSolutionError at the first non-integral
     one, in column order."""
@@ -485,9 +542,20 @@ def _fundamental_values(problem: OrbitProblem, t: OrbitSpec, names, restricted,
     return _integral(names, solver(rows, rhs, width=len(names)))
 
 
-def _expansion(names, values, cols, poly_terms: dict, vars) -> SymmetricExpansion:
+def _expansion(names, values, cols, terms: dict, vars) -> SymmetricExpansion:
     return SymmetricExpansion(tuple((names[j], values[j]) for j in cols if values[j]),
-                              LaurentPoly._from_trimmed(vars, poly_terms))
+                              _poly(vars, terms))
+
+
+def _combine(matrix: dict, values) -> dict:
+    """The integer terms of sum_j values[j] * (class j), the classes
+    given by their coefficient matrix."""
+    out = {}
+    for e, row in matrix.items():
+        c = sum(values[j] * v for j, v in row.items())
+        if c:
+            out[e] = c
+    return out
 
 
 def solve_fundamental(problem: OrbitProblem, target: str,
@@ -496,18 +564,12 @@ def solve_fundamental(problem: OrbitProblem, target: str,
     every orbit of codimension <= codim(target) and restricting to the
     Euler class at the target."""
     t = problem.orbit(target)
-    basis = problem.ansatz.basis(t.codim, homogeneous=True)
-    names = [n for n, _ in basis]
-    matrix = _basis_matrix([p for _, p in basis])
+    names, _, matrix = problem.ansatz.basis(t.codim, homogeneous=True)
     restricted = {o.name: _restrict_matrix(problem, o, matrix) for o in problem.orbits
                   if o.name == target or o.codim <= t.codim}
     values = _fundamental_values(problem, t, names, restricted, solver)
-    terms = {}
-    for e, row in matrix.items():
-        c = sum(values[j] * v for j, v in row.items())
-        if c:
-            terms[e] = (c,)
-    return _expansion(names, values, range(len(names)), terms, problem.ansatz.vars)
+    return _expansion(names, values, range(len(names)), _combine(matrix, values),
+                      problem.ansatz.vars)
 
 
 @dataclass(frozen=True)
@@ -529,12 +591,6 @@ class CsmSolution:
             "fundamental_class": self.fundamental.to_json(),
             "lowest_degree_matches_fundamental": self.lowest_matches_fundamental,
         }
-
-
-def _degree(p: LaurentPoly) -> int:
-    if p.is_zero():
-        return -1
-    return max(sum(e) for e in p.terms)
 
 
 def solve_csm(problem: OrbitProblem, target: str,
@@ -568,31 +624,31 @@ def solve_csm(problem: OrbitProblem, target: str,
     since the basis enumerates its monomials in an order that does not
     depend on the degree bound, and the bound is at least codim since
     tangent_c != 0.  The expansion, its lowest-degree part and the
-    fundamental class are then read off the matrix in one integer pass;
-    the fundamental class is nonzero and homogeneous of degree
-    codim(target), so the lowest-degree part compared with it is the
-    part of that degree.  The returned restrictions are those of the
-    solution, at every orbit.
+    fundamental class are then read off the matrix on integer terms; the
+    fundamental class is nonzero and homogeneous of degree codim(target),
+    so the lowest-degree part compared with it is the part of that
+    degree.  The returned restrictions are those of the solution, at
+    every orbit, mapped on its integer terms.
     """
     t = problem.orbit(target)
-    target_value = t.euler * t.tangent_c
+    target_value = _mul(_int_terms(t.euler), _int_terms(t.tangent_c))
+    # tangent_c != 0 (OrbitSpec), so d below is its top degree
+    tangent_degree = {o.name: max(map(sum, o.tangent_c.terms)) for o in problem.orbits}
     # euler is homogeneous of degree codim (OrbitSpec), so
     # deg(euler * tangent_c) = codim + deg(tangent_c)
-    bound = _degree(target_value)
+    bound = t.codim + tangent_degree[target]
     for o in problem.orbits:
         if o.name != target:
-            bound = max(bound, o.codim + _degree(o.tangent_c) - 1)
+            bound = max(bound, o.codim + tangent_degree[o.name] - 1)
 
-    basis = problem.ansatz.basis(bound)
-    names = [n for n, _ in basis]
-    matrix = _basis_matrix([p for _, p in basis])
-    fund = [j for j, (_, p) in enumerate(basis) if _degree(p) == t.codim]
+    names, degrees, matrix = problem.ansatz.basis(bound)
+    fund = [j for j, deg in enumerate(degrees) if deg == t.codim]
     index = {j: i for i, j in enumerate(fund)}
     width = len(names)
     rows, rhs = [], []
     fund_restricted = {}
     for o in problem.orbits:
-        d = _degree(o.tangent_c)
+        d = tangent_degree[o.name]
         if o.name != target and d == 0:
             restricted = _restrict_matrix(problem, o, {e: row for e, row in matrix.items()
                                                        if sum(e) >= o.codim})
@@ -603,7 +659,7 @@ def solve_csm(problem: OrbitProblem, target: str,
                                        for e, row in restricted.items()
                                        if sum(e) == t.codim}
         if o.name == target:
-            _add_identity(rows, rhs, restricted, _int_terms(target_value))
+            _add_identity(rows, rhs, restricted, target_value)
             continue
         if d > 0:
             # phi(P) - tangent_c * Q == 0 with Q an unknown quotient in
@@ -626,27 +682,22 @@ def solve_csm(problem: OrbitProblem, target: str,
                 restricted[e] = row | q if row else q
         _add_identity(rows, rhs, restricted)
     values = _integral(names, solver(rows, rhs, width=width)[:len(names)])
-    fund_values = _fundamental_values(problem, t, [names[j] for j in fund],
-                                      fund_restricted, solver)
+    fund_names = [names[j] for j in fund]
+    fund_values = _fundamental_values(problem, t, fund_names, fund_restricted, solver)
 
-    csm_terms, low_terms, fund_terms = {}, {}, {}
-    for e, row in matrix.items():
-        c = sum(values[j] * v for j, v in row.items())
-        if c:
-            csm_terms[e] = (c,)
-        if sum(e) == t.codim:
-            if c:
-                low_terms[e] = (c,)
-            c = sum(fund_values[index[j]] * v for j, v in row.items())
-            if c:
-                fund_terms[e] = (c,)
+    csm_terms = _combine(matrix, values)
+    restrictions = {o.name: _poly(problem.all_vars,
+                                  problem.restriction_maps[o.name].map_terms(csm_terms, add, mul))
+                    for o in problem.orbits}
+    # the rows of degree codim(target) hold only the columns fund
+    low_rows = {e: row for e, row in matrix.items() if sum(e) == t.codim}
+    low_terms = _combine(low_rows, values)
+    fund_terms = _combine(low_rows, dict(zip(fund, fund_values)))
     vars = problem.ansatz.vars
-    expansion = _expansion(names, values, range(len(names)), csm_terms, vars)
-    restrictions = {o.name: problem.restrict(expansion.poly, o) for o in problem.orbits}
-    lowest = _expansion(names, values, fund, low_terms, vars)
-    fundamental = _expansion([names[j] for j in fund], fund_values, range(len(fund)),
-                             fund_terms, vars)
-    return CsmSolution(expansion, restrictions, lowest, fundamental)
+    return CsmSolution(_expansion(names, values, range(len(names)), csm_terms, vars),
+                       restrictions,
+                       _expansion(names, values, fund, low_terms, vars),
+                       _expansion(fund_names, fund_values, range(len(fund)), fund_terms, vars))
 
 
 def _monomials_up_to(all_vars, image_vars, degree):

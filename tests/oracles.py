@@ -43,6 +43,10 @@
   orbit on its own and read the equations off the restricted classes
   monomial by monomial (`_system_from_identities`), where production
   restricts the basis's coefficient matrix in one pass per orbit.
+- `oracle_basis`, the symmetric ansatz's basis with every class
+  multiplied out by LaurentPoly products: the oracle of
+  `mcclass.interp.SymmetricAnsatz.basis`, which builds the coefficient
+  matrix on integer terms.  Both oracle solvers above use it.
 - `giambelli_thom_porteous(m, n, k)`, the fundamental class of the
   closure of omega_k in Hom(C^m, C^n) as the k x k determinant
   det(c_{n-m+k+j-i}(B - A)): the oracle of both interpolation routes to
@@ -61,7 +65,7 @@ from typing import Mapping, Sequence
 
 from mcclass.combi import Composition, IndexTuple, Permutation, enumerate_index_tuples
 from mcclass.interp import (CsmSolution, NonUniqueError, NoSolutionError, SymmetricExpansion,
-                            _degree, _monomials_up_to, solve_unique_fractions)
+                            _monomials_up_to, solve_unique_fractions)
 from mcclass.newton import LatticePolytope
 from mcclass.ring import (YP_ONE_PLUS_Y, LaurentPoly, _monomial_str, exact_divide, yp_add,
                           yp_scale, yp_unpack)
@@ -419,6 +423,46 @@ def hom_orbit_data(m: int, n: int) -> dict:
     return {"vars": a + b, "symmetry": [a, b], "orbits": orbits}
 
 
+def oracle_basis(ansatz, degree: int, homogeneous: bool = False) -> list:
+    """The basis of `SymmetricAnsatz.basis` as (name, weighted degree,
+    class) triples in the same order, every elementary symmetric
+    generator summed and every class multiplied out by LaurentPoly
+    products over the ansatz's variables."""
+    vars = ansatz.vars
+    gens = []
+    for label, vs in ansatz.groups:
+        for k in range(1, len(vs) + 1):
+            e_k = LaurentPoly.zero(vars)
+            for comb in itertools.combinations(vs, k):
+                term = LaurentPoly.one(vars)
+                for v in comb:
+                    term = term * LaurentPoly.variable(vars, v)
+                e_k = e_k + term
+            gens.append((f"{label}{k}", k, e_k))
+    out = []
+
+    def rec(idx, deg_left, name_parts, poly):
+        if idx == len(gens):
+            if not homogeneous or deg_left == 0:
+                out.append(("*".join(name_parts) or "1", degree - deg_left, poly))
+            return
+        gname, gdeg, gpoly = gens[idx]
+        power, acc = 0, poly
+        while power * gdeg <= deg_left:
+            part = [f"{gname}^{power}" if power > 1 else gname] if power else []
+            rec(idx + 1, deg_left - power * gdeg, name_parts + part, acc)
+            power += 1
+            if power * gdeg <= deg_left:
+                acc = acc * gpoly
+
+    rec(0, degree, [], LaurentPoly.one(vars))
+    return out
+
+
+def _degree(p: LaurentPoly) -> int:
+    return max((sum(e) for e in p.terms), default=-1)
+
+
 def _system_from_identities(identities):
     """Sparse rows of the linear system: one equation per monomial of
     every polynomial identity sum_j x_j * P_j == target.
@@ -475,9 +519,9 @@ def solve_fundamental_per_class(problem, target: str, solver=solve_unique_fracti
     of codimension <= codim(target), and the equations read off those
     restricted classes monomial by monomial."""
     t = problem.orbit(target)
-    basis = problem.ansatz.basis(t.codim, homogeneous=True)
-    names = [name for name, _ in basis]
-    polys = [p for _, p in basis]
+    basis = oracle_basis(problem.ansatz, t.codim, homogeneous=True)
+    names = [name for name, _, _ in basis]
+    polys = [p for _, _, p in basis]
     zero = LaurentPoly.zero(problem.all_vars)
     identities = []
     for o in problem.orbits:
@@ -543,9 +587,9 @@ def solve_csm_with_quotients(problem, target: str, solver=solve_unique_fractions
     for o in problem.orbits:
         if o.name != target:
             bound = max(bound, o.codim + _degree(o.tangent_c) - 1)
-    basis = problem.ansatz.basis(bound)
-    names = [name for name, _ in basis]
-    polys = [p for _, p in basis]
+    basis = oracle_basis(problem.ansatz, bound)
+    names = [name for name, _, _ in basis]
+    polys = [p for _, _, p in basis]
     zero = LaurentPoly.zero(problem.all_vars)
     width = len(polys)
     identities = []

@@ -247,6 +247,9 @@ SEGMENT = ('{"vars": ["t1", "t2"], "terms": [{"exp": [-1, 1], "y": [-1]}, '
     (DATA, _bundled_orbits(lambda d: d["symmetry"][1].append("c1"))),
     (DATA, _bundled_orbits(lambda d: d["symmetry"][0].append("b1"))),
     (DATA, _bundled_orbits(lambda d: d["orbits"][2]["euler"][0]["coeffs"].update(t9=1))),
+    (["interpolate", "--target", "open", "--data", FILE],
+     json.dumps({"vars": "ab", "orbits": [{"name": "open", "codim": 0, "phi": {},
+                                          "euler": [], "tangent_c": []}]})),
     (DATA, None),
     (LIMIT, NO_VARS), (LIMIT, "[1, 2]"), (LIMIT, '{"vars": ['), (LIMIT, None),
     (NEWTON, NO_VARS), (NEWTON, "[1, 2]"), (NEWTON, '{"vars": ['), (NEWTON, None),
@@ -264,7 +267,7 @@ SEGMENT = ('{"vars": ["t1", "t2"], "terms": [{"exp": [-1, 1], "y": [-1]}, '
         "duplicate-orbit-name", "phi-key-not-ansatz-variable", "phi-image-not-a-name",
         "codim-not-an-integer", "coefficient-not-an-integer", "const-a-bool",
         "coefficient-a-string", "symmetry-variable-not-in-vars", "variable-in-two-blocks",
-        "factor-variable-unknown",
+        "factor-variable-unknown", "vars-a-string",
         "data-missing-file",
         "limit-missing-key", "limit-wrong-type", "limit-bad-json", "limit-missing-file",
         "newton-missing-key", "newton-wrong-type", "newton-bad-json",

@@ -13,7 +13,7 @@ from mcclass.interp import (NonUniqueError, NoSolutionError, OrbitProblem,
                             solve_unique_fractions)
 from mcclass.ring import LaurentPoly, MonomialMap, format_poly
 from oracles import (giambelli_thom_porteous, hom_orbit_data, monomial_substitute_loop,
-                     solve_csm_with_quotients, solve_fundamental_per_class,
+                     oracle_basis, solve_csm_with_quotients, solve_fundamental_per_class,
                      solve_unique_bareiss, solve_unique_gauss_jordan)
 
 ORACLES = [solve_unique_gauss_jordan, solve_unique_bareiss]
@@ -185,19 +185,45 @@ def test_ansatz_basis_counts():
     ansatz = SymmetricAnsatz.from_groups([("A", ("a1", "a2")),
                                           ("B", ("b1", "b2", "b3"))])
     # degree-2 monomials in A1, A2, B1, B2, B3: A1^2, A1 B1, A2, B1^2, B2
-    basis2 = ansatz.basis(2, homogeneous=True)
-    assert len(basis2) == 5
-    names = {n for n, _ in basis2}
-    assert names == {"A1^2", "A1*B1", "A2", "B1^2", "B2"}
+    names, degrees, matrix = ansatz.basis(2, homogeneous=True)
+    assert len(names) == 5
+    assert set(names) == {"A1^2", "A1*B1", "A2", "B1^2", "B2"}
+    assert degrees == [2] * 5
+    assert all(sum(e) == 2 for e in matrix)
 
 
 def test_ansatz_generators_are_symmetric():
     ansatz = SymmetricAnsatz.from_groups([("A", ("a1", "a2"))])
     (name1, deg1, e1), (name2, deg2, e2) = ansatz.generators()
-    assert (name1, deg1) == ("A1", 1)
-    swapped = e1.rename_vars({"a1": "a2", "a2": "a1"})
-    assert swapped == e1
-    assert e2.rename_vars({"a1": "a2", "a2": "a1"}) == e2
+    assert (name1, deg1, e1) == ("A1", 1, {(1, 0): 1, (0, 1): 1})
+    assert (name2, deg2, e2) == ("A2", 2, {(1, 1): 1})
+    for terms in (e1, e2):
+        assert {(b, a): c for (a, b), c in terms.items()} == terms
+
+
+THREE_GROUPS = SymmetricAnsatz.from_groups([("A", ("a1", "a2")), ("B", ("b1", "b2", "b3")),
+                                            ("C", ("c1",))])
+
+
+@pytest.mark.parametrize("which, top", [("bundled-quiver", 6), ("three-groups", 5)])
+@pytest.mark.parametrize("homogeneous", [False, True], ids=["inhomogeneous", "homogeneous"])
+def test_basis_matches_the_oracle_basis(a2, which, top, homogeneous):
+    # names, order, weighted degrees and every coefficient, column by column
+    ansatz = a2.ansatz if which == "bundled-quiver" else THREE_GROUPS
+    for degree in range(top + 1):
+        names, weights, matrix = ansatz.basis(degree, homogeneous)
+        want = oracle_basis(ansatz, degree, homogeneous)
+        assert names == [name for name, _, _ in want], degree
+        assert weights == [w for _, w, _ in want], degree
+        columns = [{} for _ in names]
+        for e, row in matrix.items():
+            assert list(row) == sorted(row), e
+            for j, c in row.items():
+                assert type(c) is int and c
+                columns[j][e] = c
+        for j, (_, _, p) in enumerate(want):
+            assert columns[j] == {e: c[0] for e, c in p.terms.items()}, names[j]
+            assert all(len(c) == 1 for c in p.terms.values())
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +252,7 @@ def test_fundamental_omega2_dual_solver_oracle(a2):
 
 def test_restrict_matches_loop_oracle(a2):
     # every basis class the CSM solves use, at every orbit
-    for p in (p for _, p in a2.ansatz.basis(6)):
+    for p in (p for _, _, p in oracle_basis(a2.ansatz, 6)):
         for o in a2.orbits:
             images = {v: (1, {img: 1}) for v, img in o.phi.items()}
             assert a2.restrict(p, o) == monomial_substitute_loop(p, images, a2.all_vars)
@@ -428,7 +454,7 @@ def test_giambelli_thom_porteous_sign_matches_the_golden(a2):
     # omega1 of Hom(C^2, C^3): c_2(B - A) = B2 - A1*B1 + A1^2 - A2
     golden = pathlib.Path(__file__).parent / "golden" / "interpolate_csm_omega1.json"
     blob = json.loads(golden.read_text(encoding="utf-8"))
-    basis = dict(a2.ansatz.basis(2, homogeneous=True))
+    basis = {name: p for name, _, p in oracle_basis(a2.ansatz, 2, homogeneous=True)}
     coeffs = {c["monomial"]: c["coeff"] for c in blob["fundamental_class"]["coefficients"]}
     assert coeffs == {"B2": 1, "A1*B1": -1, "A1^2": 1, "A2": -1}
     total = LaurentPoly.zero(a2.ansatz.vars)
@@ -451,6 +477,18 @@ def test_csm_classes_add_up_to_total_chern_class(m, n):
             weight = LaurentPoly.variable(vars, f"b{j}") - LaurentPoly.variable(vars, f"a{i}")
             want = want * (weight + 1)
     assert total == want
+
+
+def _open_orbit_only(**changes):
+    """An edit that replaces the data by one open orbit over a and b, with
+    changes to its top-level keys or, under "orbit", to the orbit."""
+    orbit = {"name": "open", "codim": 0, "phi": {}, "euler": [], "tangent_c": [],
+             **changes.pop("orbit", {})}
+
+    def edit(d):
+        d.clear()
+        d.update({"vars": ["a", "b"], "orbits": [orbit], **changes})
+    return edit
 
 
 @pytest.mark.parametrize("edit, message", [
@@ -476,9 +514,27 @@ def test_csm_classes_add_up_to_total_chern_class(m, n):
     (lambda d: d.update(groups=[{"label": "A", "vars": ["a1", "a2"]},
                                 {"label": "A", "vars": ["b1", "b2", "b3"]}]),
      "group label 'A' is given twice"),
+    # a string or an object where a list is required is not read as one
+    (_open_orbit_only(vars="ab"), "vars 'ab' is not a list of names"),
+    (_open_orbit_only(vars=["a", 1]), "vars ['a', 1] is not a list of names"),
+    (_open_orbit_only(symmetry="ab"), "symmetry 'ab' is not a list"),
+    (_open_orbit_only(symmetry=["ab"]), "symmetry block 'ab' is not a list of names"),
+    (_open_orbit_only(symmetry=[[]]), "symmetry block [] is empty"),
+    (_open_orbit_only(groups=[{"label": "A", "vars": "ab"}]),
+     "group A: vars 'ab' is not a list of names"),
+    (_open_orbit_only(groups=[{"label": ["A"], "vars": ["a", "b"]}]),
+     "group label ['A'] is not a string"),
+    (_open_orbit_only(orbits={}), "orbits {} is not a list"),
+    (_open_orbit_only(orbit={"euler": {}}), "orbit open: euler {} is not a list"),
+    (_open_orbit_only(orbit={"tangent_c": "1"}), "orbit open: tangent_c '1' is not a list"),
+    (_open_orbit_only(orbit={"name": ["open"]}), "orbit name ['open'] is not a string"),
 ], ids=["codim-float", "codim-bool", "coefficient-float", "const-string", "const-bool",
         "unknown-factor-variable", "symmetry-outside-vars", "symmetry-overlap",
-        "group-outside-vars", "group-overlap", "repeated-var", "group-label-twice"])
+        "group-outside-vars", "group-overlap", "repeated-var", "group-label-twice",
+        "vars-a-string", "var-not-a-string", "symmetry-a-string", "symmetry-block-a-string",
+        "symmetry-block-empty",
+        "group-vars-a-string", "group-label-not-a-string", "orbits-an-object",
+        "euler-an-object", "tangent-a-string", "orbit-name-a-list"])
 def test_malformed_orbit_data_names_the_fault(edit, message):
     data = hom_orbit_data(2, 3)
     edit(data)
@@ -509,7 +565,7 @@ def test_generated_labels_are_unique(symmetry, labels):
     assert [label for label, _ in ansatz.groups] == labels
     names = [name for name, _, _ in ansatz.generators()]
     assert len(set(names)) == len(names), names
-    basis = [name for name, _ in ansatz.basis(2, homogeneous=True)]
+    basis, _, _ = ansatz.basis(2, homogeneous=True)
     assert len(set(basis)) == len(basis), basis
 
 
