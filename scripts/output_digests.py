@@ -1,17 +1,21 @@
 #!/usr/bin/env python3
-"""Print `md5 exit command` for a fixed list of CLI calls.
+"""Print `md5-stdout md5-stderr exit command` for a fixed list of CLI calls.
 
     PYTHONPATH=src python scripts/output_digests.py > digests.txt
 
-Each call runs in this process through mcclass.cli.main; the digest is
-the md5 of what it writes to stdout.  Two trees whose outputs should be
-byte-identical give identical listings, so a `diff` of the two listings
-is the check.  The list holds the golden commands, global weight
-functions, restricted tables, axioms, expansions, conjectures, the
-bundled interpolation outputs and interpolation on the rank
-stratifications of Hom(C^2, C^4) and Hom(C^3, C^3), whose orbit data
-tests/oracles.py generates into a temporary file for the run; it takes
-about 55 s on one core of a 2-vCPU Xeon.
+Each call runs in this process through mcclass.cli.main; the digests
+are the md5 of what it writes to stdout and of what it writes to
+stderr, with the temporary directory of the run's data files written
+as <tmp>.  Two trees whose outputs should be byte-identical give
+identical listings, so a `diff` of the two listings is the check.  The
+list holds the golden commands, global weight functions, restricted
+tables, axioms, expansions, conjectures, the bundled interpolation
+outputs and interpolation on the rank stratifications of Hom(C^2, C^4)
+and Hom(C^3, C^3), whose orbit data tests/oracles.py generates into a
+temporary file for the run.  It also holds calls that exit 2, whose
+one-line messages are part of the CLI contract: orbit data files whose
+objects are not JSON objects, and one bad argument for each
+subcommand.  The 86 calls take about 40 s on one core of a 2-vCPU Xeon.
 """
 
 import contextlib
@@ -28,6 +32,17 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), ".."
 from oracles import hom_orbit_data  # noqa: E402
 
 HOMS = ((2, 4), (3, 3))
+
+_OPEN = {"name": "open", "codim": 0, "phi": {}, "euler": [], "tangent_c": []}
+
+# malformed orbit data: a list, a string or a number where an object is required
+BAD_DATA = {
+    "bad_phi": {"vars": ["a"], "orbits": [{**_OPEN, "phi": []}]},
+    "bad_factor": {"vars": ["a"], "orbits": [{**_OPEN, "euler": [5]}]},
+    "bad_coeffs": {"vars": ["a"], "orbits": [{**_OPEN, "tangent_c": [{"coeffs": ["a"]}]}]},
+    "bad_orbit": {"vars": ["a"], "orbits": ["open"]},
+    "bad_top": [1, 2],
+}
 
 KINDS = ("plain", "modified", "segre")
 
@@ -63,24 +78,35 @@ COMMANDS = [
     *(f"interpolate --data {{hom_{m}_{n}}} --target omega{k} --mode {mode}{fmt}"
       for m, n in HOMS for k in range(m + 1) for mode in ("fundamental", "csm")
       for fmt in ("", " --format json")),
+    # calls that exit 2 with one error line
+    *(f"interpolate --data {{{name}}} --target open" for name in BAD_DATA),
+    "weight --mu 1,0 --all",
+    "axioms --n 0",
+    "expand --n 3 --p 1,2,4",
+    "conjectures --n 3 --checks sign,foo",
+    "limit --cocharacter 1,x",
+    "interpolate --target nowhere",
+    "newton --n 3 --pair 1,2",
 ]
 
 
-def digest(command: str) -> tuple:
-    """(md5 of stdout, exit code) of one CLI call."""
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+def digest(command: str, tmp: str) -> tuple:
+    """(md5 of stdout, md5 of stderr, exit code) of one CLI call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(command.split())
-    return hashlib.md5(out.getvalue().encode("utf-8")).hexdigest(), code
+    return (hashlib.md5(out.getvalue().encode("utf-8")).hexdigest(),
+            hashlib.md5(err.getvalue().replace(tmp, "<tmp>").encode("utf-8")).hexdigest(),
+            code)
 
 
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
+        data = {f"hom_{m}_{n}": hom_orbit_data(m, n) for m, n in HOMS} | BAD_DATA
         files = {}
-        for m, n in HOMS:
-            files[f"hom_{m}_{n}"] = path = os.path.join(tmp, f"hom_{m}_{n}.json")
+        for name, obj in data.items():
+            files[name] = path = os.path.join(tmp, f"{name}.json")
             with open(path, "w", encoding="utf-8") as fh:
-                json.dump(hom_orbit_data(m, n), fh)
+                json.dump(obj, fh)
         for command in COMMANDS:
-            md5, code = digest(command.format(**files))
-            print(md5, code, command, flush=True)
+            print(*digest(command.format(**files), tmp), command, flush=True)

@@ -16,7 +16,7 @@ multiply them out as euler_product (normal) and chern_factor_product
 from __future__ import annotations
 
 from collections import Counter
-from typing import Mapping
+from collections.abc import Mapping
 
 from .combi import Composition, IndexTuple, closure_leq
 from .newton import LatticePolytope, is_vertex, minkowski_sum, newton_polytope, polytope_contained

@@ -9,12 +9,13 @@ with permutations by reading off the unique element of each block.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator, Sequence
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+
+from .record import record
 
 
-@dataclass(frozen=True)
+@record
 class Composition:
     """A composition mu = (mu_1, ..., mu_N) of n into positive parts."""
 
@@ -48,7 +49,7 @@ class Composition:
         return all(p == 1 for p in self.parts)
 
 
-@dataclass(frozen=True)
+@record
 class IndexTuple:
     """Disjoint blocks (I_1, ..., I_N) covering {1..n} with |I_j| = mu_j."""
 
@@ -109,7 +110,7 @@ class IndexTuple:
         return ",".join("{" + ",".join(map(str, b)) + "}" for b in self.blocks)
 
 
-@dataclass(frozen=True)
+@record
 class Permutation:
     """A permutation in one-line notation w = (w(1), ..., w(n))."""
 

@@ -18,13 +18,13 @@ oracle that the test suite pins the recursion against.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections.abc import Mapping, Sequence
 from functools import cached_property
 from operator import add, mul
-from typing import Mapping, Sequence
 
 from .combi import (Composition, Permutation, bruhat_leq, left_ascent, left_parent_edges,
                     permutations_by_length, tree_walk, weak_order_walk)
+from .record import record
 from .report import Report, ReportEntry
 from .ring import (YP_PACK_BITS, LaurentPoly, digit_guard, exact_divide, format_poly_ygrouped,
                    pack_poly, poly_to_json, substitute_ones, unpack_polys, yp_subst)
@@ -51,7 +51,7 @@ def structure_sheaf_rows(n: int, spec: TorusSpecialization | None = None) -> dic
                           lambda row, i: demazure_step(row, i, spec)))
 
 
-@dataclass(frozen=True)
+@record
 class Expansion:
     """Coefficients of one cell class in the structure-sheaf basis."""
 

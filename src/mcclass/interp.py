@@ -41,19 +41,19 @@ generators, the basis classes (multiplied out once, into the
 coefficient matrix), the orbit classes read from JSON, the target
 value and the restrictions of the solution.  LaurentPoly appears only
 at the API boundary: OrbitSpec.euler and tangent_c,
-SymmetricExpansion.poly, CsmSolution.restrictions and
-OrbitProblem.restrict, each wrapped once from integer terms.
+SymmetricExpansion.poly and CsmSolution.restrictions, each wrapped once
+from integer terms.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from math import gcd
 from operator import add, mul
-from typing import Mapping, Sequence
 
+from .record import record
 from .ring import LaurentPoly, MonomialMap, format_poly, json_integer
 
 
@@ -70,7 +70,7 @@ class NonUniqueError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class OrbitSpec:
     """One orbit: restriction map, Euler class and tangent Chern class
     (both already written in the image variables of the restriction).
@@ -94,7 +94,7 @@ class OrbitSpec:
             raise ValueError(f"orbit {self.name}: tangent Chern class must be nonzero")
 
 
-@dataclass(frozen=True)
+@record
 class SymmetricAnsatz:
     """Monomials in elementary symmetric generators up to a degree bound.
 
@@ -203,16 +203,18 @@ def _int_terms(p: LaurentPoly) -> dict:
 
 def _poly_from_factors(factors, vars, where: str) -> LaurentPoly:
     """Product of affine-linear factors {const, coeffs: {var: c}} over
-    vars, with integer const and c, multiplied out on integer terms and
-    wrapped once; where names the orbit and the key in an error."""
+    vars, each factor and its coeffs a JSON object with integer const and
+    c, multiplied out on integer terms and wrapped once; where names the
+    orbit and the key in an error."""
     _json_list(factors, where)
     index = {v: i for i, v in enumerate(vars)}
     one = (0,) * len(vars)
     out = {one: 1}
     for f in factors:
+        _json_object(f, f"{where} factor")
         const = json_integer(f.get("const", 0), f"{where} const")
         term = {one: const} if const else {}
-        for v, c in f.get("coeffs", {}).items():
+        for v, c in _json_object(f.get("coeffs", {}), f"{where} coeffs").items():
             if v not in index:
                 raise ValueError(f"{where} names {v!r}, which is neither an ansatz "
                                  "variable nor a phi image")
@@ -229,6 +231,13 @@ def _json_list(value, what: str) -> list:
     """value, if it is a JSON list; otherwise ValueError naming what it is."""
     if type(value) is not list:
         raise ValueError(f"{what} {value!r} is not a list")
+    return value
+
+
+def _json_object(value, what: str) -> dict:
+    """value, if it is a JSON object; otherwise ValueError naming what it is."""
+    if type(value) is not dict:
+        raise ValueError(f"{what} {value!r} is not an object")
     return value
 
 
@@ -258,15 +267,16 @@ def _auto_label(vars: Sequence[str], taken: set) -> str:
 def _groups_from_json(obj: Mapping):
     """Accept either explicit labelled groups or a flat variable list
     with symmetry blocks; leftovers of vars become singleton groups.
-    Lists of names must be JSON lists of strings.  An empty symmetry
-    block, a block variable that is not in vars (when vars is given),
-    one that lies in two blocks, and a label given to two groups are
-    rejected; generated labels avoid every label before them."""
+    Lists of names must be JSON lists of strings, and each group a JSON
+    object.  An empty symmetry block, a block variable that is not in
+    vars (when vars is given), one that lies in two blocks, and a label
+    given to two groups are rejected; generated labels avoid every label
+    before them."""
     taken: set = set()
     if "groups" in obj:
         blocks = []
         for g in _json_list(obj["groups"], "groups"):
-            label = g["label"]
+            label = _json_object(g, "group")["label"]
             if type(label) is not str:
                 raise ValueError(f"group label {label!r} is not a string")
             if label in taken:
@@ -297,19 +307,20 @@ def _groups_from_json(obj: Mapping):
 
 
 def _orbits_from_json(obj: Mapping, ansatz_vars: tuple) -> list:
-    """The orbit entries, after rejecting orbits that are not a list, a
-    name that is not a string, a repeated orbit name, a phi key that is
-    not an ansatz variable and a phi image that is not a variable name."""
+    """The orbit entries, after rejecting orbits that are not a list, an
+    entry or a phi that is not an object, a name that is not a string, a
+    repeated orbit name, a phi key that is not an ansatz variable and a
+    phi image that is not a variable name."""
     orbits = _json_list(obj["orbits"], "orbits")
     names = set()
     for o in orbits:
-        name = o["name"]
+        name = _json_object(o, "orbit")["name"]
         if type(name) is not str:
             raise ValueError(f"orbit name {name!r} is not a string")
         if name in names:
             raise ValueError(f"duplicate orbit name {name!r}")
         names.add(name)
-        for v, img in o.get("phi", {}).items():
+        for v, img in _json_object(o.get("phi", {}), f"orbit {name}: phi").items():
             if v not in ansatz_vars:
                 raise ValueError(f"orbit {name}: phi key {v!r} is not an ansatz variable")
             if not isinstance(img, str):
@@ -317,16 +328,16 @@ def _orbits_from_json(obj: Mapping, ansatz_vars: tuple) -> list:
     return orbits
 
 
-@dataclass(frozen=True)
+@record
 class OrbitProblem:
     """Orbit data over a symmetric ansatz.  Each orbit's restriction map,
-    from the ansatz variables to all_vars, is compiled once here;
-    restrict only applies it."""
+    from the ansatz variables to all_vars, is compiled once here into
+    restriction_maps (orbit name -> MonomialMap), which is not a field:
+    it takes no part in equality, hashing or the repr."""
 
     ansatz: SymmetricAnsatz
     orbits: tuple
     all_vars: tuple  # base variables plus every restriction image variable
-    restriction_maps: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "restriction_maps", {
@@ -336,7 +347,7 @@ class OrbitProblem:
 
     @classmethod
     def from_json(cls, obj: Mapping) -> "OrbitProblem":
-        ansatz = SymmetricAnsatz.from_groups(_groups_from_json(obj))
+        ansatz = SymmetricAnsatz.from_groups(_groups_from_json(_json_object(obj, "orbit data")))
         entries = _orbits_from_json(obj, ansatz.vars)
         base = list(ansatz.vars)
         extra = []
@@ -360,11 +371,6 @@ class OrbitProblem:
             if o.name == name:
                 return o
         raise KeyError(f"unknown orbit {name!r}")
-
-    def restrict(self, p: LaurentPoly, o: OrbitSpec) -> LaurentPoly:
-        """The restriction to o of a class p in the ansatz variables,
-        written over all_vars, by o's map compiled at construction."""
-        return self.restriction_maps[o.name](p)
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +452,7 @@ def solve_unique_fractions(rows, rhs, *, width):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class SymmetricExpansion:
     """A class written in the symmetric-generator monomial basis."""
 
@@ -572,7 +578,7 @@ def solve_fundamental(problem: OrbitProblem, target: str,
                       problem.ansatz.vars)
 
 
-@dataclass(frozen=True)
+@record
 class CsmSolution:
     expansion: SymmetricExpansion
     restrictions: dict          # orbit name -> LaurentPoly

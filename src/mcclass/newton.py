@@ -13,13 +13,13 @@ integers once), so every answer is exact, never a float heuristic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 from operator import mul
-from typing import Iterable, Sequence
 
+from .record import record
 from .ring import LaurentPoly
 
 
@@ -27,7 +27,7 @@ class ZeroPolynomialError(ValueError):
     """The Newton polytope of the zero polynomial is undefined."""
 
 
-@dataclass(frozen=True)
+@record
 class HRepresentation:
     """conv(generators) as {x : u.x = c for every (u, c) in equalities,
     a.(x at pivots) <= b for every (a, b) in facets}, all integers.
@@ -42,7 +42,7 @@ class HRepresentation:
     facets: tuple
 
 
-@dataclass(frozen=True)
+@record
 class LatticePolytope:
     """Finite set of integer generator vectors; the H-representation is
     computed on first use and cached."""

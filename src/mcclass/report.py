@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from .record import record
 
 
-@dataclass(frozen=True)
+@record
 class ReportEntry:
     pair: tuple
     check: str
@@ -17,10 +17,10 @@ class ReportEntry:
                 "pass": self.ok, "witness": self.witness}
 
 
-@dataclass
 class Report:
-    name: str
-    entries: list = field(default_factory=list)
+    def __init__(self, name: str, entries: list | None = None):
+        self.name = name
+        self.entries = [] if entries is None else entries
 
     def add(self, entry: ReportEntry) -> None:
         self.entries.append(entry)

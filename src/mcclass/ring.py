@@ -25,11 +25,12 @@ value is zero only when its y-polynomial is; digit_guard keeps it there.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections.abc import Mapping, Sequence
 from functools import lru_cache
 from math import comb
 from operator import add, sub
-from typing import Mapping, Sequence
+
+from .record import record
 
 # ---------------------------------------------------------------------------
 # Coefficients: univariate integer polynomials in y, as tuples (c0, c1, ...)
@@ -796,7 +797,7 @@ def line_quotient(packed: tuple, D: tuple, vars: tuple) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class Cocharacter:
     """Exponents d_i of the substitution tau_i -> xi^{d_i}."""
 

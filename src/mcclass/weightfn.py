@@ -28,13 +28,13 @@ checks and the polygon pictures read them from here.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections.abc import Mapping, Sequence
 from functools import cached_property
 from operator import sub
-from typing import Mapping, Sequence
 
 from .combi import (Composition, IndexTuple, Permutation, enumerate_index_tuples,
                     left_parent_edges, tangent_weights, tree_walk)
+from .record import record
 from .ring import (YP_ONE, YP_ONE_PLUS_Y, YP_PACK_BITS, YP_Y, LaurentPoly, MonomialMap,
                    RationalExpr, ZeroDenominatorError, digit_guard, line_quotient,
                    monomial_substitute, pack_poly, unpack_polys)
@@ -44,7 +44,7 @@ from .ring import (YP_ONE, YP_ONE_PLUS_Y, YP_PACK_BITS, YP_Y, LaurentPoly, Monom
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class VariablePanel:
     """Chern-root variables a{j}_{k} per flag step, with the last group t{k}."""
 
@@ -85,7 +85,7 @@ class VariablePanel:
         return LaurentPoly.monomial(vars, e)
 
 
-@dataclass(frozen=True)
+@record
 class TorusSpecialization:
     """Monomial images of the torus variables tau_1..tau_n.
 
@@ -169,7 +169,7 @@ PSI_EQUAL = "(1+y)xi"
 PSI_GREATER = "1+y*xi"
 
 
-@dataclass(frozen=True)
+@record
 class PsiFactor:
     """One factor of the unsymmetrized product: a function of a monomial.
 

@@ -32,7 +32,8 @@
   image vectors on every call and adds every exponent into every output
   slot: the oracle of `mcclass.ring.MonomialMap`, the compiled kernel
   behind `monomial_substitute`, `TorusSpecialization.specialize`,
-  `OrbitProblem.restrict` and the limits.
+  `OrbitProblem`'s restriction maps (applied by `restrict` here) and the
+  limits.
 - `hom_orbit_data(m, n)`, the rank stratification of Hom(C^m, C^n) as
   orbit data, and `solve_csm_with_quotients`, the CSM solve with a full
   quotient unknown for every monomial below codim(o) at every other
@@ -423,6 +424,12 @@ def hom_orbit_data(m: int, n: int) -> dict:
     return {"vars": a + b, "symmetry": [a, b], "orbits": orbits}
 
 
+def restrict(problem, p: LaurentPoly, o) -> LaurentPoly:
+    """The restriction to orbit o of a class p in the ansatz variables,
+    written over problem.all_vars, by o's map compiled with the problem."""
+    return problem.restriction_maps[o.name](p)
+
+
 def oracle_basis(ansatz, degree: int, homogeneous: bool = False) -> list:
     """The basis of `SymmetricAnsatz.basis` as (name, weighted degree,
     class) triples in the same order, every elementary symmetric
@@ -525,7 +532,7 @@ def solve_fundamental_per_class(problem, target: str, solver=solve_unique_fracti
     zero = LaurentPoly.zero(problem.all_vars)
     identities = []
     for o in problem.orbits:
-        columns = [(j, problem.restrict(p, o)) for j, p in enumerate(polys)]
+        columns = [(j, restrict(problem, p, o)) for j, p in enumerate(polys)]
         if o.name == t.name:
             identities.append((columns, o.euler))
         elif o.codim <= t.codim:
@@ -594,7 +601,7 @@ def solve_csm_with_quotients(problem, target: str, solver=solve_unique_fractions
     width = len(polys)
     identities = []
     for o in problem.orbits:
-        columns = [(j, problem.restrict(p, o)) for j, p in enumerate(polys)]
+        columns = [(j, restrict(problem, p, o)) for j, p in enumerate(polys)]
         if o.name == target:
             identities.append((columns, target_value))
             continue
@@ -611,7 +618,7 @@ def solve_csm_with_quotients(problem, target: str, solver=solve_unique_fractions
     low_cols = [j for j, v in enumerate(values) if v != 0 and _degree(polys[j]) == low]
     lowest = _as_expansion([names[j] for j in low_cols], [polys[j] for j in low_cols],
                            [values[j] for j in low_cols], problem.ansatz.vars)
-    restrictions = {o.name: problem.restrict(expansion.poly, o) for o in problem.orbits}
+    restrictions = {o.name: restrict(problem, expansion.poly, o) for o in problem.orbits}
     return CsmSolution(expansion, restrictions, lowest, fundamental)
 
 

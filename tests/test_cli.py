@@ -362,6 +362,24 @@ def test_serial_and_parallel_byte_identical(tmp_path):
     assert a.stdout == b.stdout
 
 
+@pytest.mark.parametrize("module", ["mcclass.cli", "mcclass.axioms", "mcclass.expand",
+                                    "mcclass.interp", "mcclass.newton"])
+def test_import_leaves_out_heavy_stdlib_modules(module):
+    # the CLI is started once per question, so startup is part of every
+    # answer: no import of dataclasses (which pulls in inspect), and
+    # annotation types from collections.abc rather than typing.  Only
+    # what the import adds counts, so a site hook that preloads a module
+    # does not matter.
+    code = ("import sys\n"
+            "before = set(sys.modules)\n"
+            f"import {module}\n"
+            "added = set(sys.modules) - before\n"
+            "print(sorted(added & {'dataclasses', 'inspect', 'typing'}))\n")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, cwd=ROOT, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == "[]\n"
+
+
 @pytest.mark.skipif(not pathlib.Path("/proc/self/status").exists(),
                     reason="reads VmHWM from /proc/self/status")
 def test_conjectures_n5_peak_memory():

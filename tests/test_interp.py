@@ -13,8 +13,8 @@ from mcclass.interp import (NonUniqueError, NoSolutionError, OrbitProblem,
                             solve_unique_fractions)
 from mcclass.ring import LaurentPoly, MonomialMap, format_poly
 from oracles import (giambelli_thom_porteous, hom_orbit_data, monomial_substitute_loop,
-                     oracle_basis, solve_csm_with_quotients, solve_fundamental_per_class,
-                     solve_unique_bareiss, solve_unique_gauss_jordan)
+                     oracle_basis, restrict, solve_csm_with_quotients,
+                     solve_fundamental_per_class, solve_unique_bareiss, solve_unique_gauss_jordan)
 
 ORACLES = [solve_unique_gauss_jordan, solve_unique_bareiss]
 
@@ -247,7 +247,7 @@ def test_fundamental_omega2_dual_solver_oracle(a2):
     assert a.coeffs == b.coeffs
     # normalization: restriction at omega2 (the identity map) is the Euler class
     o2 = a2.orbit("omega2")
-    assert a2.restrict(a.poly, o2) == o2.euler
+    assert restrict(a2, a.poly, o2) == o2.euler
 
 
 def test_restrict_matches_loop_oracle(a2):
@@ -255,7 +255,7 @@ def test_restrict_matches_loop_oracle(a2):
     for p in (p for _, _, p in oracle_basis(a2.ansatz, 6)):
         for o in a2.orbits:
             images = {v: (1, {img: 1}) for v, img in o.phi.items()}
-            assert a2.restrict(p, o) == monomial_substitute_loop(p, images, a2.all_vars)
+            assert restrict(a2, p, o) == monomial_substitute_loop(p, images, a2.all_vars)
 
 
 def test_restrict_compiles_nothing_per_call(a2, monkeypatch):
@@ -271,7 +271,7 @@ def test_restrict_compiles_nothing_per_call(a2, monkeypatch):
 def test_fundamental_vanishes_on_open_orbit(a2):
     for target in ("omega1", "omega2"):
         sol = solve_fundamental(a2, target)
-        assert a2.restrict(sol.poly, a2.orbit("omega0")).is_zero()
+        assert restrict(a2, sol.poly, a2.orbit("omega0")).is_zero()
 
 
 # ---------------------------------------------------------------------------
@@ -528,16 +528,27 @@ def _open_orbit_only(**changes):
     (_open_orbit_only(orbit={"euler": {}}), "orbit open: euler {} is not a list"),
     (_open_orbit_only(orbit={"tangent_c": "1"}), "orbit open: tangent_c '1' is not a list"),
     (_open_orbit_only(orbit={"name": ["open"]}), "orbit name ['open'] is not a string"),
+    # a list, a string or a number where an object is required
+    (_open_orbit_only(orbit={"phi": []}), "orbit open: phi [] is not an object"),
+    (_open_orbit_only(orbit={"euler": [5]}), "orbit open: euler factor 5 is not an object"),
+    (_open_orbit_only(orbit={"tangent_c": [{"const": 1, "coeffs": ["a"]}]}),
+     "orbit open: tangent_c coeffs ['a'] is not an object"),
+    (_open_orbit_only(orbits=["open"]), "orbit 'open' is not an object"),
+    (_open_orbit_only(groups=[["a", "b"]]), "group ['a', 'b'] is not an object"),
+    (lambda d: [1, 2], "orbit data [1, 2] is not an object"),
 ], ids=["codim-float", "codim-bool", "coefficient-float", "const-string", "const-bool",
         "unknown-factor-variable", "symmetry-outside-vars", "symmetry-overlap",
         "group-outside-vars", "group-overlap", "repeated-var", "group-label-twice",
         "vars-a-string", "var-not-a-string", "symmetry-a-string", "symmetry-block-a-string",
         "symmetry-block-empty",
         "group-vars-a-string", "group-label-not-a-string", "orbits-an-object",
-        "euler-an-object", "tangent-a-string", "orbit-name-a-list"])
+        "euler-an-object", "tangent-a-string", "orbit-name-a-list",
+        "phi-a-list", "factor-a-number", "coeffs-a-list", "orbit-a-string", "group-a-list",
+        "data-a-list"])
 def test_malformed_orbit_data_names_the_fault(edit, message):
+    # an edit changes the data in place, or returns data to use instead
     data = hom_orbit_data(2, 3)
-    edit(data)
+    data = edit(data) or data
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         OrbitProblem.from_json(data)
 
